@@ -28,7 +28,8 @@ from . import maxprinciple, montecarlo
 from .errors import (AmbiguousProjection, ConfigError, GridMismatch,
                      RsdekitError, StartOutsideDomain, TubeTooNarrow)
 from .geometry import make_domain
-from .paths import linear_control, sine_control, zero_control
+from .paths import (HOLDER_EXACT_LIMIT, linear_control, sine_control,
+                    zero_control)
 from .rsde import make_coefficients
 
 WORKERS_ENV = "RSDEKIT_WORKERS"
@@ -310,6 +311,12 @@ def parse_config(path, overrides=()):
     if exp_raw:
         raise ConfigError(f"unknown key {sorted(exp_raw)[0]!r} in "
                           f"section [experiment]")
+    if name == "holder_tightness":
+        nodes = 2 ** (max(params["levels"]) + 1) + 1  # fine grid: level max + 1
+        if nodes > HOLDER_EXACT_LIMIT:
+            raise ConfigError(f"experiment.levels: the fine grid would have "
+                              f"{nodes} nodes, above the exact Holder scan's "
+                              f"limit of {HOLDER_EXACT_LIMIT}")
     resolved["experiment"] = params
     return resolved
 

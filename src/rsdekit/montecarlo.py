@@ -245,20 +245,6 @@ def _sup_dist(A, B):
 # ---------------------------------------------------------------------------
 
 
-def _holder_dist_dyadic(times, A, B, theta):
-    """Per-path theta-Holder distance over dyadic lags (a lower bound)."""
-    diff = A - B
-    P, N = diff.shape[0], diff.shape[1]
-    best = np.zeros(P)
-    L = 1
-    while L < N:
-        d = np.linalg.norm(diff[:, L:] - diff[:, :-L], axis=2)
-        dt = (times[L:] - times[:-L]) ** theta
-        np.maximum(best, np.max(d / dt[None, :], axis=1), out=best)
-        L <<= 1
-    return best
-
-
 def _wz_chunk(lo, hi, payload):
     dom, cf, _ = _restore(payload)
     times = np.asarray(payload["times"])
@@ -275,9 +261,9 @@ def _wz_chunk(lo, hi, payload):
                                              payload["substeps"] * mult, x0)
             out[(tag, n)] = _sup_dist(ref.x, batch.x)
             if mult == 1:
-                out[("holder", n)] = _sup_dist(ref.x, batch.x) \
-                    + _holder_dist_dyadic(times, ref.x, batch.x,
-                                          payload["theta"])
+                out[("holder", n)] = out[(tag, n)] + np.sqrt(pth.lag_scan_sq(
+                    times, ref.x - batch.x, payload["theta"],
+                    pth.dyadic_lags(len(times))))
         if lo == 0:
             # CRN discipline: the level-n driver must be a restriction of the
             # fine driver, never a re-simulation
@@ -331,9 +317,9 @@ def wz_convergence(domain, coeffs, x0, T, levels, paths, seed, substeps=4,
                                          len(hol), kind="statistic"))
         if check_substeps:
             errs2 = np.concatenate([r[("err2x", n)] for r in results])
-            m2, _ = mean_ci(errs2)
+            m2, ci2 = mean_ci(errs2)
             report.estimates.append(Estimate(f"E_sup_err_level_{n}_substeps2x",
-                                             m2, ci, len(errs2)))
+                                             m2, ci2, len(errs2)))
             ok_substeps &= abs(m2 - m) < max(ci, 1e-15)
     if max(means) < 1e-300:
         report.verdict = "degenerate"
@@ -581,13 +567,7 @@ def _window_osc_sq(x, lo, hi):
     v = x[:, lo:hi + 1]
     if v.shape[2] == 1:
         return (np.max(v[..., 0], axis=1) - np.min(v[..., 0], axis=1)) ** 2
-    best = np.zeros(v.shape[0])
-    L = 1
-    while L < v.shape[1]:
-        np.maximum(best, np.max(np.linalg.norm(v[:, L:] - v[:, :-L], axis=2),
-                                axis=1), out=best)
-        L <<= 1
-    return best ** 2
+    return pth.lag_scan_sq(None, v, 0.0, pth.dyadic_lags(v.shape[1]))
 
 
 def _moment_chunk(lo, hi, payload):

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import GridMismatch, TubeTooNarrow
 
 HOLDER_EXACT_LIMIT = 4096
+LAG_SCAN_TILE = 64
 
 
 def rng_for(seed, *stream_key):
@@ -305,41 +306,68 @@ def holder_seminorm(x, T=None, alpha=0.5, method="auto"):
     """
     T = x.duration if T is None else float(T)
     keep = x.times <= T + 1e-12
-    t = x.times[keep]
-    v = x.values[keep]
-    n = len(t)
-    if n < 2:
-        return 0.0
+    n = int(np.count_nonzero(keep))
     if method == "auto":
         method = holder_method(n)
     if method == "exact":
-        lags = range(1, n)
+        lags = None
     elif method in ("dyadic", "dyadic_lower_bound"):
-        lags = sorted({min(2 ** k, n - 1) for k in range(0, 64) if 2 ** k < n})
+        lags = dyadic_lags(n)
     else:
         raise ValueError(f"unknown method {method!r}")
-    best = 0.0
-    for L in lags:
-        diff = np.linalg.norm(v[L:] - v[:-L], axis=1)
-        dt = t[L:] - t[:-L]
-        best = max(best, float(np.max(diff / dt ** alpha)))
-    return best
+    return float(np.sqrt(lag_scan_sq(x.times[keep], x.values[None, keep],
+                                     alpha, lags)[0]))
 
 
 def holder_norm(x, T=None, alpha=0.5, method="auto"):
     return sup_norm(x, T) + holder_seminorm(x, T, alpha, method)
 
 
+def dyadic_lags(n_nodes):
+    """The lags 1, 2, 4, ... below n_nodes."""
+    return [1 << k for k in range(max(int(n_nodes) - 1, 0).bit_length())]
+
+
+def lag_scan_sq(times, values, alpha, lags=None):
+    """Per-path max over node pairs (i, i + L) of
+    |v_{i+L} - v_i|^2 / (t_{i+L} - t_i)^(2 alpha), for values (P, N, d).
+
+    lags=None scans every lag, hence every node pair (exact); otherwise only
+    the given lags, which gives a lower bound.  times is not read when alpha
+    is 0.  The result is squared, so callers take one sqrt per path.  Paths
+    are scanned LAG_SCAN_TILE at a time from an axis-major copy, with
+    elementwise arithmetic only, so each row depends on that row alone.
+    """
+    axes = np.moveaxis(np.asarray(values), 2, 0).astype(float, order="C")
+    d, P, N = axes.shape
+    best = np.zeros(P)
+    if N < 2:
+        return best
+    lags = range(1, N) if lags is None else lags
+    acc_buf, tmp_buf = np.empty((2, min(P, LAG_SCAN_TILE) * (N - 1)))
+    for p0 in range(0, P, LAG_SCAN_TILE):
+        tile = axes[:, p0:p0 + LAG_SCAN_TILE]
+        rows = tile.shape[1]
+        out = best[p0:p0 + rows]
+        for L in lags:
+            n = N - L
+            acc = acc_buf[:rows * n].reshape(rows, n)
+            np.subtract(tile[0, :, L:], tile[0, :, :n], out=acc)
+            np.multiply(acc, acc, out=acc)
+            for k in range(1, d):
+                tmp = tmp_buf[:rows * n].reshape(rows, n)
+                np.subtract(tile[k, :, L:], tile[k, :, :n], out=tmp)
+                np.multiply(tmp, tmp, out=tmp)
+                acc += tmp
+            if alpha != 0:
+                acc /= (times[L:] - times[:n]) ** (2.0 * alpha)
+            np.maximum(out, acc.max(axis=1), out=out)
+    return best
+
+
 def holder_seminorm_batch(times, values, alpha):
     """Per-path Holder seminorm for values of shape (P, N, m), exact pair scan."""
-    t = np.asarray(times, dtype=float)
-    P, N = values.shape[0], values.shape[1]
-    best = np.zeros(P)
-    for L in range(1, N):
-        diff = np.linalg.norm(values[:, L:] - values[:, :-L], axis=2)
-        dt = (t[L:] - t[:-L]) ** alpha
-        np.maximum(best, np.max(diff / dt[None, :], axis=1), out=best)
-    return best
+    return np.sqrt(lag_scan_sq(np.asarray(times, dtype=float), values, alpha))
 
 
 def oscillation(values):
@@ -349,10 +377,7 @@ def oscillation(values):
         return 0.0
     if v.shape[1] == 1:
         return float(np.max(v) - np.min(v))
-    best = 0.0
-    for L in range(1, len(v)):
-        best = max(best, float(np.max(np.linalg.norm(v[L:] - v[:-L], axis=1))))
-    return best
+    return float(np.sqrt(lag_scan_sq(None, v[None], 0.0)[0]))
 
 
 def levy_functionals(w, T=None):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import StartOutsideDomain
 from .geometry import BOUNDARY_TOL
-from .paths import SamplePath, oscillation
+from .paths import SamplePath, dyadic_lags, lag_scan_sq, oscillation
 
 
 @dataclass(frozen=True)
@@ -159,21 +159,6 @@ def _index_windows(n_nodes):
     return windows
 
 
-def _window_holder(values, times, lo, hi, theta):
-    """Holder-theta seminorm of a window via dyadic lags (a lower bound)."""
-    v = values[lo:hi + 1]
-    t = times[lo:hi + 1]
-    n = len(t)
-    best = 0.0
-    L = 1
-    while L < n:
-        diff = np.linalg.norm(v[L:] - v[:-L], axis=1)
-        dt = t[L:] - t[:-L]
-        best = max(best, float(np.max(diff / dt ** theta)))
-        L <<= 1
-    return best
-
-
 @dataclass(frozen=True)
 class TVBoundReport:
     fitted_C: float
@@ -208,7 +193,8 @@ def verify_tv_bound(domain, sol, driver, theta, c1=1.0, c2=1.0):
         if osc <= 0.0:
             continue
         span = times[hi] - times[lo]
-        hol = _window_holder(vals, times, lo, hi, theta)
+        hol = np.sqrt(lag_scan_sq(times[lo:hi + 1], vals[None, lo:hi + 1],
+                                  theta, dyadic_lags(hi + 1 - lo))[0])
         denom = (1.0 + hol ** c1 * span) * np.exp(c2 * osc) * osc
         C = kvar / denom
         if C > best_C:

@@ -5,6 +5,7 @@ brute-force enumeration, and classical series.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -50,3 +51,15 @@ def gauss_tail(z):
     """Standard normal survival function via erfc."""
     from math import erfc, sqrt
     return 0.5 * erfc(z / sqrt(2.0))
+
+
+def holder_pairs_brute(times, values, alpha):
+    """sup over node pairs i < j of |v_j - v_i| / (t_j - t_i)^alpha for one
+    path (N, d), by a double loop over pairs."""
+    t = [float(x) for x in times]
+    v = [[float(x) for x in row] for row in values]
+    best = 0.0
+    for i in range(len(t)):
+        for j in range(i + 1, len(t)):
+            best = max(best, math.dist(v[i], v[j]) / (t[j] - t[i]) ** alpha)
+    return best

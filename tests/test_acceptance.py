@@ -22,6 +22,8 @@ from rsdekit.skorohod import BV_COMPARISON_BOUND
 
 from oracles import reflect_half_line
 
+pytestmark = pytest.mark.acceptance
+
 HALF_LINE = HalfSpace([1.0], 0.0)
 DISC = Ball([0.0, 0.0], 1.0)
 SQUARE = AxisBox([0.0, 0.0], [1.0, 1.0])

@@ -39,6 +39,31 @@ MOMENT_CONFIG = """
 """
 
 
+HOLDER_CONFIG = """
+    [run]
+    experiment = holder_tightness
+    seed = 3
+    output = {out}
+
+    [domain]
+    kind = half_space
+    params = {{"normal": [1.0], "offset": 0.0}}
+
+    [coefficients]
+    d = 1
+    d1 = 1
+    sigma = const
+    sigma_params = {{"value": 0.5}}
+
+    [experiment]
+    T = 1.0
+    x0 = [1.0]
+    theta = 0.2
+    levels = [3, 4]
+    paths = 64
+"""
+
+
 class TestParsing:
     def test_unknown_section(self, tmp_path):
         path = write_config(tmp_path, """
@@ -182,31 +207,18 @@ class TestRun:
         assert cli.main(["run", path]) == 3
 
     def test_verdict_fail_exit_1(self, tmp_path):
-        path = write_config(tmp_path, """
-            [run]
-            experiment = holder_tightness
-            seed = 3
-            output = {out}
-
-            [domain]
-            kind = half_space
-            params = {{"normal": [1.0], "offset": 0.0}}
-
-            [coefficients]
-            d = 1
-            d1 = 1
-            sigma = const
-            sigma_params = {{"value": 0.5}}
-
-            [experiment]
-            T = 1.0
-            x0 = [1.0]
-            theta = 0.2
-            levels = [3, 4]
-            paths = 64
-            stability_factor = 1.0000001
-        """.format(out=tmp_path / "o4"))
+        path = write_config(tmp_path, HOLDER_CONFIG.format(out=tmp_path / "o4")
+                            + "    stability_factor = 1.0000001\n")
         assert cli.main(["run", path]) == 1
+
+    def test_oversized_holder_grid_exit_2(self, tmp_path):
+        out = tmp_path / "o5"
+        path = write_config(tmp_path, HOLDER_CONFIG.format(out=out))
+        cli.parse_config(path, ["experiment.levels=[3, 10]"])
+        with pytest.raises(ConfigError, match="levels"):
+            cli.parse_config(path, ["experiment.levels=[3, 11]"])
+        assert cli.main(["run", path, "--set", "experiment.levels=[12]"]) == 2
+        assert not out.exists()
 
     def test_byte_identical_across_workers(self, tmp_path):
         out1, out2 = tmp_path / "w1", tmp_path / "w2"

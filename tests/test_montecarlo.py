@@ -231,6 +231,23 @@ class TestReportShape:
                                 1.0, 2000, seed=17)
         assert rep.verdict == "pass"
 
+    def test_substeps2x_interval_is_its_own(self, monkeypatch):
+        results, run_chunks = [], mc.parallel_chunks
+
+        def capture(*args, **kwargs):
+            results.extend(run_chunks(*args, **kwargs))
+            return results
+
+        monkeypatch.setattr(mc, "parallel_chunks", capture)
+        cf = make_coefficients(1, 1, sigma="sin",
+                               sigma_params={"base": 0.5, "amp": 0.25})
+        rep = mc.wz_convergence(HALF_LINE, cf, [1.0], 1.0, [3, 4], 48, seed=9)
+        est = {e.label: e for e in rep.estimates}
+        for n in (3, 4):
+            errs2 = np.concatenate([r[("err2x", n)] for r in results])
+            e2 = est[f"E_sup_err_level_{n}_substeps2x"]
+            assert (e2.value, e2.ci_halfwidth) == mc.mean_ci(errs2)
+
     def test_csv_emission(self):
         import io
         cf = make_coefficients(1, 1, sigma="const", sigma_params={"value": 1.0})

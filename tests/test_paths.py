@@ -11,8 +11,9 @@ from rsdekit import (Control, GridMismatch, SamplePath, TubeTooNarrow,
                      refine_bridge, sample_brownian, sup_norm, tube_sample,
                      zero_control)
 from rsdekit.montecarlo import brownian_batch
+from rsdekit.paths import dyadic_lags, holder_seminorm_batch, lag_scan_sq
 
-from oracles import smallball_1d
+from oracles import holder_pairs_brute, smallball_1d
 
 
 class TestSamplePath:
@@ -217,6 +218,46 @@ class TestNorms:
         exact = holder_seminorm(w, 1.0, 0.3, method="exact")
         dyadic = holder_seminorm(w, 1.0, 0.3, method="dyadic")
         assert dyadic <= exact + 1e-12
+
+
+def _grid(kind, n, rng):
+    if kind == "uniform":
+        return np.linspace(0.0, 1.0, n)
+    return np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n - 1))])
+
+
+class TestLagScan:
+    ULP = np.finfo(float).eps
+
+    def test_dyadic_lags(self):
+        assert dyadic_lags(1) == []
+        assert dyadic_lags(2) == [1]
+        assert dyadic_lags(257) == [2 ** k for k in range(9)]
+        assert dyadic_lags(258) == [2 ** k for k in range(9)]
+
+    @pytest.mark.parametrize("grid", ["uniform", "nonuniform"])
+    @pytest.mark.parametrize("P", [1, 63, 65, 130])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_brute_force(self, grid, P, d):
+        rng = np.random.default_rng(1000 * P + 10 * d + (grid == "uniform"))
+        for N in (2, 17):
+            t = _grid(grid, N, rng)
+            v = rng.standard_normal((P, N, d))
+            for alpha in (0.0, 0.2, 0.5):
+                want = np.array([holder_pairs_brute(t, v[i], alpha)
+                                 for i in range(P)])
+                exact = lag_scan_sq(t, v, alpha)
+                for got in (np.sqrt(exact), holder_seminorm_batch(t, v, alpha)):
+                    assert np.all(np.abs(got - want) <= 4 * self.ULP * want)
+                assert np.all(lag_scan_sq(t, v, alpha, dyadic_lags(N)) <= exact)
+
+    def test_rows_independent_of_tiling(self):
+        rng = np.random.default_rng(7)
+        t = _grid("nonuniform", 65, rng)
+        v = rng.standard_normal((130, 65, 2))
+        batch = holder_seminorm_batch(t, v, 0.2)
+        for i in range(len(v)):
+            assert batch[i] == holder_seminorm_batch(t, v[i:i + 1], 0.2)[0]
 
 
 class TestLevy:
