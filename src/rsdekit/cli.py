@@ -38,6 +38,7 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_TUBE = 3
 EXIT_NUMERIC = 4
+EXIT_INTERNAL = 5
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +459,8 @@ def cmd_run(args):
         return 0
     try:
         report, extras = run_experiment(resolved)
+        path = write_outputs(report, resolved, extras,
+                             resolved["run"]["output"])
     except TubeTooNarrow as exc:
         print(f"tube sampling infeasible: {exc} "
               f"(pilot acceptance {exc.acceptance_estimate})", file=sys.stderr)
@@ -469,8 +472,10 @@ def cmd_run(args):
     except RsdekitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    path = write_outputs(report, resolved, extras,
-                         resolved["run"]["output"])
+    except Exception as exc:
+        # a defect, not an outcome: keep it apart from "verdict failed"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     print(f"{report.name}: verdict={report.verdict} -> {path}")
     return 0 if report.verdict != "fail" else EXIT_FAIL
 

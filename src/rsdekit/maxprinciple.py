@@ -112,7 +112,6 @@ def submartingale_test(domain, coeffs, u, x, time_grid, paths, seed,
     time_grid = sorted(float(t) for t in time_grid)
     T = max(time_grid[-1], 1e-9)
     times = pth.dyadic_grid(T, grid_level)
-    ref = pth.SamplePath(times, np.zeros((len(times), 1)))
     eval_idx = [int(np.argmin(np.abs(times - t))) for t in time_grid]
     workers = _maybe_serial(coeffs, workers)
     payload = {"domain": _domain_payload(domain), "coeffs": _coeffs_payload(coeffs),

@@ -251,24 +251,27 @@ def _wz_chunk(lo, hi, payload):
     x0 = np.asarray(payload["x0"], dtype=float)
     W = brownian_batch(cf.d1, times, payload["seed"], lo, hi)
     ref, _ = rsde.euler_reflected_batch(dom, cf, times, np.diff(W, axis=1), x0)
+    levels = payload["levels"]
     out = {}
-    crn_ok = True
-    for n in payload["levels"]:
-        for mult, tag in ((1, "err"), (2, "err2x")):
-            if mult == 2 and not payload["check_substeps"]:
-                continue
-            batch, _ = rsde.wong_zakai_batch(dom, cf, times, W, n,
-                                             payload["substeps"] * mult, x0)
-            out[(tag, n)] = _sup_dist(ref.x, batch.x)
+    for mult, tag in ((1, "err"), (2, "err2x")):
+        if mult == 2 and not payload["check_substeps"]:
+            continue
+        # all levels in one batch, rows level-major
+        batch, _ = rsde.wong_zakai_batch(dom, cf, times, W, levels,
+                                         payload["substeps"] * mult, x0)
+        for n, x in zip(levels, np.split(batch.x, len(levels))):
+            out[(tag, n)] = _sup_dist(ref.x, x)
             if mult == 1:
                 out[("holder", n)] = out[(tag, n)] + np.sqrt(pth.lag_scan_sq(
-                    times, ref.x - batch.x, payload["theta"],
+                    times, ref.x - x, payload["theta"],
                     pth.dyadic_lags(len(times))))
-        if lo == 0:
-            # CRN discipline: the level-n driver must be a restriction of the
-            # fine driver, never a re-simulation
+    crn_ok = True
+    if lo == 0:
+        # CRN discipline: the level-n driver must be a restriction of the
+        # fine driver, never a re-simulation
+        p0 = pth.SamplePath(times, W[0])
+        for n in levels:
             nodes = pth.dyadic_grid(times[-1], n)
-            p0 = pth.SamplePath(times, W[0])
             idx = [p0.node_index(t) for t in nodes]
             crn_ok &= bool(np.array_equal(p0.restrict(nodes).values, W[0][idx]))
     out["crn_ok"] = crn_ok
@@ -349,10 +352,11 @@ def _skeleton_chunk(lo, hi, payload):
     x0 = np.asarray(payload["x0"], dtype=float)
     W = brownian_batch(cf.d1, times, payload["seed"], lo, hi)
     Z = np.asarray(payload["Z"])
+    levels = payload["levels"]
+    batch, _ = rsde.shifted_driver_batch(dom, cf, times, W, levels, h, x0)
     out = {}
-    for n in payload["levels"]:
-        batch, _ = rsde.shifted_driver_batch(dom, cf, times, W, n, h, x0)
-        diff = batch.x - Z[None]
+    for n, x in zip(levels, np.split(batch.x, len(levels))):
+        diff = x - Z[None]
         out[("supsq", n)] = np.max(np.sum(diff ** 2, axis=2), axis=1)
         nodes_idx = payload["node_idx"][str(n)]
         out[("nodesq_sum", n)] = np.sum(np.sum(diff[:, nodes_idx] ** 2, axis=2),
@@ -900,15 +904,17 @@ def _holder_chunk(lo, hi, payload):
     times = np.asarray(payload["times"])
     x0 = np.asarray(payload["x0"], dtype=float)
     W = brownian_batch(cf.d1, times, payload["seed"], lo, hi)
-    out = {}
-    for n in payload["levels"]:
-        batch, _ = rsde.wong_zakai_batch(dom, cf, times, W, n,
-                                         payload["substeps"], x0)
-        out[n] = pth.holder_seminorm_batch(times, batch.x, payload["theta"])
-        if h is not None:
-            shifted, _ = rsde.shifted_driver_batch(dom, cf, times, W, n, h, x0)
-            out[("shifted", n)] = pth.holder_seminorm_batch(
-                times, shifted.x, payload["theta"])
+    levels = payload["levels"]
+    batch, _ = rsde.wong_zakai_batch(dom, cf, times, W, levels,
+                                     payload["substeps"], x0)
+    hol = np.split(pth.holder_seminorm_batch(times, batch.x, payload["theta"]),
+                   len(levels))
+    out = dict(zip(levels, hol))
+    if h is not None:
+        shifted, _ = rsde.shifted_driver_batch(dom, cf, times, W, levels, h, x0)
+        hol = np.split(pth.holder_seminorm_batch(times, shifted.x,
+                                                 payload["theta"]), len(levels))
+        out.update(zip((("shifted", n) for n in levels), hol))
     return out
 
 

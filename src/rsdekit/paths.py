@@ -371,8 +371,10 @@ def holder_seminorm_batch(times, values, alpha):
 
 
 def oscillation(values):
-    """sup over node pairs of |x_u - x_v| for node values (N, m)."""
-    v = np.atleast_2d(values)
+    """sup over node pairs of |x_u - x_v| for node values (N, m) or (N,)."""
+    v = np.asarray(values)
+    if v.ndim < 2:
+        v = v.reshape(-1, 1)
     if len(v) < 2:
         return 0.0
     if v.shape[1] == 1:

@@ -223,10 +223,12 @@ def coefficients_from_pointwise(d, d1, sigma, b, sigma_jac=None):
 
 
 def _broadcast_start(x0, P, d):
+    """Starts for P rows: one shared start, or per-path starts repeated
+    across the levels stacked into the batch."""
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
-        x0 = np.broadcast_to(x0, (P, d)).copy()
-    return x0
+        x0 = np.broadcast_to(x0, (P, d))
+    return np.tile(x0, (P // len(x0), 1))
 
 
 def euler_reflected_batch(domain, coeffs, times, dW, x0):
@@ -259,13 +261,11 @@ def euler_reflected(domain, coeffs, w, x0):
 
 def _refined_grid(grid, substeps):
     grid = np.asarray(grid, dtype=float)
-    substeps = int(substeps)
     if substeps <= 1:
-        return grid, slice(None)
+        return grid
     pieces = [np.linspace(grid[i], grid[i + 1], substeps, endpoint=False)
               for i in range(len(grid) - 1)]
-    refined = np.concatenate(pieces + [grid[-1:]])
-    return refined, slice(None, None, substeps)
+    return np.concatenate(pieces + [grid[-1:]])
 
 
 def _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps):
@@ -273,10 +273,12 @@ def _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps):
 
     slopes gives the piecewise-constant driver derivative per cell of the
     grid: shape (cells, d1) shared across paths or (P, cells, d1) per path.
-    Coefficients are re-evaluated at every substep state.
+    Coefficients are re-evaluated at every substep state; only the grid
+    nodes are recorded.
     """
     grid = np.asarray(grid, dtype=float)
-    refined, keep = _refined_grid(grid, substeps)
+    substeps = max(int(substeps), 1)
+    refined = _refined_grid(grid, substeps)
     dt = np.diff(refined)
     # map refined cells back to coarse cells
     cell = np.clip(np.searchsorted(grid, refined[:-1], side="right") - 1,
@@ -294,8 +296,8 @@ def _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps):
             du = S @ s
         return (du + coeffs.b_at(X)) * dt[i]
 
-    x, k, tv, pushes = drive_batch(domain, refined, x0, inc)
-    return BatchPaths(grid, x[:, keep], k[:, keep], tv[:, keep]), pushes[:, keep]
+    x, k, tv, pushes = drive_batch(domain, refined, x0, inc, stride=substeps)
+    return BatchPaths(grid, x, k, tv), pushes
 
 
 def skeleton(domain, coeffs, h, substeps, x0, grid=None):
@@ -320,28 +322,41 @@ def skeleton_batch(domain, coeffs, grid, slopes, x0, substeps):
     return _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps)
 
 
+def _adapted_slopes(times, W, levels, T=None):
+    """Grid of the nodes up to T and the one-cell-delayed adapted
+    interpolation's slope on each of its cells.
+
+    W holds driver node values (P, N, d1) on a grid containing the dyadic
+    nodes of every level; levels is one level or a sequence.  The slopes
+    have shape (len(levels) * P, cells, d1), rows level-major.
+    """
+    times = np.asarray(times, dtype=float)
+    T = float(times[-1]) if T is None else float(T)
+    grid = times[times <= T + 1e-12]
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    ref = pth.SamplePath(times, np.zeros((len(times), 1)))
+    out = []
+    for n in np.atleast_1d(levels):
+        cells = 2 ** int(n)
+        delta = T / cells
+        idx = np.array([ref.node_index(t) for t in pth.dyadic_grid(T, n)])
+        w_nodes = W[:, idx]  # (P, cells+1, d1)
+        slopes = np.zeros_like(w_nodes[:, :-1])
+        slopes[:, 1:] = (w_nodes[:, 1:-1] - w_nodes[:, :-2]) / delta
+        out.append(slopes[:, np.clip((mids / delta).astype(int), 0, cells - 1)])
+    return grid, np.concatenate(out)
+
+
 def wong_zakai_batch(domain, coeffs, times, W, n, substeps, x0, T=None):
     """Reflected ODE driven by the adapted interpolation, P paths at once.
 
     W holds driver node values (P, N, d1) on a grid containing the level-n
     dyadic nodes; output is on that grid.  Stratonovich coefficients: drift
     b, no Ito correction, since the interpolation is of bounded variation.
+    With a sequence of levels n, every level is solved in the same batch:
+    rows level-major, len(n) * P of them.
     """
-    times = np.asarray(times, dtype=float)
-    T = float(times[-1]) if T is None else float(T)
-    cells = 2 ** int(n)
-    delta = T / cells
-    nodes = pth.dyadic_grid(T, n)
-    ref = pth.SamplePath(times, np.zeros((len(times), 1)))
-    idx = np.array([ref.node_index(t) for t in nodes])
-    w_nodes = W[:, idx]  # (P, cells+1, d1)
-    slopes_dyadic = np.zeros_like(w_nodes[:, :-1])
-    slopes_dyadic[:, 1:] = (w_nodes[:, 1:-1] - w_nodes[:, :-2]) / delta
-    keep = times <= T + 1e-12
-    grid = times[keep]
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    which = np.clip((mids / delta).astype(int), 0, cells - 1)
-    slopes = slopes_dyadic[:, which]
+    grid, slopes = _adapted_slopes(times, W, n, T)
     return _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps)
 
 
@@ -357,28 +372,15 @@ def shifted_driver_batch(domain, coeffs, times, W, n, h, x0, T=None):
     """Projected Euler for the shifted driver w - w^n + h, P paths at once.
 
     Ito increments with the corrected drift btilde; the interpolation
-    increment over a fine cell inside dyadic cell j is slope_j * dt.
+    increment over a fine cell inside dyadic cell j is slope_j * dt.  With
+    a sequence of levels n, rows are level-major as in wong_zakai_batch.
     """
-    times = np.asarray(times, dtype=float)
-    T = float(times[-1]) if T is None else float(T)
-    cells = 2 ** int(n)
-    delta = T / cells
-    nodes = pth.dyadic_grid(T, n)
-    ref = pth.SamplePath(times, np.zeros((len(times), 1)))
-    idx = np.array([ref.node_index(t) for t in nodes])
-    w_nodes = W[:, idx]
-    slopes_dyadic = np.zeros_like(w_nodes[:, :-1])
-    slopes_dyadic[:, 1:] = (w_nodes[:, 1:-1] - w_nodes[:, :-2]) / delta
-    keep = times <= T + 1e-12
-    grid = times[keep]
+    grid, slopes = _adapted_slopes(times, W, n, T)
     dt = np.diff(grid)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    which = np.clip((mids / delta).astype(int), 0, cells - 1)
-    dW = np.diff(W[:, keep], axis=1)
-    dWn = slopes_dyadic[:, which] * dt[None, :, None]
+    dW = np.tile(np.diff(W[:, :len(grid)], axis=1), (len(slopes) // len(W), 1, 1))
     dh = np.diff(np.atleast_2d(h(grid)), axis=0)
-    du_total = dW - dWn + dh[None]
-    x0 = _broadcast_start(x0, W.shape[0], coeffs.d)
+    du_total = dW - slopes * dt[None, :, None] + dh[None]
+    x0 = _broadcast_start(x0, len(slopes), coeffs.d)
 
     def inc(i, X):
         S = coeffs.sigma_at(X)

@@ -4,9 +4,11 @@ The solver advances the recursive projection scheme
     y_{i+1} = x_i + (driver increment),  x_{i+1} = nearest point of the
 closure, regulator increment = x_{i+1} - y_{i+1}.  The same stepping kernel
 drives the reflected SDE integrators; they differ only in how the per-step
-increment is produced.  For nonconvex kinds a step whose increment exceeds
-r0/2 is bisected recursively before projecting, which keeps every
-projection inside the uniqueness tube of condition (A).
+increment is produced.  For nonconvex kinds a row whose increment exceeds
+r0/2 is cut into 2^j equal sub-steps, j the smallest with each under r0/2,
+which keeps every projection inside the uniqueness tube of condition (A).
+The cut is chosen per row, so a row's trajectory depends only on its own
+driver and start, never on the other rows of its batch.
 """
 
 from __future__ import annotations
@@ -65,52 +67,68 @@ class BatchPaths:
 
 
 def _advance(domain, X, du):
-    """One constrained step from states X (P, d) by increments du (P, d)."""
-    r0 = domain.r0
-    nsub = 1
+    """One constrained step from states X (P, d) by increments du (P, d).
+
+    Convex kinds project once.  Nonconvex kinds bisect each row by its own
+    increment norm; sub-step s projects only the rows with more than s
+    sub-steps.
+    """
+    nsub = np.ones(len(du))
     if not domain.convex:
-        biggest = float(np.max(np.linalg.norm(du, axis=1))) if len(du) else 0.0
-        if biggest > 0.5 * r0:
-            nsub = 1 << int(np.ceil(np.log2(biggest / (0.5 * r0))))
-    step = du / nsub
-    k_inc = np.zeros_like(X)
-    tv_inc = np.zeros(len(X))
-    for _ in range(nsub):
-        Y = X + step
-        X, N, dist = domain.project_rows(Y)
-        k_inc += X - Y
-        tv_inc += dist
+        half = 0.5 * domain.r0
+        norms = np.linalg.norm(du, axis=1)
+        big = norms > half
+        nsub[big] = np.ldexp(1.0, np.ceil(np.log2(norms[big] / half)).astype(int))
+        du = du / nsub[:, None]
+    Y = X + du
+    X, _, tv_inc = domain.project_rows(Y)
+    k_inc = X - Y
+    for s in range(1, int(nsub.max(initial=1.0))):
+        rows = np.nonzero(nsub > s)[0]
+        Y = X[rows] + du[rows]
+        Xr, _, dist = domain.project_rows(Y)
+        X[rows] = Xr
+        k_inc[rows] += Xr - Y
+        tv_inc[rows] += dist
     return X, k_inc, tv_inc
 
 
-def drive_batch(domain, times, x0, increment_fn, check_start=True):
+def drive_batch(domain, times, x0, increment_fn, check_start=True, stride=1):
     """Run the projection scheme for P paths at once.
 
     increment_fn(i, X) must return the full step increments (P, d) for the
     step from times[i] to times[i+1] given current states X.  Returns
-    (x, k, tv, pushes) arrays.
+    (x, k, tv, pushes) arrays recorded at every stride-th node only (node 0
+    included; pass a stride that divides the step count).
     """
     times = np.asarray(times, dtype=float)
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     P, d = x0.shape
     if check_start and np.any(domain.signed_distance(x0) > BOUNDARY_TOL):
         raise StartOutsideDomain("initial state outside the closure")
-    N = len(times)
+    N = (len(times) - 1) // stride + 1
     x = np.empty((P, N, d))
     k = np.zeros((P, N, d))
     tv = np.zeros((P, N))
     pushes = np.zeros((P, N, d))
     X = x0.copy()
+    K = np.zeros((P, d))
+    TV = np.zeros(P)
     x[:, 0] = X
-    for i in range(N - 1):
+    for i in range(len(times) - 1):
         du = increment_fn(i, X)
         X, k_inc, tv_inc = _advance(domain, X, du)
-        x[:, i + 1] = X
-        k[:, i + 1] = k[:, i] + k_inc
-        tv[:, i + 1] = tv[:, i] + tv_inc
+        K = K + k_inc
+        TV = TV + tv_inc
+        j, off = divmod(i + 1, stride)
+        if off:
+            continue
+        x[:, j] = X
+        k[:, j] = K
+        tv[:, j] = TV
         norms = np.linalg.norm(k_inc, axis=1)
         hit = norms > 0
-        pushes[hit, i + 1] = k_inc[hit] / norms[hit, None]
+        pushes[hit, j] = k_inc[hit] / norms[hit, None]
     return x, k, tv, pushes
 
 

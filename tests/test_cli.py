@@ -211,6 +211,16 @@ class TestRun:
                             + "    stability_factor = 1.0000001\n")
         assert cli.main(["run", path]) == 1
 
+    def test_unexpected_exception_exit_5(self, tmp_path, monkeypatch, capsys):
+        def broken(resolved):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        path = write_config(tmp_path, MOMENT_CONFIG.format(out=tmp_path / "o6"))
+        assert cli.main(["run", path]) == cli.EXIT_INTERNAL == 5
+        err = capsys.readouterr().err
+        assert err == "internal error: ValueError: boom\n"
+
     def test_oversized_holder_grid_exit_2(self, tmp_path):
         out = tmp_path / "o5"
         path = write_config(tmp_path, HOLDER_CONFIG.format(out=out))

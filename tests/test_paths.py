@@ -11,7 +11,8 @@ from rsdekit import (Control, GridMismatch, SamplePath, TubeTooNarrow,
                      refine_bridge, sample_brownian, sup_norm, tube_sample,
                      zero_control)
 from rsdekit.montecarlo import brownian_batch
-from rsdekit.paths import dyadic_lags, holder_seminorm_batch, lag_scan_sq
+from rsdekit.paths import (dyadic_lags, holder_seminorm_batch, lag_scan_sq,
+                           oscillation)
 
 from oracles import holder_pairs_brute, smallball_1d
 
@@ -218,6 +219,12 @@ class TestNorms:
         exact = holder_seminorm(w, 1.0, 0.3, method="exact")
         dyadic = holder_seminorm(w, 1.0, 0.3, method="dyadic")
         assert dyadic <= exact + 1e-12
+
+    def test_oscillation_flat_input_is_one_column(self):
+        flat = np.array([0.0, 1.0, 3.0])
+        assert oscillation(flat) == 3.0
+        assert oscillation(flat) == oscillation(flat[:, None])
+        assert oscillation(np.array([2.0])) == 0.0
 
 
 def _grid(kind, n, rng):
