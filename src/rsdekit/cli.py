@@ -391,7 +391,7 @@ def run_experiment(resolved):
         u = _build_u(resolved["u"])
         report, cloud = maxprinciple.max_principle_report(
             domain, coeffs, u, params.pop("x"), params.pop("n_controls"),
-            params.pop("horizon"), **params, **kwargs)
+            params.pop("horizon"), seed=seed, **params)
         extras["cloud"] = cloud
     else:
         fn = getattr(montecarlo, name)

@@ -22,9 +22,10 @@ import numpy as np
 from . import paths as pth
 from . import rsde
 from .geometry import Membership
-from .montecarlo import (Estimate, ExperimentReport, Threshold,
-                         _coeffs_payload, _domain_payload, _maybe_serial,
-                         _restore, brownian_batch, mean_ci, parallel_chunks)
+# brownian_batch and parallel_chunks are not called here, but stay bound:
+# perfbench/tracing.py wraps them in this namespace too
+from .montecarlo import (Estimate, ExperimentReport, Threshold,  # noqa: F401
+                         brownian_batch, mean_ci, parallel_chunks, run_paths)
 
 
 @dataclass
@@ -61,7 +62,7 @@ def _random_controls(d1, n_controls, horizon, segments, slope_max, seed):
 
 
 def reachable_sample(domain, coeffs, x, n_controls, horizon, seed,
-                     segments=8, slope_max=4.0, substeps=4, workers=1):
+                     segments=8, slope_max=4.0, substeps=4):
     """Sample the reachable cloud of x under controlled skeletons.
 
     The first sample is the base point itself (t0 = 0).  Controls are
@@ -73,7 +74,8 @@ def reachable_sample(domain, coeffs, x, n_controls, horizon, seed,
                                   int(segments), float(slope_max), int(seed))
     grid = np.linspace(0.0, float(horizon), int(segments) * 8 + 1)
     batch, _ = rsde.skeleton_batch(domain, coeffs, grid,
-                                   _segment_slopes(slopes, grid, horizon),
+                                   rsde.expand_cell_slopes(slopes, grid,
+                                                           float(horizon)),
                                    np.broadcast_to(x, (len(slopes), x.size)).copy(),
                                    substeps)
     # endpoint at the per-control horizon: nearest grid node at or before t0
@@ -84,22 +86,9 @@ def reachable_sample(domain, coeffs, x, n_controls, horizon, seed,
     return ReachableCloud(x, points, controls)
 
 
-def _segment_slopes(slopes, grid, horizon):
-    """Expand per-segment slopes (P, segments, d1) onto the grid cells."""
-    segments = slopes.shape[1]
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    seg = np.minimum((mids / horizon * segments).astype(int), segments - 1)
-    return slopes[:, seg]
-
-
-def _submartingale_chunk(lo, hi, payload):
-    dom, cf, _ = _restore(payload)
-    times = np.asarray(payload["times"])
-    x0 = np.asarray(payload["x0"], dtype=float)
-    W = brownian_batch(cf.d1, times, payload["seed"], lo, hi)
-    batch, _ = rsde.euler_reflected_batch(dom, cf, times, np.diff(W, axis=1), x0)
+def _submartingale_chunk(c):
     # marginals only: u is applied by the caller, which keeps u arbitrary
-    return {"marginals": batch.x[:, payload["eval_idx"], :]}
+    return {"marginals": c.euler().x[:, c.eval_idx, :]}
 
 
 def submartingale_test(domain, coeffs, u, x, time_grid, paths, seed,
@@ -113,12 +102,8 @@ def submartingale_test(domain, coeffs, u, x, time_grid, paths, seed,
     T = max(time_grid[-1], 1e-9)
     times = pth.dyadic_grid(T, grid_level)
     eval_idx = [int(np.argmin(np.abs(times - t))) for t in time_grid]
-    workers = _maybe_serial(coeffs, workers)
-    payload = {"domain": _domain_payload(domain), "coeffs": _coeffs_payload(coeffs),
-               "times": times, "x0": np.atleast_1d(x), "seed": int(seed),
-               "eval_idx": eval_idx}
-    results = parallel_chunks(_submartingale_chunk, int(paths), workers, payload)
-    marg = np.concatenate([r["marginals"] for r in results], axis=0)
+    marg = run_paths(_submartingale_chunk, paths, workers, domain, coeffs,
+                     times, x, seed, eval_idx=eval_idx)["marginals"]
     report = ExperimentReport(
         name="submartingale_test",
         parameters={"time_grid": time_grid, "paths": int(paths),
@@ -138,7 +123,7 @@ def submartingale_test(domain, coeffs, u, x, time_grid, paths, seed,
     return report
 
 
-def max_principle_check(domain, coeffs, u, x, cloud, tolerance):
+def max_principle_check(domain, u, x, cloud, tolerance):
     """If u attains its cloud maximum at the base point, u must be constant
     on the cloud (oscillation at most twice the tolerance).
 
@@ -160,11 +145,11 @@ def max_principle_check(domain, coeffs, u, x, cloud, tolerance):
 
 
 def max_principle_report(domain, coeffs, u, x, n_controls, horizon, seed,
-                         tolerance=1e-6, workers=1, **cloud_kwargs):
+                         tolerance=1e-6, **cloud_kwargs):
     """Convenience wrapper: sample a cloud, run the check, emit a report."""
     cloud = reachable_sample(domain, coeffs, x, n_controls, horizon, seed,
-                             workers=workers, **cloud_kwargs)
-    verdict = max_principle_check(domain, coeffs, u, x, cloud, tolerance)
+                             **cloud_kwargs)
+    verdict = max_principle_check(domain, u, x, cloud, tolerance)
     vals = np.array([float(u(p)) for p in cloud.points])
     report = ExperimentReport(
         name="max_principle",

@@ -5,7 +5,8 @@ returns an ExperimentReport.  Reports are reproducible bit for bit from
 (config, seed) regardless of worker count: path workloads are cut into
 fixed-size chunks addressed by path index, each path draws from its own
 counter-based stream, and chunk results are merged in chunk order before
-any floating-point reduction.
+any floating-point reduction.  `run_paths` is the one place where path
+experiments are cut into chunks, restored in workers and merged.
 
 Pass thresholds fall into two classes, labeled in each report: "theory"
 numbers anchor a stated limit or constant, "policy" numbers are harness
@@ -179,51 +180,6 @@ def parallel_chunks(fn, n_items, workers, payload, chunk=CHUNK):
         return [f.result() for f in futures]
 
 
-def _domain_payload(domain):
-    return None if domain is None else domain.to_config()
-
-
-def _coeffs_payload(coeffs):
-    if coeffs is None:
-        return None
-    if coeffs.meta is None:
-        # unnamed coefficients cannot cross process boundaries; callers are
-        # downgraded to serial by _maybe_serial, so the live object is safe
-        return {"__live__": coeffs}
-    m = dict(coeffs.meta)
-    m["d"], m["d1"] = coeffs.d, coeffs.d1
-    return m
-
-
-def _control_payload(h):
-    return None if h is None else {"times": h.times.tolist(),
-                                   "values": h.path.values.tolist()}
-
-
-def _restore(payload):
-    dom = None
-    if payload.get("domain"):
-        cfg = payload["domain"]
-        dom = make_domain(cfg["kind"], cfg["params"], cfg["r0"], cfg["c0"],
-                          cfg["gamma"])
-    cf = None
-    if payload.get("coeffs"):
-        cfg = payload["coeffs"]
-        cf = cfg["__live__"] if "__live__" in cfg else make_coefficients(**cfg)
-    h = None
-    if payload.get("control"):
-        h = pth.control_from_values(payload["control"]["times"],
-                                    payload["control"]["values"])
-    return dom, cf, h
-
-
-def _maybe_serial(coeffs, workers):
-    """Custom (unnamed) coefficients cannot cross process boundaries."""
-    if workers and workers > 1 and coeffs is not None and coeffs.meta is None:
-        return 1
-    return workers
-
-
 def brownian_batch(d1, times, seed, lo, hi):
     """Driver values for paths lo..hi-1, one stream per path index."""
     n = len(times)
@@ -232,6 +188,62 @@ def brownian_batch(d1, times, seed, lo, hi):
         W[j, 1:] = np.cumsum(pth.brownian_increments(d1, times, seed, stream),
                              axis=0)
     return W
+
+
+class PathChunk:
+    """Paths lo..hi-1 of a run_paths call, as its chunk function sees them.
+
+    Carries the restored domain and coefficients, the control h (or None),
+    the shared grid `times` and start `x0`, the drivers W (hi - lo, N, d1)
+    drawn by path index, `lo`, and each extra entry of the call as an
+    attribute of the same name.
+    """
+
+    def __init__(self, payload, lo, hi):
+        self.domain = make_domain(**payload["domain"])
+        cf = payload["coeffs"]
+        self.coeffs = cf if isinstance(cf, rsde.Coefficients) \
+            else make_coefficients(**cf)
+        self.h = payload["h"]
+        self.times = payload["times"]
+        self.x0 = np.asarray(payload["x0"], dtype=float)
+        self.lo = lo
+        self.__dict__.update(payload["extra"])
+        self.W = brownian_batch(self.coeffs.d1, self.times, payload["seed"],
+                                lo, hi)
+
+    def euler(self):
+        """Reflected-Euler solution of these paths: the reference solve."""
+        batch, _ = rsde.euler_reflected_batch(self.domain, self.coeffs,
+                                              self.times,
+                                              np.diff(self.W, axis=1), self.x0)
+        return batch
+
+
+def _path_chunk(lo, hi, payload):
+    return payload["fn"](PathChunk(payload, lo, hi))
+
+
+def run_paths(fn, paths, workers, domain, coeffs, times, x0, seed, h=None,
+              **extra):
+    """Run fn(PathChunk) over the fixed chunks of `paths` driver paths.
+
+    fn must be a module-level function (it is pickled into pool workers)
+    returning a dict of arrays.  The result maps each key to its arrays
+    concatenated along the first axis in chunk order, so it is the same for
+    any worker count.  Unnamed coefficients cannot cross process
+    boundaries, so such runs stay serial.
+    """
+    if coeffs.meta is None:
+        workers, cf = 1, coeffs
+    else:
+        cf = dict(coeffs.meta, d=coeffs.d, d1=coeffs.d1)
+    payload = {"fn": fn, "domain": domain.to_config(), "coeffs": cf, "h": h,
+               "times": times, "x0": np.atleast_1d(x0), "seed": int(seed),
+               "extra": extra}
+    results = parallel_chunks(_path_chunk, int(paths), workers, payload)
+    return {key: np.concatenate([r[key] for r in results])
+            for key in results[0]}
 
 
 def _sup_dist(A, B):
@@ -245,36 +257,32 @@ def _sup_dist(A, B):
 # ---------------------------------------------------------------------------
 
 
-def _wz_chunk(lo, hi, payload):
-    dom, cf, _ = _restore(payload)
-    times = np.asarray(payload["times"])
-    x0 = np.asarray(payload["x0"], dtype=float)
-    W = brownian_batch(cf.d1, times, payload["seed"], lo, hi)
-    ref, _ = rsde.euler_reflected_batch(dom, cf, times, np.diff(W, axis=1), x0)
-    levels = payload["levels"]
+def _wz_chunk(c):
+    ref = c.euler()
     out = {}
     for mult, tag in ((1, "err"), (2, "err2x")):
-        if mult == 2 and not payload["check_substeps"]:
+        if mult == 2 and not c.check_substeps:
             continue
         # all levels in one batch, rows level-major
-        batch, _ = rsde.wong_zakai_batch(dom, cf, times, W, levels,
-                                         payload["substeps"] * mult, x0)
-        for n, x in zip(levels, np.split(batch.x, len(levels))):
+        batch, _ = rsde.wong_zakai_batch(c.domain, c.coeffs, c.times, c.W,
+                                         c.levels, c.substeps * mult, c.x0)
+        for n, x in zip(c.levels, np.split(batch.x, len(c.levels))):
             out[(tag, n)] = _sup_dist(ref.x, x)
             if mult == 1:
                 out[("holder", n)] = out[(tag, n)] + np.sqrt(pth.lag_scan_sq(
-                    times, ref.x - x, payload["theta"],
-                    pth.dyadic_lags(len(times))))
+                    c.times, ref.x - x, c.theta,
+                    pth.dyadic_lags(len(c.times))))
     crn_ok = True
-    if lo == 0:
+    if c.lo == 0:
         # CRN discipline: the level-n driver must be a restriction of the
         # fine driver, never a re-simulation
-        p0 = pth.SamplePath(times, W[0])
-        for n in levels:
-            nodes = pth.dyadic_grid(times[-1], n)
+        p0 = pth.SamplePath(c.times, c.W[0])
+        for n in c.levels:
+            nodes = pth.dyadic_grid(c.times[-1], n)
             idx = [p0.node_index(t) for t in nodes]
-            crn_ok &= bool(np.array_equal(p0.restrict(nodes).values, W[0][idx]))
-    out["crn_ok"] = crn_ok
+            crn_ok &= bool(np.array_equal(p0.restrict(nodes).values,
+                                          c.W[0][idx]))
+    out["crn_ok"] = np.array([crn_ok])
     return out
 
 
@@ -290,12 +298,9 @@ def wz_convergence(domain, coeffs, x0, T, levels, paths, seed, substeps=4,
     levels = sorted(int(n) for n in levels)
     nf = max(levels) + 1
     times = pth.dyadic_grid(T, nf)
-    workers = _maybe_serial(coeffs, workers)
-    payload = {"domain": _domain_payload(domain), "coeffs": _coeffs_payload(coeffs),
-               "times": times, "levels": levels, "x0": np.atleast_1d(x0),
-               "substeps": int(substeps), "seed": int(seed),
-               "check_substeps": bool(check_substeps), "theta": float(theta)}
-    results = parallel_chunks(_wz_chunk, int(paths), workers, payload)
+    res = run_paths(_wz_chunk, paths, workers, domain, coeffs, times, x0, seed,
+                    levels=levels, substeps=int(substeps),
+                    check_substeps=bool(check_substeps), theta=float(theta))
     report = ExperimentReport(
         name="wz_convergence",
         parameters={"T": T, "levels": levels, "paths": int(paths),
@@ -310,16 +315,16 @@ def wz_convergence(domain, coeffs, x0, T, levels, paths, seed, substeps=4,
     means = []
     ok_substeps = True
     for n in levels:
-        errs = np.concatenate([r[("err", n)] for r in results])
+        errs = res[("err", n)]
         m, ci = mean_ci(errs)
         means.append(m)
         report.estimates.append(Estimate(f"E_sup_err_level_{n}", m, ci, len(errs)))
-        hol = np.concatenate([r[("holder", n)] for r in results])
+        hol = res[("holder", n)]
         mh, cih = mean_ci(hol)
         report.estimates.append(Estimate(f"E_holder_err_level_{n}", mh, cih,
                                          len(hol), kind="statistic"))
         if check_substeps:
-            errs2 = np.concatenate([r[("err2x", n)] for r in results])
+            errs2 = res[("err2x", n)]
             m2, ci2 = mean_ci(errs2)
             report.estimates.append(Estimate(f"E_sup_err_level_{n}_substeps2x",
                                              m2, ci2, len(errs2)))
@@ -331,7 +336,7 @@ def wz_convergence(domain, coeffs, x0, T, levels, paths, seed, substeps=4,
     meshes = [T * 2.0 ** (-n) for n in levels]
     report.rate_fit = loglog_fit(meshes, means)
     decreasing = all(means[i + 1] < means[i] for i in range(len(means) - 1))
-    crn_all = all(r.get("crn_ok", True) for r in results)
+    crn_all = bool(np.all(res["crn_ok"]))
     report.notes.append(f"crn_restriction_check={'ok' if crn_all else 'FAILED'}")
     if check_substeps:
         report.notes.append(f"substep_insensitive={'yes' if ok_substeps else 'no'}")
@@ -346,21 +351,16 @@ def wz_convergence(domain, coeffs, x0, T, levels, paths, seed, substeps=4,
 # ---------------------------------------------------------------------------
 
 
-def _skeleton_chunk(lo, hi, payload):
-    dom, cf, h = _restore(payload)
-    times = np.asarray(payload["times"])
-    x0 = np.asarray(payload["x0"], dtype=float)
-    W = brownian_batch(cf.d1, times, payload["seed"], lo, hi)
-    Z = np.asarray(payload["Z"])
-    levels = payload["levels"]
-    batch, _ = rsde.shifted_driver_batch(dom, cf, times, W, levels, h, x0)
+def _skeleton_chunk(c):
+    batch, _ = rsde.shifted_driver_batch(c.domain, c.coeffs, c.times, c.W,
+                                         c.levels, c.h, c.x0)
     out = {}
-    for n, x in zip(levels, np.split(batch.x, len(levels))):
-        diff = x - Z[None]
+    for n, x in zip(c.levels, np.split(batch.x, len(c.levels))):
+        diff = x - c.Z[None]
         out[("supsq", n)] = np.max(np.sum(diff ** 2, axis=2), axis=1)
-        nodes_idx = payload["node_idx"][str(n)]
-        out[("nodesq_sum", n)] = np.sum(np.sum(diff[:, nodes_idx] ** 2, axis=2),
-                                        axis=0)
+        # one row per chunk: the chunk's sum over its paths
+        out[("nodesq_sum", n)] = np.sum(
+            np.sum(diff[:, c.node_idx[n]] ** 2, axis=2), axis=0)[None]
     return out
 
 
@@ -376,14 +376,10 @@ def skeleton_convergence(domain, coeffs, x0, T, h, levels, paths, seed,
     Zsol = rsde.skeleton(domain, coeffs, h, substeps, np.atleast_1d(x0),
                          grid=times)
     ref = pth.SamplePath(times, np.zeros((len(times), 1)))
-    node_idx = {str(n): [ref.node_index(t) for t in pth.dyadic_grid(T, n)]
+    node_idx = {n: [ref.node_index(t) for t in pth.dyadic_grid(T, n)]
                 for n in levels}
-    workers = _maybe_serial(coeffs, workers)
-    payload = {"domain": _domain_payload(domain), "coeffs": _coeffs_payload(coeffs),
-               "control": _control_payload(h), "times": times, "levels": levels,
-               "x0": np.atleast_1d(x0), "seed": int(seed), "Z": Zsol.x.values,
-               "node_idx": node_idx}
-    results = parallel_chunks(_skeleton_chunk, int(paths), workers, payload)
+    res = run_paths(_skeleton_chunk, paths, workers, domain, coeffs, times, x0,
+                    seed, h, levels=levels, Z=Zsol.x.values, node_idx=node_idx)
     report = ExperimentReport(
         name="skeleton_convergence",
         parameters={"T": T, "levels": levels, "paths": int(paths),
@@ -395,11 +391,11 @@ def skeleton_convergence(domain, coeffs, x0, T, h, levels, paths, seed,
                               "policy")])
     sup_means, constants = [], []
     for n in levels:
-        vals = np.concatenate([r[("supsq", n)] for r in results])
+        vals = res[("supsq", n)]
         m, ci = mean_ci(vals)
         sup_means.append(m)
         report.estimates.append(Estimate(f"E_supsq_level_{n}", m, ci, len(vals)))
-        node_mean = np.sum([r[("nodesq_sum", n)] for r in results], axis=0) / len(vals)
+        node_mean = np.sum(res[("nodesq_sum", n)], axis=0) / len(vals)
         node_stat = float(np.max(node_mean))
         nodes = pth.dyadic_grid(T, n)
         modulus = max(np.sqrt(h.window_energy(nodes[k - 2], nodes[k]))
@@ -432,31 +428,30 @@ def skeleton_convergence(domain, coeffs, x0, T, h, levels, paths, seed,
 # ---------------------------------------------------------------------------
 
 
-def _tube_block(lo_block, hi_block, payload):
-    """Generate whole blocks of candidate drivers; return accepted rows."""
+def _tube_block(lo, hi, payload):
+    """Generate candidate-driver blocks block0 + lo .. block0 + hi - 1 and
+    return the rows of each that stay in the delta-tube around href (the
+    zero path when href is None)."""
     d1 = payload["d1"]
     times = np.asarray(payload["times"])
-    href = np.asarray(payload["href"])
+    href = payload["href"]
     delta = payload["delta"]
+    block0 = payload.get("block0", 0)
     dt_sqrt = np.sqrt(np.diff(times))
     accepted, counts = [], []
-    for block in range(lo_block, hi_block):
+    for block in range(block0 + lo, block0 + hi):
         rng = pth.rng_for(payload["seed"], payload["tag"], payload["delta_idx"],
                           block)
         incs = rng.standard_normal((TUBE_BLOCK, len(times) - 1, d1)) \
             * dt_sqrt[None, :, None]
         W = np.concatenate([np.zeros((TUBE_BLOCK, 1, d1)),
                             np.cumsum(incs, axis=1)], axis=1)
-        dev = np.max(np.linalg.norm(W - href[None], axis=2), axis=1)
+        dev = np.max(np.linalg.norm(W if href is None else W - href[None],
+                                    axis=2), axis=1)
         hit = dev < delta
         counts.append(int(np.sum(hit)))
         accepted.append(W[hit])
     return {"accepted": accepted, "counts": counts}
-
-
-def _tube_block_shifted(lo, hi, payload):
-    off = payload["block0"]
-    return _tube_block(off + lo, off + hi, payload)
 
 
 def _collect_tube_samples(d1, times, href, delta, delta_idx, target, seed,
@@ -477,7 +472,7 @@ def _collect_tube_samples(d1, times, href, delta, delta_idx, target, seed,
     while got < target:
         remaining = target - got
         guess = int(np.ceil(remaining / max(acc, 1e-12) / TUBE_BLOCK * 1.2)) + 1
-        results = parallel_chunks(_tube_block_shifted, guess, workers,
+        results = parallel_chunks(_tube_block, guess, workers,
                                   {**payload, "block0": next_block}, chunk=8)
         for r in results:
             chunks.append(r)
@@ -574,17 +569,12 @@ def _window_osc_sq(x, lo, hi):
     return pth.lag_scan_sq(None, v, 0.0, pth.dyadic_lags(v.shape[1]))
 
 
-def _moment_chunk(lo, hi, payload):
-    dom, cf, _ = _restore(payload)
-    times = np.asarray(payload["times"])
-    x0 = np.asarray(payload["x0"], dtype=float)
-    p = payload["p"]
-    W = brownian_batch(cf.d1, times, payload["seed"], lo, hi)
-    batch, _ = rsde.euler_reflected_batch(dom, cf, times, np.diff(W, axis=1), x0)
+def _moment_chunk(c):
+    batch = c.euler()
     out = {}
-    for j, (ilo, ihi) in enumerate(payload["windows_idx"]):
-        out[("x", j)] = _window_osc_sq(batch.x, ilo, ihi) ** p
-        out[("k", j)] = (batch.tv[:, ihi] - batch.tv[:, ilo]) ** (2 * p)
+    for j, (ilo, ihi) in enumerate(c.windows_idx):
+        out[("x", j)] = _window_osc_sq(batch.x, ilo, ihi) ** c.p
+        out[("k", j)] = (batch.tv[:, ihi] - batch.tv[:, ilo]) ** (2 * c.p)
     return out
 
 
@@ -605,11 +595,8 @@ def moment_scaling(domain, coeffs, x0, windows, p, paths, seed, workers=1,
     times = np.linspace(0.0, tmax, n_cells + 1)
     widx = [(int(np.argmin(np.abs(times - s))), int(np.argmin(np.abs(times - t))))
             for s, t in windows]
-    workers = _maybe_serial(coeffs, workers)
-    payload = {"domain": _domain_payload(domain), "coeffs": _coeffs_payload(coeffs),
-               "times": times, "x0": np.atleast_1d(x0), "p": float(p),
-               "seed": int(seed), "windows_idx": widx}
-    results = parallel_chunks(_moment_chunk, int(paths), workers, payload)
+    res = run_paths(_moment_chunk, paths, workers, domain, coeffs, times, x0,
+                    seed, p=float(p), windows_idx=widx)
     report = ExperimentReport(
         name="moment_scaling",
         parameters={"windows": [list(w) for w in windows], "p": p,
@@ -626,7 +613,7 @@ def moment_scaling(domain, coeffs, x0, windows, p, paths, seed, workers=1,
     for tag, label in (("x", "osc_moment"), ("k", "regulator_moment")):
         means = []
         for j in range(len(windows)):
-            vals = np.concatenate([r[(tag, j)] for r in results])
+            vals = res[(tag, j)]
             m, ci = mean_ci(vals)
             means.append(m)
             report.estimates.append(Estimate(f"{label}_window_{j}", m, ci,
@@ -656,13 +643,8 @@ def moment_scaling(domain, coeffs, x0, windows, p, paths, seed, workers=1,
 # ---------------------------------------------------------------------------
 
 
-def _tail_chunk(lo, hi, payload):
-    dom, cf, _ = _restore(payload)
-    times = np.asarray(payload["times"])
-    x0 = np.asarray(payload["x0"], dtype=float)
-    W = brownian_batch(cf.d1, times, payload["seed"], lo, hi)
-    batch, _ = rsde.euler_reflected_batch(dom, cf, times, np.diff(W, axis=1), x0)
-    return {"kT": batch.tv[:, -1]}
+def _tail_chunk(c):
+    return {"kT": c.euler().tv[:, -1]}
 
 
 def exp_tail(domain, coeffs, x0, T, paths, seed, grid_level=9, workers=1,
@@ -672,11 +654,8 @@ def exp_tail(domain, coeffs, x0, T, paths, seed, grid_level=9, workers=1,
     decade of the sample; a positive coefficient evidences a Gaussian-type
     squared-exponential tail."""
     times = pth.dyadic_grid(T, grid_level)
-    workers = _maybe_serial(coeffs, workers)
-    payload = {"domain": _domain_payload(domain), "coeffs": _coeffs_payload(coeffs),
-               "times": times, "x0": np.atleast_1d(x0), "seed": int(seed)}
-    results = parallel_chunks(_tail_chunk, int(paths), workers, payload)
-    kT = np.concatenate([r["kT"] for r in results])
+    kT = run_paths(_tail_chunk, paths, workers, domain, coeffs, times, x0,
+                   seed)["kT"]
     report = ExperimentReport(
         name="exp_tail",
         parameters={"T": T, "paths": int(paths), "grid_level": grid_level,
@@ -730,30 +709,13 @@ def _smallball_chunk(lo, hi, payload):
 
 def _levy_blocks(lo, hi, payload):
     """Tube-conditioned iterated-integral sups for blocks [lo, hi)."""
-    d1 = payload["d1"]
-    times = np.asarray(payload["times"])
-    delta = payload["delta"]
-    dt_sqrt = np.sqrt(np.diff(times))
-    zeta_sups = []
-    for block in range(lo, hi):
-        rng = pth.rng_for(payload["seed"], payload["tag"], payload["delta_idx"],
-                          block)
-        incs = rng.standard_normal((TUBE_BLOCK, len(times) - 1, d1)) \
-            * dt_sqrt[None, :, None]
-        W = np.concatenate([np.zeros((TUBE_BLOCK, 1, d1)),
-                            np.cumsum(incs, axis=1)], axis=1)
-        dev = np.max(np.linalg.norm(W, axis=2), axis=1)
-        hit = np.nonzero(dev < delta)[0]
-        if len(hit) == 0:
-            continue
-        Wh = W[hit]
+    zeta_sups = [np.zeros(0)]
+    for Wh in _tube_block(lo, hi, payload)["accepted"]:
         mid = 0.5 * (Wh[:, :-1, 0] + Wh[:, 1:, 0])
         dv = np.diff(Wh[:, :, 1], axis=1)
         running = np.cumsum(mid * dv, axis=1)
         zeta_sups.append(np.max(np.abs(running), axis=1))
-    if zeta_sups:
-        return {"zeta_sup": np.concatenate(zeta_sups)}
-    return {"zeta_sup": np.zeros(0)}
+    return {"zeta_sup": np.concatenate(zeta_sups)}
 
 
 def smallball_and_levy(T, deltas, M_values, paths, seed, workers=1,
@@ -805,8 +767,9 @@ def smallball_and_levy(T, deltas, M_values, paths, seed, workers=1,
     levy_ok = True
     prop_eps = []
     for di, delta in enumerate(sorted(levy_deltas, reverse=True)):
-        payload = {"d1": 2, "times": ltimes, "delta": float(delta),
-                   "delta_idx": int(di), "seed": int(seed), "tag": 0x1E}
+        payload = {"d1": 2, "times": ltimes, "href": None,
+                   "delta": float(delta), "delta_idx": int(di),
+                   "seed": int(seed), "tag": 0x1E}
         parts = parallel_chunks(_levy_blocks, max_blocks, workers, payload,
                                 chunk=8)
         zsups = np.concatenate([p["zeta_sup"] for p in parts])
@@ -852,7 +815,6 @@ def regulator_conditional(domain, coeffs, x0, T, deltas, c3, paths, seed,
     given the driver stays in a delta-tube around zero."""
     deltas = sorted((float(d) for d in deltas), reverse=True)
     times = pth.dyadic_grid(T, grid_level)
-    href = np.zeros((len(times), coeffs.d1))
     report = ExperimentReport(
         name="regulator_conditional",
         parameters={"T": T, "deltas": deltas, "c3": c3, "paths": int(paths),
@@ -865,7 +827,7 @@ def regulator_conditional(domain, coeffs, x0, T, deltas, c3, paths, seed,
     cis = {"scaled": [], "fixed": []}
     max_blocks = max(1, int(np.ceil(paths / TUBE_BLOCK)))
     for di, delta in enumerate(deltas):
-        payload = {"d1": coeffs.d1, "times": times, "href": href,
+        payload = {"d1": coeffs.d1, "times": times, "href": None,
                    "delta": float(delta), "delta_idx": int(di),
                    "seed": int(seed), "tag": 0x4E6}
         parts = parallel_chunks(_tube_block, max_blocks, workers, payload,
@@ -899,22 +861,18 @@ def regulator_conditional(domain, coeffs, x0, T, deltas, c3, paths, seed,
 # ---------------------------------------------------------------------------
 
 
-def _holder_chunk(lo, hi, payload):
-    dom, cf, h = _restore(payload)
-    times = np.asarray(payload["times"])
-    x0 = np.asarray(payload["x0"], dtype=float)
-    W = brownian_batch(cf.d1, times, payload["seed"], lo, hi)
-    levels = payload["levels"]
-    batch, _ = rsde.wong_zakai_batch(dom, cf, times, W, levels,
-                                     payload["substeps"], x0)
-    hol = np.split(pth.holder_seminorm_batch(times, batch.x, payload["theta"]),
-                   len(levels))
-    out = dict(zip(levels, hol))
-    if h is not None:
-        shifted, _ = rsde.shifted_driver_batch(dom, cf, times, W, levels, h, x0)
-        hol = np.split(pth.holder_seminorm_batch(times, shifted.x,
-                                                 payload["theta"]), len(levels))
-        out.update(zip((("shifted", n) for n in levels), hol))
+def _holder_chunk(c):
+    batch, _ = rsde.wong_zakai_batch(c.domain, c.coeffs, c.times, c.W,
+                                     c.levels, c.substeps, c.x0)
+    hol = np.split(pth.holder_seminorm_batch(c.times, batch.x, c.theta),
+                   len(c.levels))
+    out = dict(zip(c.levels, hol))
+    if c.h is not None:
+        shifted, _ = rsde.shifted_driver_batch(c.domain, c.coeffs, c.times,
+                                               c.W, c.levels, c.h, c.x0)
+        hol = np.split(pth.holder_seminorm_batch(c.times, shifted.x, c.theta),
+                       len(c.levels))
+        out.update(zip((("shifted", n) for n in c.levels), hol))
     return out
 
 
@@ -930,12 +888,9 @@ def holder_tightness(domain, coeffs, x0, T, theta, levels, paths, seed,
     times = pth.dyadic_grid(T, nf)
     if len(times) > pth.HOLDER_EXACT_LIMIT:
         raise ValueError("fine grid too large for the exact Holder scan")
-    workers = _maybe_serial(coeffs, workers)
-    payload = {"domain": _domain_payload(domain), "coeffs": _coeffs_payload(coeffs),
-               "times": times, "x0": np.atleast_1d(x0), "theta": float(theta),
-               "levels": levels, "substeps": int(substeps), "seed": int(seed),
-               "control": _control_payload(h)}
-    results = parallel_chunks(_holder_chunk, int(paths), workers, payload)
+    res = run_paths(_holder_chunk, paths, workers, domain, coeffs, times, x0,
+                    seed, h, theta=float(theta), levels=levels,
+                    substeps=int(substeps))
     report = ExperimentReport(
         name="holder_tightness",
         parameters={"T": T, "theta": theta, "levels": levels,
@@ -946,7 +901,7 @@ def holder_tightness(domain, coeffs, x0, T, theta, levels, paths, seed,
                     Threshold("critical_theta", critical_theta, "theory")])
     means = []
     for n in levels:
-        vals = np.concatenate([r[n] for r in results])
+        vals = res[n]
         m, ci = mean_ci(vals)
         means.append(m)
         report.estimates.append(Estimate(f"holder_mean_level_{n}", m, ci,
@@ -955,7 +910,7 @@ def holder_tightness(domain, coeffs, x0, T, theta, levels, paths, seed,
                                          float(np.quantile(vals, 0.95)), 0.0,
                                          len(vals), kind="quantile"))
         if h is not None:
-            svals = np.concatenate([r[("shifted", n)] for r in results])
+            svals = res[("shifted", n)]
             ms, cs = mean_ci(svals)
             report.estimates.append(Estimate(f"holder_shifted_mean_level_{n}",
                                              ms, cs, len(svals)))
@@ -976,34 +931,16 @@ def holder_tightness(domain, coeffs, x0, T, theta, levels, paths, seed,
 # ---------------------------------------------------------------------------
 
 
-def _forward_chunk(lo, hi, payload):
-    dom, cf, _ = _restore(payload)
-    times = np.asarray(payload["times"])
-    n = payload["n"]
-    T = float(times[-1])
-    x0 = np.asarray(payload["x0"], dtype=float)
-    W = brownian_batch(cf.d1, times, payload["seed"], lo, hi)
-    ref, _ = rsde.euler_reflected_batch(dom, cf, times, np.diff(W, axis=1), x0)
-    # skeleton route: per-path control built from the adapted interpolation
-    slopes = np.empty((hi - lo, 2 ** n, cf.d1))
-    for j in range(hi - lo):
-        ctrl = pth.control_from_path(pth.SamplePath(times, W[j]), n, T)
-        slopes[j] = ctrl.derivative
-    # expand per-dyadic-cell slopes onto the fine grid cells
-    mids = 0.5 * (times[:-1] + times[1:])
-    which = np.clip((mids / (T / 2 ** n)).astype(int), 0, 2 ** n - 1)
-    batch, _ = rsde.skeleton_batch(dom, cf, times, slopes[:, which], x0,
-                                   payload["substeps"])
-    return {"dist": _sup_dist(ref.x, batch.x)}
+def _forward_chunk(c):
+    # the skeleton of a path's adapted control H_n is its level-n
+    # Wong-Zakai solution
+    batch, _ = rsde.wong_zakai_batch(c.domain, c.coeffs, c.times, c.W, c.n,
+                                     c.substeps, c.x0)
+    return {"dist": _sup_dist(c.euler().x, batch.x)}
 
 
-def _reverse_chunk(lo, hi, payload):
-    dom, cf, _ = _restore(payload)
-    times = np.asarray(payload["times"])
-    x0 = np.asarray(payload["x0"], dtype=float)
-    W = brownian_batch(cf.d1, times, payload["seed"], lo, hi)
-    batch, _ = rsde.euler_reflected_batch(dom, cf, times, np.diff(W, axis=1), x0)
-    return {"dist": _sup_dist(batch.x, np.asarray(payload["Z"]))}
+def _reverse_chunk(c):
+    return {"dist": _sup_dist(c.euler().x, c.Z)}
 
 
 def support_inclusions(domain, coeffs, x0, T, h, n, epsilon, paths, seed,
@@ -1013,12 +950,8 @@ def support_inclusions(domain, coeffs, x0, T, h, n, epsilon, paths, seed,
     control.  Reverse: the diffusion enters an epsilon-ball of a target
     skeleton with positive empirical probability."""
     times = pth.dyadic_grid(T, int(n) + 1)
-    workers_eff = _maybe_serial(coeffs, workers)
-    payload = {"domain": _domain_payload(domain), "coeffs": _coeffs_payload(coeffs),
-               "times": times, "x0": np.atleast_1d(x0), "n": int(n),
-               "substeps": int(substeps), "seed": int(seed)}
-    results = parallel_chunks(_forward_chunk, int(paths), workers_eff, payload)
-    dist = np.concatenate([r["dist"] for r in results])
+    dist = run_paths(_forward_chunk, paths, workers, domain, coeffs, times, x0,
+                     seed, n=int(n), substeps=int(substeps))["dist"]
     report = ExperimentReport(
         name="support_inclusions",
         parameters={"T": T, "n": int(n), "epsilon": epsilon,
@@ -1041,13 +974,8 @@ def support_inclusions(domain, coeffs, x0, T, h, n, epsilon, paths, seed,
     rtimes = pth.dyadic_grid(T, reverse_grid_level)
     Z = rsde.skeleton(domain, coeffs, h, substeps, np.atleast_1d(x0),
                       grid=rtimes)
-    rpayload = {"domain": _domain_payload(domain),
-                "coeffs": _coeffs_payload(coeffs), "times": rtimes,
-                "x0": np.atleast_1d(x0), "seed": int(seed) + 1,
-                "Z": Z.x.values}
-    rres = parallel_chunks(_reverse_chunk, int(reverse_paths or paths),
-                           workers_eff, rpayload)
-    rdist = np.concatenate([r["dist"] for r in rres])
+    rdist = run_paths(_reverse_chunk, reverse_paths or paths, workers, domain,
+                      coeffs, rtimes, x0, int(seed) + 1, Z=Z.x.values)["dist"]
     hits = int(np.sum(rdist < epsilon))
     _, half = wilson(hits, len(rdist))
     report.estimates.append(Estimate("reverse_hit_count", float(hits), 0.0,

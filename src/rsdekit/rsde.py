@@ -322,6 +322,15 @@ def skeleton_batch(domain, coeffs, grid, slopes, x0, substeps):
     return _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps)
 
 
+def expand_cell_slopes(slopes, grid, T):
+    """Slopes (P, cells, d1) on the equal cells of [0, T], read off on the
+    cells of grid: each grid cell takes the slope of the cell holding its
+    midpoint (grids here never put a midpoint on a cell boundary)."""
+    cells = slopes.shape[1]
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    return slopes[:, np.minimum((mids / (T / cells)).astype(int), cells - 1)]
+
+
 def _adapted_slopes(times, W, levels, T=None):
     """Grid of the nodes up to T and the one-cell-delayed adapted
     interpolation's slope on each of its cells.
@@ -333,7 +342,6 @@ def _adapted_slopes(times, W, levels, T=None):
     times = np.asarray(times, dtype=float)
     T = float(times[-1]) if T is None else float(T)
     grid = times[times <= T + 1e-12]
-    mids = 0.5 * (grid[:-1] + grid[1:])
     ref = pth.SamplePath(times, np.zeros((len(times), 1)))
     out = []
     for n in np.atleast_1d(levels):
@@ -343,7 +351,7 @@ def _adapted_slopes(times, W, levels, T=None):
         w_nodes = W[:, idx]  # (P, cells+1, d1)
         slopes = np.zeros_like(w_nodes[:, :-1])
         slopes[:, 1:] = (w_nodes[:, 1:-1] - w_nodes[:, :-2]) / delta
-        out.append(slopes[:, np.clip((mids / delta).astype(int), 0, cells - 1)])
+        out.append(expand_cell_slopes(slopes, grid, T))
     return grid, np.concatenate(out)
 
 

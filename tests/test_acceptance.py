@@ -281,11 +281,11 @@ def test_criterion_11_maximum_principle():
         u_quad = lambda x: float(np.sum(np.asarray(x, dtype=float) ** 2))
         cloud = mp.reachable_sample(DISC, EYE_COEFFS_2D, [0.0, 0.0], 2000,
                                     1.0, seed=0xAB)
-        v_const = mp.max_principle_check(DISC, EYE_COEFFS_2D, u_const,
+        v_const = mp.max_principle_check(DISC, u_const,
                                          [0.0, 0.0], cloud, 1e-6)
         vals = [u_const(p) for p in cloud.points]
         osc = max(vals) - min(vals)
-        v_quad = mp.max_principle_check(DISC, EYE_COEFFS_2D, u_quad,
+        v_quad = mp.max_principle_check(DISC, u_quad,
                                         [0.0, 0.0], cloud, 1e-6)
         sub_up = mp.submartingale_test(DISC, EYE_COEFFS_2D, u_quad,
                                        [0.0, 0.0], [0.0, 0.05, 0.1, 0.2],

@@ -98,12 +98,12 @@ class TestSubmartingale:
 class TestMaxPrinciple:
     def test_constant_passes(self):
         cloud = mp.reachable_sample(DISC, SIGMA_I, [0.0, 0.0], 300, 1.0, seed=12)
-        assert mp.max_principle_check(DISC, SIGMA_I, lambda x: 2.0,
+        assert mp.max_principle_check(DISC, lambda x: 2.0,
                                       [0.0, 0.0], cloud, 1e-6) == "pass"
 
     def test_center_premise_not_met(self):
         cloud = mp.reachable_sample(DISC, SIGMA_I, [0.0, 0.0], 300, 1.0, seed=13)
-        assert mp.max_principle_check(DISC, SIGMA_I, u_quad, [0.0, 0.0],
+        assert mp.max_principle_check(DISC, u_quad, [0.0, 0.0],
                                       cloud, 1e-6) == "premise not met"
 
     def test_boundary_max_nonconstant_fails(self):
@@ -111,13 +111,13 @@ class TestMaxPrinciple:
         # not constant: the checker must flag it
         base = [1.0, 0.0]
         cloud = mp.reachable_sample(DISC, SIGMA_I, base, 300, 1.0, seed=14)
-        assert mp.max_principle_check(DISC, SIGMA_I, u_quad, base, cloud,
+        assert mp.max_principle_check(DISC, u_quad, base, cloud,
                                       1e-6) == "fail"
 
     def test_wrong_base_rejected(self):
         cloud = mp.reachable_sample(DISC, SIGMA_I, [0.0, 0.0], 20, 1.0, seed=15)
         with pytest.raises(ValueError):
-            mp.max_principle_check(DISC, SIGMA_I, u_quad, [0.5, 0.0], cloud,
+            mp.max_principle_check(DISC, u_quad, [0.5, 0.0], cloud,
                                    1e-6)
 
     def test_report_wrapper(self):

@@ -1,15 +1,23 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rsdekit import (Ball, HalfSpace, dyadic_grid, levy_sup,
-                     make_coefficients, tube_sample, zero_control)
+from rsdekit import (Ball, HalfSpace, dyadic_grid, levy_sup, linear_control,
+                     make_coefficients, sine_control, tube_sample,
+                     zero_control)
+from rsdekit import maxprinciple as mp
 from rsdekit import montecarlo as mc
 
 HALF_LINE = HalfSpace([1.0], 0.0)
 DISC = Ball([0.0, 0.0], 1.0)
 SIGMA0 = dict(sigma="const", sigma_params={"value": 0.0})
+SIN_1D = make_coefficients(1, 1, sigma="sin",
+                           sigma_params={"base": 0.5, "amp": 0.25})
+HALF_2D = make_coefficients(2, 2, sigma="const", sigma_params={"value": 0.5})
+SINE_2D = sine_control(1.0, dim=2, n_cells=64)
 
 
 class TestStatistics:
@@ -198,6 +206,55 @@ class TestDeterminism:
         rep = mc.moment_scaling(HALF_LINE, cf, [0.0], [(0.0, 0.25), (0.0, 0.5)],
                                 1.0, 32, seed=5, workers=4)
         assert rep.name == "moment_scaling"
+
+    # each run spans more than one chunk (256 paths, 8 tube blocks), so
+    # workers=2 really splits it across the pool
+    EXPERIMENTS = {
+        "skeleton_convergence": lambda w: mc.skeleton_convergence(
+            DISC, HALF_2D, [0.0, 0.0], 1.0, SINE_2D, [3, 4], 300, seed=21,
+            workers=w),
+        "holder_tightness": lambda w: mc.holder_tightness(
+            DISC, HALF_2D, [0.0, 0.0], 1.0, 0.2, [3, 4], 300, seed=22,
+            workers=w, h=SINE_2D),
+        "support_inclusions": lambda w: mc.support_inclusions(
+            HALF_LINE, SIN_1D, [1.0], 1.0, linear_control(1.0, [0.5]), n=4,
+            epsilon=0.5, paths=300, seed=23, reverse_paths=300, workers=w),
+        "exp_tail": lambda w: mc.exp_tail(HALF_LINE, SIN_1D, [0.0], 1.0, 300,
+                                          seed=24, grid_level=5, workers=w),
+        "submartingale_test": lambda w: mp.submartingale_test(
+            DISC, HALF_2D, lambda x: float(np.sum(np.square(x))), [0.0, 0.0],
+            [0.0, 0.1, 0.2], 300, seed=25, grid_level=5, workers=w),
+        "regulator_conditional": lambda w: mc.regulator_conditional(
+            HALF_LINE, SIN_1D, [0.0], 0.5, [0.8, 0.5], 1.0, 9 * mc.TUBE_BLOCK,
+            seed=26, grid_level=4, workers=w),
+        "smallball_and_levy": lambda w: mc.smallball_and_levy(
+            0.5, [0.5, 0.7, 1.0], [0.25, 0.5, 1.0], 300, seed=27,
+            grid_level=5, levy_attempts=9 * mc.TUBE_BLOCK, levy_grid_level=3,
+            workers=w),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_experiment_workers_identical(self, name):
+        run = self.EXPERIMENTS[name]
+        assert run(1).to_json() == run(2).to_json()
+
+
+def test_benchmark_tracer_sees_the_runner():
+    # perfbench/tracing.py wraps parallel_chunks and brownian_batch where
+    # montecarlo and maxprinciple bind them; a traced run counts chunks and
+    # driver draws only if the runner calls them through those bindings
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    saved = tracing.install(tracer)
+    try:
+        mc.wz_convergence(HALF_LINE, SIN_1D, [1.0], 1.0, [3, 4], 300, seed=28)
+    finally:
+        tracing.uninstall(saved)
+    draws = sum(1 for span in tracer.spans if span[0] == "paths.sample")
+    assert draws == tracer.counters["montecarlo.chunks"] == 2
 
 
 class TestReportShape:
