@@ -207,8 +207,8 @@ class TestDeterminism:
                                 1.0, 32, seed=5, workers=4)
         assert rep.name == "moment_scaling"
 
-    # each run spans more than one chunk (256 paths, 8 tube blocks), so
-    # workers=2 really splits it across the pool
+    # each run spans more than one chunk (a chunk holds 256 paths or 8 tube
+    # blocks), so workers=2 really splits it across the pool
     EXPERIMENTS = {
         "skeleton_convergence": lambda w: mc.skeleton_convergence(
             DISC, HALF_2D, [0.0, 0.0], 1.0, SINE_2D, [3, 4], 300, seed=21,
