@@ -576,36 +576,35 @@ class NotchedDisc(Domain):
         dist = np.zeros(len(Y))
         sd_box = self._box_sd(Y)
         r = np.linalg.norm(Y - self.c, axis=1)
-        in_closure = (sd_box <= 0) & (r >= self.rho)
-        todo = np.nonzero(~in_closure)[0]
-        for i in todo:
-            X[i], N[i], dist[i] = self._project_one(Y[i], sd_box[i], r[i])
-        return X, N, dist
-
-    def _project_one(self, y, sd_box, r):
-        if sd_box <= 0:
-            # inside the box but in the notch: radial push onto the arc
-            if r < 1e-12:
-                raise AmbiguousProjection(
-                    "projection from the notch center is direction-free")
-            x = self.c + (y - self.c) * (self.rho / r)
-            n = (y - self.c) / r  # inward normal of the arc points away from c
-            return x, n, self.rho - r
-        clamp = np.clip(y, self.low, self.high)
-        rc = np.linalg.norm(clamp - self.c)
-        if rc >= self.rho - 1e-15:
-            d = np.linalg.norm(clamp - y)
-            return clamp, (clamp - y) / d, d
+        in_box = sd_box <= 0
+        # inside the box but in the notch: radial push onto the arc
+        notch = in_box & (r < self.rho)
+        v, rn = Y[notch] - self.c, r[notch]
+        if np.any(rn < 1e-12):
+            raise AmbiguousProjection(
+                "projection from the notch center is direction-free")
+        X[notch] = self.c + v * (self.rho / rn)[:, None]
+        N[notch] = v / rn[:, None]  # inward normal of the arc points away from c
+        dist[notch] = self.rho - rn
+        # outside the box: clamp, unless that lands in the notch gap
+        out = np.nonzero(~in_box)[0]
+        clamp = np.clip(Y[out], self.low, self.high)
+        face = _row_norms(clamp - self.c) >= self.rho - 1e-15
+        rows, clamp = out[face], clamp[face]
+        d = _row_norms(clamp - Y[rows])
+        X[rows], N[rows], dist[rows] = clamp, (clamp - Y[rows]) / d[:, None], d
         # clamped point landed in the notch gap: junction corners compete
-        d0 = np.linalg.norm(y - self.junctions[0])
-        d1 = np.linalg.norm(y - self.junctions[1])
-        lo, hi = (d0, d1) if d0 <= d1 else (d1, d0)
-        if hi - lo <= AMBIGUITY_RTOL * max(hi, 1.0):
+        rows = out[~face]
+        y = Y[rows]
+        d0 = _row_norms(y - self.junctions[0])
+        d1 = _row_norms(y - self.junctions[1])
+        lo, hi = np.minimum(d0, d1), np.maximum(d0, d1)
+        if np.any(hi - lo <= AMBIGUITY_RTOL * np.maximum(hi, 1.0)):
             raise AmbiguousProjection(
                 "two junction corners are equidistant within tolerance")
-        x = self.junctions[0] if d0 < d1 else self.junctions[1]
-        d = min(d0, d1)
-        return x, (x - y) / d, d
+        X[rows] = np.where((d0 < d1)[:, None], self.junctions[0], self.junctions[1])
+        N[rows], dist[rows] = (X[rows] - y) / lo[:, None], lo
+        return X, N, dist
 
     def boundary_points(self, n, rng):
         widths = self.high - self.low
@@ -677,6 +676,12 @@ class NotchedDisc(Domain):
     def params(self):
         return {"low": self.low.tolist(), "high": self.high.tolist(),
                 "notch_center": self.c.tolist(), "notch_radius": self.rho}
+
+
+def _row_norms(V):
+    """Euclidean norm of each row, bitwise equal to np.linalg.norm(row): both
+    take sqrt(v . v) through numpy's dot; norm(axis=1) differs in the last bit."""
+    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
 
 
 def _maximin_direction(normals):

@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 
+from rsdekit.errors import AmbiguousProjection
+from rsdekit.geometry import AMBIGUITY_RTOL
+
 
 def reflect_half_line(x0, w_values):
     """Explicit reflection on the half-line: running-max formula.
@@ -45,6 +48,37 @@ def box_project_brute(y, low, high):
         if dist < best_dist:
             best, best_dist = cand, dist
     return best, best_dist
+
+
+def notched_project_one(dom, y):
+    """Projection of one point onto a NotchedDisc closure, case by case:
+    (point, unit inward normal, distance), zero normal and distance for a
+    point already in the closure.  Raises AmbiguousProjection at the notch
+    centre and where the two junction corners tie."""
+    y = np.asarray(y, dtype=float)
+    v = y - dom.c
+    r = math.sqrt(v[0] * v[0] + v[1] * v[1])
+    q = np.maximum(dom.low - y, y - dom.high)
+    in_box = np.linalg.norm(np.maximum(q, 0.0)) + min(q.max(), 0.0) <= 0
+    if in_box:
+        if r >= dom.rho:
+            return y.copy(), np.zeros(2), 0.0
+        # in the notch: radial push onto the arc
+        if r < 1e-12:
+            raise AmbiguousProjection("notch centre")
+        return dom.c + v * (dom.rho / r), v / r, dom.rho - r
+    clamp = np.clip(y, dom.low, dom.high)
+    if np.linalg.norm(clamp - dom.c) >= dom.rho - 1e-15:
+        d = np.linalg.norm(clamp - y)
+        return clamp, (clamp - y) / d, d
+    # the clamped point lies in the notch gap: nearer junction corner
+    d0 = np.linalg.norm(y - dom.junctions[0])
+    d1 = np.linalg.norm(y - dom.junctions[1])
+    lo, hi = (d0, d1) if d0 <= d1 else (d1, d0)
+    if hi - lo <= AMBIGUITY_RTOL * max(hi, 1.0):
+        raise AmbiguousProjection("equidistant junction corners")
+    x = dom.junctions[0] if d0 < d1 else dom.junctions[1]
+    return x, (x - y) / lo, lo
 
 
 def gauss_tail(z):

@@ -6,7 +6,7 @@ from rsdekit import (AmbiguousProjection, AxisBox, Ball, ConvexPolytope,
                      HalfSpace, Membership, NotchedDisc, UnsupportedKind,
                      check_conditions, make_domain)
 
-from oracles import box_project_brute
+from oracles import box_project_brute, notched_project_one
 
 DISC = Ball([0.0, 0.0], 1.0, c0=0.5)
 HALF = HalfSpace([1.0, 0.0], 0.0)
@@ -177,6 +177,38 @@ class TestNotched:
         x, n, dist = NOTCHED.project([0.62, -0.1])
         assert np.allclose(x, [0.7, 0.0])
         assert dist == pytest.approx(np.hypot(0.08, 0.1))
+
+    def _batch(self, seed):
+        # uniform points around the box, plus points packed into the notch
+        # and below the notch gap, where the junction corners compete
+        rng = np.random.default_rng(seed)
+        c, rho = NOTCHED.c, NOTCHED.rho
+        th, u = rng.uniform(0.0, np.pi, 3000), rng.uniform(0.0, 1.0, 3000)
+        notch = c + (rho * u)[:, None] * np.stack([np.cos(th), np.sin(th)], 1)
+        gap = rng.uniform([c[0] - rho, -0.6], [c[0] + rho, 0.0], (3000, 2))
+        return np.vstack([rng.uniform(-0.6, 1.6, (8000, 2)), notch, gap])
+
+    def test_project_rows_matches_scalar_reference(self):
+        Y = self._batch(31)
+        X, N, dist = NOTCHED.project_rows(Y)
+        ref = [notched_project_one(NOTCHED, y) for y in Y]
+        for got, want in zip((X, N, dist), zip(*ref)):
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          np.array(want).view(np.int64))
+        # every case of the projection is exercised
+        in_box = np.all((Y >= NOTCHED.low) & (Y <= NOTCHED.high), axis=1)
+        below_gap = (np.abs(Y[:, 0] - NOTCHED.c[0]) < NOTCHED.rho) & (Y[:, 1] < 0)
+        counts = [np.sum(in_box & (dist == 0)), np.sum(in_box & (dist > 0)),
+                  np.sum(~in_box & ~below_gap), np.sum(below_gap)]
+        assert min(counts) > 100, counts
+
+    @pytest.mark.parametrize("bad", [[0.5, 0.0], [0.5, -0.3]],
+                             ids=["notch_center", "junction_tie"])
+    def test_project_rows_raises_on_one_ambiguous_row(self, bad):
+        Y = self._batch(32)
+        Y[4321] = bad
+        with pytest.raises(AmbiguousProjection):
+            NOTCHED.project_rows(Y)
 
     def test_exterior_ball_empty_at_boundary(self):
         # condition (A): B(x - r0 n, r0) avoids the open domain

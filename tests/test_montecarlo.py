@@ -5,14 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rsdekit import (Ball, HalfSpace, dyadic_grid, levy_sup, linear_control,
-                     make_coefficients, sine_control, tube_sample,
-                     zero_control)
+from rsdekit import (Ball, HalfSpace, NotchedDisc, dyadic_grid, levy_sup,
+                     linear_control, make_coefficients, sine_control,
+                     tube_sample, zero_control)
 from rsdekit import maxprinciple as mp
 from rsdekit import montecarlo as mc
 
 HALF_LINE = HalfSpace([1.0], 0.0)
 DISC = Ball([0.0, 0.0], 1.0)
+NOTCHED = NotchedDisc()
 SIGMA0 = dict(sigma="const", sigma_params={"value": 0.0})
 SIN_1D = make_coefficients(1, 1, sigma="sin",
                            sigma_params={"base": 0.5, "amp": 0.25})
@@ -183,7 +184,7 @@ class TestTubeMachinery:
 
 
 class TestDeterminism:
-    CONFIG = dict(x0=[1.0], T=1.0, levels=[3, 4, 5], paths=96, seed=123,
+    CONFIG = dict(x0=[1.0], T=1.0, levels=[3, 4, 5], paths=300, seed=123,
                   check_substeps=True)
 
     def _run(self, workers):
@@ -231,6 +232,10 @@ class TestDeterminism:
             0.5, [0.5, 0.7, 1.0], [0.25, 0.5, 1.0], 300, seed=27,
             grid_level=5, levy_attempts=9 * mc.TUBE_BLOCK, levy_grid_level=3,
             workers=w),
+        # the nonconvex kind: projection and per-row bisection substeps
+        "wz_convergence": lambda w: mc.wz_convergence(
+            NOTCHED, HALF_2D, [0.5, 0.4], 1.0, [3, 4], 300, seed=29,
+            workers=w),
     }
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
@@ -239,10 +244,8 @@ class TestDeterminism:
         assert run(1).to_json() == run(2).to_json()
 
 
-def test_benchmark_tracer_sees_the_runner():
-    # perfbench/tracing.py wraps parallel_chunks and brownian_batch where
-    # montecarlo and maxprinciple bind them; a traced run counts chunks and
-    # driver draws only if the runner calls them through those bindings
+def _traced(run):
+    """Call run() under the perfbench/tracing.py tracer; returns the tracer."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -250,11 +253,30 @@ def test_benchmark_tracer_sees_the_runner():
     tracer = tracing.Tracer()
     saved = tracing.install(tracer)
     try:
-        mc.wz_convergence(HALF_LINE, SIN_1D, [1.0], 1.0, [3, 4], 300, seed=28)
+        run()
     finally:
         tracing.uninstall(saved)
+    return tracer
+
+
+def test_benchmark_tracer_sees_the_runner():
+    # perfbench/tracing.py wraps parallel_chunks and brownian_batch where
+    # montecarlo and maxprinciple bind them; a traced run counts chunks and
+    # driver draws only if the runner calls them through those bindings
+    tracer = _traced(lambda: mc.wz_convergence(
+        HALF_LINE, SIN_1D, [1.0], 1.0, [3, 4], 300, seed=28))
     draws = sum(1 for span in tracer.spans if span[0] == "paths.sample")
     assert draws == tracer.counters["montecarlo.chunks"] == 2
+
+
+def test_benchmark_tracer_sees_the_projection():
+    # the tracer wraps project_rows only on classes that define it
+    # themselves, so the geometry counts need it on NotchedDisc
+    tracer = _traced(lambda: mc.wz_convergence(
+        NOTCHED, HALF_2D, [0.5, 0.4], 1.0, [3, 4], 16, seed=30,
+        check_substeps=False))
+    assert tracer.counters["geometry.rows_in"] > 0
+    assert tracer.counters["geometry.rows_moved"] > 0
 
 
 class TestReportShape:
