@@ -312,6 +312,14 @@ def parse_config(path, overrides=()):
     if exp_raw:
         raise ConfigError(f"unknown key {sorted(exp_raw)[0]!r} in "
                           f"section [experiment]")
+    if name in ("wz_convergence", "skeleton_convergence") \
+            and len(set(params["levels"])) < 2:
+        raise ConfigError(f"experiment.levels: {name} fits a rate over "
+                          f"levels and needs two distinct levels")
+    if name == "moment_scaling" \
+            and len({t - s for s, t in params["windows"]}) < 2:
+        raise ConfigError("experiment.windows: moment_scaling fits exponents "
+                          "over window lengths and needs two distinct lengths")
     if name == "holder_tightness":
         nodes = 2 ** (max(params["levels"]) + 1) + 1  # fine grid: level max + 1
         if nodes > HOLDER_EXACT_LIMIT:

@@ -128,8 +128,14 @@ def wilson(k, n, z=Z95):
 
 
 def _fit(xs, ys):
+    """Least-squares line (slope, intercept, r2); a line needs two distinct
+    x values."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    distinct = len(np.unique(xs))
+    if distinct < 2:
+        raise ValueError(f"a line fit needs two distinct x values, got "
+                         f"{distinct}")
     slope, intercept = np.polyfit(xs, ys, 1)
     pred = slope * xs + intercept
     ss_res = float(np.sum((ys - pred) ** 2))
@@ -145,6 +151,14 @@ def loglog_fit(scales, values, kind="log2_vs_log2"):
     slope, intercept, r2 = _fit(xs, ys)
     return RateFit(slope, intercept, r2,
                    [[float(a), float(b)] for a, b in zip(xs, ys)], kind=kind)
+
+
+def _rate_levels(levels):
+    """Sorted dyadic levels of a rate experiment: its fit needs two."""
+    levels = sorted(int(n) for n in levels)
+    if len(set(levels)) < 2:
+        raise ValueError("a rate fit over levels needs two distinct levels")
+    return levels
 
 
 def _nondecreasing_within_ci(values, halfwidths):
@@ -181,12 +195,18 @@ def parallel_chunks(fn, n_items, workers, payload, chunk=CHUNK):
 
 
 def brownian_batch(d1, times, seed, lo, hi):
-    """Driver values for paths lo..hi-1, one stream per path index."""
-    n = len(times)
-    W = np.zeros((hi - lo, n, d1))
+    """Driver values for paths lo..hi-1, one stream per path index.
+
+    Each path's stream fills its own row in place; the whole batch is then
+    scaled and summed at once, which gives the bits of
+    `paths.brownian_increments` path by path.
+    """
+    W = np.zeros((hi - lo, len(times), d1))
+    Z = W[:, 1:]
     for j, stream in enumerate(range(lo, hi)):
-        W[j, 1:] = np.cumsum(pth.brownian_increments(d1, times, seed, stream),
-                             axis=0)
+        pth.rng_for(seed, stream).standard_normal(out=Z[j])
+    Z *= np.sqrt(np.diff(np.asarray(times, dtype=float)))[:, None]
+    np.cumsum(Z, axis=1, out=Z)
     return W
 
 
@@ -295,7 +315,7 @@ def wz_convergence(domain, coeffs, x0, T, levels, paths, seed, substeps=4,
     The theta-Holder distance per level is reported as a supplementary
     statistic (dyadic-lag lower bound); pass/fail anchors on sup distances.
     """
-    levels = sorted(int(n) for n in levels)
+    levels = _rate_levels(levels)
     nf = max(levels) + 1
     times = pth.dyadic_grid(T, nf)
     res = run_paths(_wz_chunk, paths, workers, domain, coeffs, times, x0, seed,
@@ -370,7 +390,7 @@ def skeleton_convergence(domain, coeffs, x0, T, h, levels, paths, seed,
     """Per-level E sup|Y^n - Z|^2 plus the grid-node statistic
     sup_k E|Y^n_{t_k} - Z_{t_k}|^2 compared against mesh^(theta/2) plus the
     control modulus sup_k (integral of |h'|^2 over two adjacent cells)^(1/2)."""
-    levels = sorted(int(n) for n in levels)
+    levels = _rate_levels(levels)
     nf = max(levels) + 1
     times = pth.dyadic_grid(T, nf)
     Zsol = rsde.skeleton(domain, coeffs, h, substeps, np.atleast_1d(x0),
@@ -428,30 +448,51 @@ def skeleton_convergence(domain, coeffs, x0, T, h, levels, paths, seed,
 # ---------------------------------------------------------------------------
 
 
+def _sq_norm(D, out=None):
+    """|D|^2 over the last axis, coordinates summed in order as
+    np.linalg.norm sums them, so its sqrt has norm's bits."""
+    sq = np.multiply(D[..., 0], D[..., 0], out=out)
+    for k in range(1, D.shape[-1]):
+        sq += D[..., k] * D[..., k]
+    return sq
+
+
 def _tube_block(lo, hi, payload):
     """Generate candidate-driver blocks block0 + lo .. block0 + hi - 1 and
     return the rows of each that stay in the delta-tube around href (the
-    zero path when href is None)."""
+    zero path when href is None), with each hit row's node deviation
+    max_k |W_k - href_k| in `dev`.
+
+    Squared deviations are compared and only each row's max is rooted:
+    sqrt is monotone and correctly rounded, so `dev` equals the max of the
+    node norms bit for bit.
+    """
     d1 = payload["d1"]
     times = np.asarray(payload["times"])
     href = payload["href"]
     delta = payload["delta"]
     block0 = payload.get("block0", 0)
-    dt_sqrt = np.sqrt(np.diff(times))
-    accepted, counts = [], []
+    n = len(times)
+    dt_sqrt = np.sqrt(np.diff(times))[:, None]
+    # every candidate starts at 0, so node 0 deviates by |href(0)|
+    sq0 = 0.0 if href is None else float(_sq_norm(href[0]))
+    sq = np.empty((TUBE_BLOCK, n - 1))
+    accepted, counts, devs = [], [], []
     for block in range(block0 + lo, block0 + hi):
         rng = pth.rng_for(payload["seed"], payload["tag"], payload["delta_idx"],
                           block)
-        incs = rng.standard_normal((TUBE_BLOCK, len(times) - 1, d1)) \
-            * dt_sqrt[None, :, None]
-        W = np.concatenate([np.zeros((TUBE_BLOCK, 1, d1)),
-                            np.cumsum(incs, axis=1)], axis=1)
-        dev = np.max(np.linalg.norm(W if href is None else W - href[None],
-                                    axis=2), axis=1)
+        C = rng.standard_normal((TUBE_BLOCK, n - 1, d1))
+        C *= dt_sqrt
+        np.cumsum(C, axis=1, out=C)  # nodes 1 .. n-1
+        _sq_norm(C if href is None else C - href[1:], out=sq)
+        dev = np.sqrt(np.maximum(sq.max(axis=1), sq0))
         hit = dev < delta
-        counts.append(int(np.sum(hit)))
-        accepted.append(W[hit])
-    return {"accepted": accepted, "counts": counts}
+        W = np.zeros((int(np.sum(hit)), n, d1))
+        W[:, 1:] = C[hit]
+        counts.append(len(W))
+        accepted.append(W)
+        devs.append(dev[hit])
+    return {"accepted": accepted, "counts": counts, "dev": devs}
 
 
 def _collect_tube_samples(d1, times, href, delta, delta_idx, target, seed,
@@ -588,8 +629,12 @@ def moment_scaling(domain, coeffs, x0, windows, p, paths, seed, workers=1,
     the check two-sided for configurations where the scaling is sharp.
     """
     windows = [(float(s), float(t)) for s, t in windows]
+    spans = [t - s for s, t in windows]
+    if len(set(spans)) < 2:
+        raise ValueError("moment_scaling fits exponents over window lengths: "
+                         "it needs two distinct lengths")
     tmax = max(t for _, t in windows)
-    span_min = min(t - s for s, t in windows)
+    span_min = min(spans)
     mesh = span_min / grid_points_min
     n_cells = int(np.ceil(tmax / mesh))
     times = np.linspace(0.0, tmax, n_cells + 1)
@@ -607,7 +652,6 @@ def moment_scaling(domain, coeffs, x0, windows, p, paths, seed, workers=1,
     if slope_band[1] is not None:
         report.thresholds.append(Threshold("slope_high", slope_band[1] * p,
                                            "policy"))
-    spans = [t - s for s, t in windows]
     slopes = {}
     degenerate = False
     for tag, label in (("x", "osc_moment"), ("k", "regulator_moment")):
@@ -675,6 +719,11 @@ def exp_tail(domain, coeffs, x0, T, paths, seed, grid_level=9, workers=1,
     keep = surv > 0
     ks, surv = ks[keep], surv[keep]
     xs, ys = ks ** 2, -np.log(surv)
+    if len(np.unique(xs)) < 2:
+        report.verdict = "degenerate"
+        report.notes.append("upper-decade quantiles of |K|_T coincide; tail "
+                            "fit skipped")
+        return report
     slope, intercept, r2 = _fit(xs, ys)
     resid = ys - (slope * xs + intercept)
     dof = max(len(xs) - 2, 1)
@@ -708,14 +757,17 @@ def _smallball_chunk(lo, hi, payload):
 
 
 def _levy_blocks(lo, hi, payload):
-    """Tube-conditioned iterated-integral sups for blocks [lo, hi)."""
+    """Tube-conditioned iterated-integral sups for blocks [lo, hi), with
+    each hit's node deviation from zero."""
+    tube = _tube_block(lo, hi, payload)
     zeta_sups = [np.zeros(0)]
-    for Wh in _tube_block(lo, hi, payload)["accepted"]:
+    for Wh in tube["accepted"]:
         mid = 0.5 * (Wh[:, :-1, 0] + Wh[:, 1:, 0])
         dv = np.diff(Wh[:, :, 1], axis=1)
         running = np.cumsum(mid * dv, axis=1)
         zeta_sups.append(np.max(np.abs(running), axis=1))
-    return {"zeta_sup": np.concatenate(zeta_sups)}
+    return {"zeta_sup": np.concatenate(zeta_sups),
+            "dev": np.concatenate([np.zeros(0)] + tube["dev"])}
 
 
 def smallball_and_levy(T, deltas, M_values, paths, seed, workers=1,
@@ -737,7 +789,8 @@ def smallball_and_levy(T, deltas, M_values, paths, seed, workers=1,
                     "epsilon": epsilon, "levy_deltas": list(levy_deltas),
                     "levy_attempts": int(levy_attempts),
                     "levy_grid_level": levy_grid_level},
-        seeds={"seed": int(seed), "streams": "path index / block",
+        seeds={"seed": int(seed),
+               "streams": "path index / block, one Levy pool for all deltas",
                "rng": "philox"},
         thresholds=[Threshold("smallball_oracle_slope", oracle_slope, "theory"),
                     Threshold("slope_factor", slope_factor, "policy"),
@@ -752,27 +805,40 @@ def smallball_and_levy(T, deltas, M_values, paths, seed, workers=1,
         if k > 0:
             probs.append(k / len(sups))
             invsq.append(1.0 / d ** 2)
-    slope, intercept, r2 = _fit(invsq, np.log(probs))
-    report.rate_fit = RateFit(
-        slope, intercept, r2,
-        [[float(a), float(np.log(p))] for a, p in zip(invsq, probs)],
-        kind="lnP_vs_inverse_delta_sq")
-    slope_ok = slope < 0 and r2 >= min_r2 \
-        and (1.0 / slope_factor) <= slope / oracle_slope <= slope_factor
-    report.notes.append(f"smallball slope={slope:.4f} oracle={oracle_slope:.4f} "
-                        f"r2={r2:.4f}")
-    # conditional exceedance of the iterated integral, d1 = 2
+    if len(set(invsq)) < 2:
+        slope_ok = False
+        report.notes.append(f"smallball fit needs two hit deltas, got "
+                            f"{len(set(invsq))}")
+    else:
+        slope, intercept, r2 = _fit(invsq, np.log(probs))
+        report.rate_fit = RateFit(
+            slope, intercept, r2,
+            [[float(a), float(np.log(p))] for a, p in zip(invsq, probs)],
+            kind="lnP_vs_inverse_delta_sq")
+        slope_ok = slope < 0 and r2 >= min_r2 \
+            and (1.0 / slope_factor) <= slope / oracle_slope <= slope_factor
+        report.notes.append(f"smallball slope={slope:.4f} "
+                            f"oracle={oracle_slope:.4f} r2={r2:.4f}")
+    # conditional exceedance of the iterated integral, d1 = 2, from one
+    # candidate pool drawn at the widest delta: a hit at a narrower delta
+    # is a hit at the widest one
     ltimes = pth.dyadic_grid(T, levy_grid_level)
     max_blocks = max(1, int(np.ceil(levy_attempts / TUBE_BLOCK)))
+    pool_deltas = sorted((float(d) for d in levy_deltas), reverse=True)
+    payload = {"d1": 2, "times": ltimes, "href": None,
+               "delta": pool_deltas[0], "delta_idx": 0, "seed": int(seed),
+               "tag": 0x1E}
+    parts = parallel_chunks(_levy_blocks, max_blocks, workers, payload,
+                            chunk=8)
+    zeta = np.concatenate([p["zeta_sup"] for p in parts])
+    dev = np.concatenate([p["dev"] for p in parts])
+    report.notes.append(f"levy pool: {max_blocks * TUBE_BLOCK} candidates "
+                        f"drawn once at delta={pool_deltas[0]} serve every "
+                        f"delta")
     levy_ok = True
     prop_eps = []
-    for di, delta in enumerate(sorted(levy_deltas, reverse=True)):
-        payload = {"d1": 2, "times": ltimes, "href": None,
-                   "delta": float(delta), "delta_idx": int(di),
-                   "seed": int(seed), "tag": 0x1E}
-        parts = parallel_chunks(_levy_blocks, max_blocks, workers, payload,
-                                chunk=8)
-        zsups = np.concatenate([p["zeta_sup"] for p in parts])
+    for delta in pool_deltas:
+        zsups = zeta[dev < delta]
         n = len(zsups)
         report.notes.append(f"levy delta={delta}: conditioned samples={n} of "
                             f"{max_blocks * TUBE_BLOCK} attempts")
@@ -820,26 +886,29 @@ def regulator_conditional(domain, coeffs, x0, T, deltas, c3, paths, seed,
         parameters={"T": T, "deltas": deltas, "c3": c3, "paths": int(paths),
                     "epsilon": epsilon, "grid_level": grid_level,
                     "x0": np.atleast_1d(x0).tolist()},
-        seeds={"seed": int(seed), "streams": "delta index, block",
+        seeds={"seed": int(seed), "streams": "block, one pool for all deltas",
                "rng": "philox"},
         thresholds=[Threshold("limit_probability", 0.0, "theory")])
     props = {"scaled": [], "fixed": []}
     cis = {"scaled": [], "fixed": []}
+    # one candidate pool at the widest delta, integrated once; rows are
+    # independent, so each narrower delta takes its hits' rows
     max_blocks = max(1, int(np.ceil(paths / TUBE_BLOCK)))
-    for di, delta in enumerate(deltas):
-        payload = {"d1": coeffs.d1, "times": times, "href": None,
-                   "delta": float(delta), "delta_idx": int(di),
-                   "seed": int(seed), "tag": 0x4E6}
-        parts = parallel_chunks(_tube_block, max_blocks, workers, payload,
-                                chunk=8)
-        rows = [w for p in parts for w in p["accepted"] if len(w)]
-        if not rows:
+    payload = {"d1": coeffs.d1, "times": times, "href": None,
+               "delta": deltas[0], "delta_idx": 0, "seed": int(seed),
+               "tag": 0x4E6}
+    parts = parallel_chunks(_tube_block, max_blocks, workers, payload,
+                            chunk=8)
+    W = np.concatenate([w for p in parts for w in p["accepted"]], axis=0)
+    dev = np.concatenate([d for p in parts for d in p["dev"]])
+    kT_pool = _integrate_accepted(domain, coeffs, times, W, x0)[2][:, -1] \
+        if len(W) else np.zeros(0)
+    for delta in deltas:
+        kT = kT_pool[dev < delta]
+        n = len(kT)
+        if n == 0:
             report.notes.append(f"delta={delta}: no tube hits")
             continue
-        W = np.concatenate(rows, axis=0)
-        n = len(W)
-        _, _, TV = _integrate_accepted(domain, coeffs, times, W, x0)
-        kT = TV[:, -1]
         for label, exceed in (("scaled", kT >= epsilon * delta ** -0.5),
                               ("fixed", kT > c3)):
             k = int(np.sum(exceed))

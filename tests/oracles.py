@@ -1,7 +1,8 @@
 """Independent oracles used to freeze expected values in the tests.
 
 These deliberately avoid the package's own code paths: closed forms,
-brute-force enumeration, and classical series.
+brute-force enumeration, classical series, and the first-written form of
+kernels since rewritten for speed, kept as bitwise references.
 """
 
 import itertools
@@ -11,6 +12,7 @@ import numpy as np
 
 from rsdekit.errors import AmbiguousProjection
 from rsdekit.geometry import AMBIGUITY_RTOL
+from rsdekit.paths import rng_for
 
 
 def reflect_half_line(x0, w_values):
@@ -97,3 +99,40 @@ def holder_pairs_brute(times, values, alpha):
         for j in range(i + 1, len(t)):
             best = max(best, math.dist(v[i], v[j]) / (t[j] - t[i]) ** alpha)
     return best
+
+
+def tube_block_reference(lo, hi, payload, block_size):
+    """Tube rejection as first written: draw, scale, zero-prefixed cumsum,
+    max over nodes of np.linalg.norm of the deviation from href.  Returns
+    the kernel's accepted rows and counts per block, plus each hit's dev."""
+    d1 = payload["d1"]
+    times = np.asarray(payload["times"])
+    href = payload["href"]
+    block0 = payload.get("block0", 0)
+    dt_sqrt = np.sqrt(np.diff(times))
+    accepted, counts, devs = [], [], []
+    for block in range(block0 + lo, block0 + hi):
+        rng = rng_for(payload["seed"], payload["tag"], payload["delta_idx"],
+                      block)
+        incs = rng.standard_normal((block_size, len(times) - 1, d1)) \
+            * dt_sqrt[None, :, None]
+        W = np.concatenate([np.zeros((block_size, 1, d1)),
+                            np.cumsum(incs, axis=1)], axis=1)
+        dev = np.max(np.linalg.norm(W if href is None else W - href[None],
+                                    axis=2), axis=1)
+        hit = dev < payload["delta"]
+        counts.append(int(np.sum(hit)))
+        accepted.append(W[hit])
+        devs.append(dev[hit])
+    return {"accepted": accepted, "counts": counts, "dev": devs}
+
+
+def brownian_batch_reference(d1, times, seed, lo, hi):
+    """Driver values path by path: each path's increments drawn, scaled and
+    summed on their own."""
+    dt_sqrt = np.sqrt(np.diff(np.asarray(times, dtype=float)))[:, None]
+    W = np.zeros((hi - lo, len(times), d1))
+    for j, stream in enumerate(range(lo, hi)):
+        incs = rng_for(seed, stream).standard_normal((len(times) - 1, d1))
+        W[j, 1:] = np.cumsum(incs * dt_sqrt, axis=0)
+    return W

@@ -64,6 +64,30 @@ HOLDER_CONFIG = """
 """
 
 
+WZ_CONFIG = """
+    [run]
+    experiment = wz_convergence
+    seed = 5
+    output = {out}
+
+    [domain]
+    kind = half_space
+    params = {{"normal": [1.0], "offset": 0.0}}
+
+    [coefficients]
+    d = 1
+    d1 = 1
+    sigma = const
+    sigma_params = {{"value": 0.5}}
+
+    [experiment]
+    T = 1.0
+    x0 = [1.0]
+    levels = [3, 4]
+    paths = 8
+"""
+
+
 class TestParsing:
     def test_unknown_section(self, tmp_path):
         path = write_config(tmp_path, """
@@ -229,6 +253,43 @@ class TestRun:
             cli.parse_config(path, ["experiment.levels=[3, 11]"])
         assert cli.main(["run", path, "--set", "experiment.levels=[12]"]) == 2
         assert not out.exists()
+
+    def test_one_level_wz_convergence_exit_2(self, tmp_path):
+        out = tmp_path / "o7"
+        path = write_config(tmp_path, WZ_CONFIG.format(out=out))
+        cli.parse_config(path)
+        for levels in ("[3]", "[4, 4]"):
+            with pytest.raises(ConfigError, match="two distinct levels"):
+                cli.parse_config(path, [f"experiment.levels={levels}"])
+        assert cli.main(["run", path, "--set", "experiment.levels=[3]"]) == 2
+        assert not out.exists()
+
+    def test_equal_window_lengths_exit_2(self, tmp_path):
+        out = tmp_path / "o9"
+        path = write_config(tmp_path, MOMENT_CONFIG.format(out=out))
+        windows = "experiment.windows=[[0.0, 0.25], [0.25, 0.5]]"
+        with pytest.raises(ConfigError, match="two distinct lengths"):
+            cli.parse_config(path, [windows])
+        assert cli.main(["run", path, "--set", windows]) == 2
+        assert not out.exists()
+
+    def test_smallball_without_two_hit_deltas_exit_1(self, tmp_path):
+        path = write_config(tmp_path, """
+            [run]
+            experiment = smallball_and_levy
+            seed = 1
+            output = {out}
+
+            [experiment]
+            T = 0.5
+            deltas = [0.05, 0.06]
+            M_values = [0.5]
+            paths = 200
+            grid_level = 6
+            levy_attempts = 8192
+            levy_grid_level = 4
+        """.format(out=tmp_path / "o8"))
+        assert cli.main(["run", path]) == cli.EXIT_FAIL
 
     def test_byte_identical_across_workers(self, tmp_path):
         out1, out2 = tmp_path / "w1", tmp_path / "w2"

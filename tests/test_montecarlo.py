@@ -183,6 +183,141 @@ class TestTubeMachinery:
         assert np.array_equal(W1, W2)
 
 
+class TestTubeKernel:
+    """The block kernel and the batch driver against their first-written
+    forms in oracles.py, compared bit for bit."""
+
+    TIMES = dyadic_grid(1.0, 5)
+    DELTA = {1: 1.0, 2: 1.3, 3: 1.5}
+
+    @staticmethod
+    def _bits(a):
+        return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["zero", "href"])
+    @pytest.mark.parametrize("d1", [1, 2, 3])
+    def test_tube_block_matches_reference(self, d1, shifted):
+        from oracles import tube_block_reference
+        t, delta = self.TIMES[:, None], self.DELTA[d1]
+        # a control with |href(0)| = 0.85 delta: node 0 holds the max
+        # deviation of every hit that stays closer than that afterwards
+        href = 0.85 * delta / np.sqrt(d1) * (1.0 - t) ** 2 \
+            + 0.05 * np.arange(d1) * t if shifted else None
+        payload = {"d1": d1, "times": self.TIMES, "href": href,
+                   "delta": delta, "delta_idx": 1, "seed": 31, "tag": 0x7E,
+                   "block0": 3}
+        got = mc._tube_block(1, 3, payload)
+        want = tube_block_reference(1, 3, payload, mc.TUBE_BLOCK)
+        assert got["counts"] == want["counts"]
+        assert all(0 < c < mc.TUBE_BLOCK for c in got["counts"])
+        for key in ("accepted", "dev"):
+            assert len(got[key]) == len(want[key]) == 2
+            for a, b in zip(got[key], want[key]):
+                assert a.shape == b.shape
+                assert np.array_equal(self._bits(a), self._bits(b))
+        if shifted:
+            assert np.linalg.norm(href[0]) in np.concatenate(got["dev"])
+
+    @pytest.mark.parametrize("d1", [1, 3])
+    def test_brownian_batch_matches_reference(self, d1):
+        from oracles import brownian_batch_reference
+        times = np.concatenate([[0.0], np.cumsum(
+            np.random.default_rng(32).uniform(0.01, 0.05, 40))])
+        got = mc.brownian_batch(d1, times, 33, 5, 70)
+        want = brownian_batch_reference(d1, times, 33, 5, 70)
+        assert got.shape == want.shape == (65, 41, d1)
+        assert np.array_equal(self._bits(got), self._bits(want))
+
+
+class TestNestedDeltaPool:
+    """Both nested-delta experiments classify one pool drawn at the widest
+    delta, so adding a narrower delta leaves the widest one untouched."""
+
+    @staticmethod
+    def _widest(rep, suffix, note_prefixes):
+        est = [e for e in rep.estimates if e.label.endswith(suffix)]
+        notes = [n for n in rep.notes if n.startswith(note_prefixes)]
+        assert est and notes
+        return est, notes
+
+    def test_levy_pool(self):
+        def run(levy_deltas):
+            return mc.smallball_and_levy(
+                0.5, [0.5, 0.7, 1.0], [0.25, 0.5, 1.0], 300, seed=34,
+                grid_level=5, levy_deltas=levy_deltas,
+                levy_attempts=2 * mc.TUBE_BLOCK, levy_grid_level=4)
+
+        both, alone = run((0.8, 0.5)), run((0.8,))
+        key = ("_delta_0.8", ("levy delta=0.8", "levy pool"))
+        assert self._widest(both, *key) == self._widest(alone, *key)
+        wide = both.estimate("P_zeta_gt_0.5delta_delta_0.8").n
+        narrow = both.estimate("P_zeta_gt_0.5delta_delta_0.5").n
+        assert 0 < narrow <= wide
+        assert f"levy delta=0.5: conditioned samples={narrow} of " \
+            f"{2 * mc.TUBE_BLOCK} attempts" in both.notes
+
+    def test_regulator_pool(self):
+        def run(deltas):
+            return mc.regulator_conditional(
+                HALF_LINE, SIN_1D, [0.0], 0.5, deltas, 1.0,
+                2 * mc.TUBE_BLOCK, seed=35, grid_level=4)
+
+        both, alone = run([0.8, 0.5]), run([0.8])
+        key = ("_delta_0.8", ("delta=0.8",))
+        assert self._widest(both, *key) == self._widest(alone, *key)
+        wide = both.estimate("P_K_fixed_delta_0.8").n
+        narrow = both.estimate("P_K_fixed_delta_0.5").n
+        assert 0 < narrow <= wide
+
+
+class TestFitGuards:
+    def test_fit_needs_two_distinct_x(self):
+        for xs in ([1.0], [2.0, 2.0, 2.0]):
+            with pytest.raises(ValueError, match="two distinct"):
+                mc._fit(xs, np.arange(len(xs), dtype=float))
+
+    @pytest.mark.parametrize("levels", [[3], [4, 4]])
+    def test_rate_experiments_need_two_levels(self, levels):
+        with pytest.raises(ValueError, match="two distinct levels"):
+            mc.wz_convergence(HALF_LINE, SIN_1D, [1.0], 1.0, levels, 8,
+                              seed=1, check_substeps=False)
+        with pytest.raises(ValueError, match="two distinct levels"):
+            mc.skeleton_convergence(DISC, HALF_2D, [0.0, 0.0], 1.0, SINE_2D,
+                                    levels, 8, seed=1)
+
+    @pytest.mark.parametrize("windows", [[(0.0, 0.25)],
+                                         [(0.0, 0.25), (0.25, 0.5)]])
+    def test_moment_scaling_needs_two_window_lengths(self, windows):
+        cf = make_coefficients(1, 1, sigma="const", sigma_params={"value": 1.0})
+        with pytest.raises(ValueError, match="two distinct lengths"):
+            mc.moment_scaling(HALF_LINE, cf, [0.0], windows, 1.0, 16, seed=1)
+
+    def test_exp_tail_with_coinciding_quantiles_is_degenerate(self):
+        # from x0 = 3.2 about 0.14% of paths reach the boundary, so every
+        # upper-decade quantile of |K|_T is 0 although |K|_T is not constant
+        cf = make_coefficients(1, 1, sigma="const", sigma_params={"value": 1.0})
+        rep = mc.exp_tail(HALF_LINE, cf, [3.2], 1.0, 4000, seed=1,
+                          grid_level=5)
+        assert rep.verdict == "degenerate"
+        assert rep.rate_fit is None
+        assert "upper-decade quantiles of |K|_T coincide; tail fit skipped" \
+            in rep.notes
+
+    @pytest.mark.parametrize("deltas, hit", [([0.05, 0.06], 0),
+                                             ([0.05, 1.0], 1)])
+    def test_smallball_with_fewer_than_two_hit_deltas_fails(self, deltas,
+                                                            hit):
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = mc.smallball_and_levy(0.5, deltas, [0.5], 200, seed=1,
+                                        grid_level=6, levy_attempts=8192,
+                                        levy_grid_level=4)
+        assert rep.verdict == "fail"
+        assert rep.rate_fit is None
+        assert f"smallball fit needs two hit deltas, got {hit}" in rep.notes
+
+
 class TestDeterminism:
     CONFIG = dict(x0=[1.0], T=1.0, levels=[3, 4, 5], paths=300, seed=123,
                   check_substeps=True)
@@ -244,12 +379,18 @@ class TestDeterminism:
         assert run(1).to_json() == run(2).to_json()
 
 
-def _traced(run):
-    """Call run() under the perfbench/tracing.py tracer; returns the tracer."""
+def _tracing():
+    """A fresh import of perfbench/tracing.py."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def _traced(run):
+    """Call run() under the perfbench/tracing.py tracer; returns the tracer."""
+    tracing = _tracing()
     tracer = tracing.Tracer()
     saved = tracing.install(tracer)
     try:
@@ -277,6 +418,17 @@ def test_benchmark_tracer_sees_the_projection():
         check_substeps=False))
     assert tracer.counters["geometry.rows_in"] > 0
     assert tracer.counters["geometry.rows_moved"] > 0
+
+
+def test_benchmark_tracer_counts_one_levy_pool():
+    # one generator per small-ball path plus one per block of the single
+    # Levy pool; the tracer labels tube chunks by their function's name
+    tracer = _traced(lambda: mc.smallball_and_levy(
+        0.5, [0.5, 0.7, 1.0], [0.25, 0.5, 1.0], 300, seed=36, grid_level=5,
+        levy_deltas=(0.8, 0.5), levy_attempts=3 * mc.TUBE_BLOCK,
+        levy_grid_level=3))
+    assert tracer.counters["paths.streams"] == 300 + 3
+    assert _tracing().self_times(tracer.spans)["montecarlo.tube"] > 0
 
 
 class TestReportShape:
@@ -337,3 +489,4 @@ class TestReportShape:
         lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "label,value,ci_halfwidth,n,kind"
         assert len(lines) == len(rep.estimates) + 1
+
