@@ -180,17 +180,19 @@ def _chunks(n_items, chunk=CHUNK):
     return [(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
 
 
-def parallel_chunks(fn, n_items, workers, payload, chunk=CHUNK):
+def parallel_chunks(fn, n_items, workers, payload, chunk=CHUNK, rows=()):
     """Run fn(lo, hi, payload) over fixed chunks; results in chunk order.
 
     Chunk boundaries depend only on n_items, never on the worker count, so
-    merged results are identical for any workers value.
+    merged results are identical for any workers value.  Payload entries
+    named in `rows` hold one row per item; a chunk gets only its own rows.
     """
-    spans = _chunks(n_items, chunk)
-    if workers is None or workers <= 1 or len(spans) <= 1:
-        return [fn(lo, hi, payload) for lo, hi in spans]
+    parts = [(lo, hi, {**payload, **{k: payload[k][lo:hi] for k in rows}})
+             for lo, hi in _chunks(n_items, chunk)]
+    if workers is None or workers <= 1 or len(parts) <= 1:
+        return [fn(*part) for part in parts]
     with ProcessPoolExecutor(max_workers=int(workers)) as ex:
-        futures = [ex.submit(fn, lo, hi, payload) for lo, hi in spans]
+        futures = [ex.submit(fn, *part) for part in parts]
         return [f.result() for f in futures]
 
 
@@ -214,9 +216,9 @@ class PathChunk:
     """Paths lo..hi-1 of a run_paths call, as its chunk function sees them.
 
     Carries the restored domain and coefficients, the control h (or None),
-    the shared grid `times` and start `x0`, the drivers W (hi - lo, N, d1)
-    drawn by path index, `lo`, and each extra entry of the call as an
-    attribute of the same name.
+    the shared grid `times` and start `x0`, the drivers W (hi - lo, N, d1),
+    given or drawn by path index, `lo`, and each extra entry of the call as
+    an attribute of the same name.
     """
 
     def __init__(self, payload, lo, hi):
@@ -229,39 +231,40 @@ class PathChunk:
         self.x0 = np.asarray(payload["x0"], dtype=float)
         self.lo = lo
         self.__dict__.update(payload["extra"])
-        self.W = brownian_batch(self.coeffs.d1, self.times, payload["seed"],
-                                lo, hi)
+        self.W = payload["W"] if payload["W"] is not None else brownian_batch(
+            self.coeffs.d1, self.times, payload["seed"], lo, hi)
 
     def euler(self):
         """Reflected-Euler solution of these paths: the reference solve."""
-        batch, _ = rsde.euler_reflected_batch(self.domain, self.coeffs,
-                                              self.times,
-                                              np.diff(self.W, axis=1), self.x0)
-        return batch
+        return rsde.euler_reflected_batch(self.domain, self.coeffs, self.times,
+                                          np.diff(self.W, axis=1), self.x0)[0]
 
 
 def _path_chunk(lo, hi, payload):
     return payload["fn"](PathChunk(payload, lo, hi))
 
 
-def run_paths(fn, paths, workers, domain, coeffs, times, x0, seed, h=None,
+def run_paths(fn, drivers, workers, domain, coeffs, times, x0, seed, h=None,
               **extra):
-    """Run fn(PathChunk) over the fixed chunks of `paths` driver paths.
+    """Run fn(PathChunk) over the fixed chunks of the driver paths.
 
-    fn must be a module-level function (it is pickled into pool workers)
-    returning a dict of arrays.  The result maps each key to its arrays
-    concatenated along the first axis in chunk order, so it is the same for
-    any worker count.  Unnamed coefficients cannot cross process
-    boundaries, so such runs stay serial.
+    drivers is a path count (each path drawn from `seed` by its index) or
+    driver values (P, N, d1) on `times`.  fn must be a module-level function
+    (it is pickled into pool workers) returning a dict of arrays.  The
+    result maps each key to its arrays concatenated along the first axis in
+    chunk order, so it is the same for any worker count.  Unnamed
+    coefficients cannot cross process boundaries, so such runs stay serial.
     """
     if coeffs.meta is None:
         workers, cf = 1, coeffs
     else:
         cf = dict(coeffs.meta, d=coeffs.d, d1=coeffs.d1)
+    W = None if np.ndim(drivers) == 0 else np.asarray(drivers, dtype=float)
+    n, rows = (int(drivers), ()) if W is None else (len(W), ("W",))
     payload = {"fn": fn, "domain": domain.to_config(), "coeffs": cf, "h": h,
                "times": times, "x0": np.atleast_1d(x0), "seed": int(seed),
-               "extra": extra}
-    results = parallel_chunks(_path_chunk, int(paths), workers, payload)
+               "W": W, "extra": extra}
+    results = parallel_chunks(_path_chunk, n, workers, payload, rows=rows)
     return {key: np.concatenate([r[key] for r in results])
             for key in results[0]}
 
@@ -529,21 +532,16 @@ def _collect_tube_samples(d1, times, href, delta, delta_idx, target, seed,
     return W, next_block * TUBE_BLOCK, acc
 
 
-def _integrate_accepted(domain, coeffs, times, W, x0):
-    """Euler-reflected integration of pre-accepted drivers, chunked."""
-    dW = np.diff(W, axis=1)
-    parts = [rsde.euler_reflected_batch(domain, coeffs, times, dW[lo:hi],
-                                        np.atleast_1d(x0))
-             for lo, hi in _chunks(len(W))]
-    X = np.concatenate([p[0].x for p in parts], axis=0)
-    K = np.concatenate([p[0].k for p in parts], axis=0)
-    TV = np.concatenate([p[0].tv for p in parts], axis=0)
-    return X, K, TV
-
-
 # ---------------------------------------------------------------------------
 # Approximate continuity (conditional concentration near the skeleton)
 # ---------------------------------------------------------------------------
+
+
+def _tracking_chunk(c):
+    # sup distances of the state and the regulator from the pair (Y, L)
+    batch = c.euler()
+    return {"state": _sup_dist(batch.x, c.Y),
+            "regulator": _sup_dist(batch.k, c.L)}
 
 
 def approx_continuity(domain, coeffs, x0, T, h, epsilon, deltas,
@@ -573,9 +571,9 @@ def approx_continuity(domain, coeffs, x0, T, h, epsilon, deltas,
         W, attempts, acc = _collect_tube_samples(
             coeffs.d1, times, href, delta, di, int(target_accepted), seed,
             workers, tag=0xAC, max_attempts=max_attempts)
-        X, K, _ = _integrate_accepted(domain, coeffs, times, W, x0)
-        dist_state = _sup_dist(X, Ysol.x.values)
-        dist_reg = _sup_dist(K, Ysol.k.values)
+        dist = run_paths(_tracking_chunk, W, workers, domain, coeffs, times,
+                         x0, seed, Y=Ysol.x.values, L=Ysol.k.values)
+        dist_state, dist_reg = dist["state"], dist["regulator"]
         n = len(W)
         for label, hits in (("state", dist_state < epsilon),
                             ("regulator", dist_reg < epsilon),
@@ -901,8 +899,8 @@ def regulator_conditional(domain, coeffs, x0, T, deltas, c3, paths, seed,
                             chunk=8)
     W = np.concatenate([w for p in parts for w in p["accepted"]], axis=0)
     dev = np.concatenate([d for p in parts for d in p["dev"]])
-    kT_pool = _integrate_accepted(domain, coeffs, times, W, x0)[2][:, -1] \
-        if len(W) else np.zeros(0)
+    kT_pool = run_paths(_tail_chunk, W, workers, domain, coeffs, times, x0,
+                        seed)["kT"] if len(W) else np.zeros(0)
     for delta in deltas:
         kT = kT_pool[dev < delta]
         n = len(kT)

@@ -34,9 +34,11 @@ class Coefficients:
     """Diffusion matrix sigma, drift b, optional analytic Jacobian of sigma.
 
     sigma maps states (..., d) to matrices (..., d, d1); b maps (..., d) to
-    (..., d); sigma_jac, when given, maps (..., d) to (..., d, d1, d) with
-    entry [i, k, j] = d sigma[i, k] / d x_j.  All shipped families are
-    vectorized over leading axes.
+    an array that broadcasts to (..., d); sigma_jac, when given, maps
+    (..., d) to (..., d, d1, d) with entry [i, k, j] = d sigma[i, k] / d x_j.
+    All shipped families are vectorized over leading axes.  The constant
+    families return read-only views of one array at every call, so callers
+    must not write into what sigma_at, b_at or jacobian_at return.
     """
 
     d: int
@@ -65,22 +67,23 @@ class Coefficients:
         P = Xb.shape[0]
         h = FD_STEP_SCALE * (1.0 + np.linalg.norm(Xb, axis=1))
         J = np.empty((P, self.d, self.d1, self.d))
-        for j in range(self.d):
-            e = np.zeros(self.d)
-            e[j] = 1.0
-            Xp = Xb + h[:, None] * e
-            Xm = Xb - h[:, None] * e
-            J[..., j] = (self.sigma_at(Xp) - self.sigma_at(Xm)) / (2.0 * h)[:, None, None]
+        for j, e in enumerate(np.eye(self.d)):
+            step = h[:, None] * e
+            J[..., j] = (self.sigma_at(Xb + step) - self.sigma_at(Xb - step)) \
+                / (2.0 * h)[:, None, None]
         return J[0] if single else J
 
 
-def btilde(coeffs, x):
-    """Ito-corrected drift b + (1/2) sum_jk (d_j sigma[i,k]) sigma[j,k]."""
+def btilde(coeffs, x, S=None):
+    """Ito-corrected drift b + (1/2) sum_jk (d_j sigma[i,k]) sigma[j,k].
+
+    S is sigma at x if the caller has it.  A constant sigma adds nothing."""
     x = np.asarray(x, dtype=float)
-    S = coeffs.sigma_at(x)
-    J = coeffs.jacobian_at(x)
-    corr = 0.5 * np.einsum("...ikj,...jk->...i", J, S)
-    return coeffs.b_at(x) + corr
+    b = coeffs.b_at(x)
+    if isinstance(coeffs.sigma_jac, _ZeroJacobian):
+        return b
+    S = coeffs.sigma_at(x) if S is None else S
+    return b + 0.5 * np.einsum("...ikj,...jk->...i", coeffs.jacobian_at(x), S)
 
 
 # ---------------------------------------------------------------------------
@@ -88,21 +91,33 @@ def btilde(coeffs, x):
 # ---------------------------------------------------------------------------
 
 
+class _ZeroJacobian:
+    """Jacobian of a constant sigma: zero, so btilde skips its Ito term."""
+
+    def __init__(self, d1):
+        self.d1 = d1
+
+    def __call__(self, X):
+        d = np.shape(X)[-1]
+        return np.zeros(np.shape(X)[:-1] + (d, self.d1, d))
+
+
 def _const_family(d, d1, params):
     if "matrix" in params:
-        M = np.asarray(params["matrix"], dtype=float).reshape(d, d1)
+        M = np.array(params["matrix"], dtype=float).reshape(d, d1)
     else:
         M = float(params.get("value", 1.0)) * np.eye(d, d1)
+    M.flags.writeable = False
+    last = [M]  # a step loop asks for one shape; broadcast_to is costly
 
     def sigma(X):
-        X = np.asarray(X, dtype=float)
-        return np.broadcast_to(M, X.shape[:-1] + (d, d1)).copy()
+        shape = np.shape(X)[:-1] + (d, d1)
+        view = last[0]
+        if view.shape != shape:
+            view = last[0] = np.broadcast_to(M, shape)
+        return view
 
-    def jac(X):
-        X = np.asarray(X, dtype=float)
-        return np.zeros(X.shape[:-1] + (d, d1, d))
-
-    return sigma, jac
+    return sigma, _ZeroJacobian(d1)
 
 
 def _sin_family(d, d1, params):
@@ -114,21 +129,24 @@ def _sin_family(d, d1, params):
     freq = float(params.get("freq", 1.0))
 
     def sigma(X):
-        X = np.asarray(X, dtype=float)
-        diag = base + amp * np.sin(freq * X)
-        out = np.zeros(X.shape[:-1] + (d, d))
-        idx = np.arange(d)
-        out[..., idx, idx] = diag
-        return out
+        return _diagonal(base + amp * np.sin(freq * np.asarray(X, dtype=float)), 2)
 
     def jac(X):
-        X = np.asarray(X, dtype=float)
-        out = np.zeros(X.shape[:-1] + (d, d, d))
-        idx = np.arange(d)
-        out[..., idx, idx, idx] = amp * freq * np.cos(freq * X)
-        return out
+        return _diagonal(amp * freq * np.cos(freq * np.asarray(X, dtype=float)), 3)
 
     return sigma, jac
+
+
+def _diagonal(v, axes):
+    """v (..., d) on the diagonal of `axes` trailing axes of length d: v
+    itself at d = 1, else a zero fill and one store (v times an identity
+    broadcasts slowly over short axes)."""
+    d = v.shape[-1]
+    if d == 1:
+        return v.reshape(v.shape + (1,) * (axes - 1))
+    out = np.zeros(v.shape + (d,) * (axes - 1))
+    out[(Ellipsis,) + (np.arange(d),) * axes] = v
+    return out
 
 
 def _affine_family(d, d1, params):
@@ -154,12 +172,8 @@ _SIGMA_FAMILIES = {"const": _const_family, "sin": _sin_family,
 def _const_drift(d, params):
     v = np.asarray(params.get("value", np.zeros(d)), dtype=float)
     v = np.broadcast_to(np.atleast_1d(v), (d,)).astype(float)
-
-    def b(X):
-        X = np.asarray(X, dtype=float)
-        return np.broadcast_to(v, X.shape[:-1] + (d,)).copy()
-
-    return b
+    v.flags.writeable = False
+    return lambda X: v
 
 
 def _linear_drift(d, params):
@@ -193,28 +207,18 @@ def make_coefficients(d, d1, sigma="const", sigma_params=None, b="const",
 def coefficients_from_pointwise(d, d1, sigma, b, sigma_jac=None):
     """Wrap single-point evaluators (tests, custom models) into batch form."""
 
-    def sig(X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            return np.asarray(sigma(X), dtype=float).reshape(d, d1)
-        return np.stack([np.asarray(sigma(x), dtype=float).reshape(d, d1) for x in X])
-
-    def drift(X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            return np.asarray(b(X), dtype=float).reshape(d)
-        return np.stack([np.asarray(b(x), dtype=float).reshape(d) for x in X])
-
-    jac = None
-    if sigma_jac is not None:
-        def jac(X):
+    def batched(fn, shape):
+        def batch(X):
             X = np.asarray(X, dtype=float)
             if X.ndim == 1:
-                return np.asarray(sigma_jac(X), dtype=float).reshape(d, d1, d)
-            return np.stack([np.asarray(sigma_jac(x), dtype=float).reshape(d, d1, d)
+                return np.asarray(fn(X), dtype=float).reshape(shape)
+            return np.stack([np.asarray(fn(x), dtype=float).reshape(shape)
                              for x in X])
+        return batch
 
-    return Coefficients(int(d), int(d1), sig, drift, sigma_jac=jac)
+    jac = None if sigma_jac is None else batched(sigma_jac, (d, d1, d))
+    return Coefficients(int(d), int(d1), batched(sigma, (d, d1)),
+                        batched(b, (d,)), sigma_jac=jac)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +229,7 @@ def coefficients_from_pointwise(d, d1, sigma, b, sigma_jac=None):
 def _broadcast_start(x0, P, d):
     """Starts for P rows: one shared start, or per-path starts repeated
     across the levels stacked into the batch."""
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.ndim == 1:
         x0 = np.broadcast_to(x0, (P, d))
     return np.tile(x0, (P // len(x0), 1))
@@ -245,7 +249,7 @@ def euler_reflected_batch(domain, coeffs, times, dW, x0):
     def inc(i, X):
         S = coeffs.sigma_at(X)
         du = np.einsum("pik,pk->pi", S, dW[:, i])
-        return du + btilde(coeffs, X) * dt[i]
+        return du + btilde(coeffs, X, S) * dt[i]
 
     x, k, tv, pushes = drive_batch(domain, times, x0, inc)
     return BatchPaths(times, x, k, tv), pushes
@@ -253,9 +257,8 @@ def euler_reflected_batch(domain, coeffs, times, dW, x0):
 
 def euler_reflected(domain, coeffs, w, x0):
     """Reflected Ito-Euler solution (X, K, tv) driven by a sampled path."""
-    dW = np.diff(w.values, axis=0)[None]
-    batch, pushes = euler_reflected_batch(domain, coeffs, w.times, dW,
-                                          np.atleast_1d(np.asarray(x0, dtype=float))[None])
+    batch, pushes = euler_reflected_batch(
+        domain, coeffs, w.times, np.diff(w.values, axis=0)[None], x0)
     return batch.single(0, pushes[0])
 
 
@@ -311,9 +314,8 @@ def skeleton(domain, coeffs, h, substeps, x0, grid=None):
     grid = np.asarray(grid, dtype=float)
     mids = 0.5 * (grid[:-1] + grid[1:])
     slopes = h.slope_at(mids)
-    batch, pushes = _bv_integrate_batch(
-        domain, coeffs, grid, slopes, np.atleast_1d(np.asarray(x0, dtype=float))[None],
-        substeps)
+    batch, pushes = _bv_integrate_batch(domain, coeffs, grid, slopes, x0,
+                                        substeps)
     return batch.single(0, pushes[0])
 
 
@@ -370,9 +372,8 @@ def wong_zakai_batch(domain, coeffs, times, W, n, substeps, x0, T=None):
 
 def wong_zakai(domain, coeffs, w, n, substeps, x0, T=None):
     """Adapted Wong-Zakai solution (X^n, K^n) on the driver's grid."""
-    batch, pushes = wong_zakai_batch(
-        domain, coeffs, w.times, w.values[None], n, substeps,
-        np.atleast_1d(np.asarray(x0, dtype=float))[None], T)
+    batch, pushes = wong_zakai_batch(domain, coeffs, w.times, w.values[None],
+                                     n, substeps, x0, T)
     return batch.single(0, pushes[0])
 
 
@@ -393,7 +394,7 @@ def shifted_driver_batch(domain, coeffs, times, W, n, h, x0, T=None):
     def inc(i, X):
         S = coeffs.sigma_at(X)
         du = np.einsum("pik,pk->pi", S, du_total[:, i])
-        return du + btilde(coeffs, X) * dt[i]
+        return du + btilde(coeffs, X, S) * dt[i]
 
     x, k, tv, pushes = drive_batch(domain, grid, x0, inc)
     return BatchPaths(grid, x, k, tv), pushes
@@ -401,7 +402,6 @@ def shifted_driver_batch(domain, coeffs, times, W, n, h, x0, T=None):
 
 def shifted_driver(domain, coeffs, w, n, h, x0, T=None):
     """Solution (Y^n, phi^n) of the diffusion driven by w - w^n + h."""
-    batch, pushes = shifted_driver_batch(
-        domain, coeffs, w.times, w.values[None], n, h,
-        np.atleast_1d(np.asarray(x0, dtype=float))[None], T)
+    batch, pushes = shifted_driver_batch(domain, coeffs, w.times,
+                                         w.values[None], n, h, x0, T)
     return batch.single(0, pushes[0])

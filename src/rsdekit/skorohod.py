@@ -73,13 +73,16 @@ def _advance(domain, X, du):
     increment norm; sub-step s projects only the rows with more than s
     sub-steps.
     """
+    if domain.convex:
+        Y = X + du
+        X, _, tv_inc = domain.project_rows(Y)
+        return X, X - Y, tv_inc
+    half = 0.5 * domain.r0
+    norms = np.linalg.norm(du, axis=1)
+    big = norms > half
     nsub = np.ones(len(du))
-    if not domain.convex:
-        half = 0.5 * domain.r0
-        norms = np.linalg.norm(du, axis=1)
-        big = norms > half
-        nsub[big] = np.ldexp(1.0, np.ceil(np.log2(norms[big] / half)).astype(int))
-        du = du / nsub[:, None]
+    nsub[big] = np.ldexp(1.0, np.ceil(np.log2(norms[big] / half)).astype(int))
+    du = du / nsub[:, None]
     Y = X + du
     X, _, tv_inc = domain.project_rows(Y)
     k_inc = X - Y
@@ -118,8 +121,8 @@ def drive_batch(domain, times, x0, increment_fn, check_start=True, stride=1):
     for i in range(len(times) - 1):
         du = increment_fn(i, X)
         X, k_inc, tv_inc = _advance(domain, X, du)
-        K = K + k_inc
-        TV = TV + tv_inc
+        K += k_inc
+        TV += tv_inc
         j, off = divmod(i + 1, stride)
         if off:
             continue
@@ -152,9 +155,7 @@ def solve(domain, driver, x0):
     dW = np.diff(driver.values, axis=0)[None, :, :]
     x, k, tv, pushes = drive_batch(domain, driver.times, x0[None, :],
                                    lambda i, X: dW[:, i])
-    return SkorohodSolution(SamplePath(driver.times, x[0]),
-                            SamplePath(driver.times, k[0]),
-                            tv[0], pushes[0])
+    return BatchPaths(driver.times, x, k, tv).single(0, pushes[0])
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from rsdekit.errors import AmbiguousProjection
-from rsdekit.geometry import AMBIGUITY_RTOL
+from rsdekit.errors import AmbiguousProjection, StartOutsideDomain
+from rsdekit.geometry import AMBIGUITY_RTOL, BOUNDARY_TOL
 from rsdekit.paths import rng_for
 
 
@@ -136,3 +136,123 @@ def brownian_batch_reference(d1, times, seed, lo, hi):
         incs = rng_for(seed, stream).standard_normal((len(times) - 1, d1))
         W[j, 1:] = np.cumsum(incs * dt_sqrt, axis=0)
     return W
+
+
+# The reflected step as first written: coefficient families that copy their
+# constants at every call, an Ito drift that evaluates sigma again and adds
+# a zero correction, and a step that sizes a sub-step array on every kind.
+# Kept as bitwise references for the integrators.
+
+
+def const_family_reference(d, d1, params):
+    if "matrix" in params:
+        M = np.asarray(params["matrix"], dtype=float).reshape(d, d1)
+    else:
+        M = float(params.get("value", 1.0)) * np.eye(d, d1)
+
+    def sigma(X):
+        X = np.asarray(X, dtype=float)
+        return np.broadcast_to(M, X.shape[:-1] + (d, d1)).copy()
+
+    def jac(X):
+        X = np.asarray(X, dtype=float)
+        return np.zeros(X.shape[:-1] + (d, d1, d))
+
+    return sigma, jac
+
+
+def sin_family_reference(d, d1, params):
+    base = float(params.get("base", 0.5))
+    amp = float(params.get("amp", 0.25))
+    freq = float(params.get("freq", 1.0))
+
+    def sigma(X):
+        X = np.asarray(X, dtype=float)
+        diag = base + amp * np.sin(freq * X)
+        out = np.zeros(X.shape[:-1] + (d, d))
+        idx = np.arange(d)
+        out[..., idx, idx] = diag
+        return out
+
+    def jac(X):
+        X = np.asarray(X, dtype=float)
+        out = np.zeros(X.shape[:-1] + (d, d, d))
+        idx = np.arange(d)
+        out[..., idx, idx, idx] = amp * freq * np.cos(freq * X)
+        return out
+
+    return sigma, jac
+
+
+def const_drift_reference(d, params):
+    v = np.asarray(params.get("value", np.zeros(d)), dtype=float)
+    v = np.broadcast_to(np.atleast_1d(v), (d,)).astype(float)
+
+    def b(X):
+        X = np.asarray(X, dtype=float)
+        return np.broadcast_to(v, X.shape[:-1] + (d,)).copy()
+
+    return b
+
+
+def btilde_reference(coeffs, x, S=None):
+    """Ito-corrected drift; a given S is ignored and sigma evaluated again."""
+    x = np.asarray(x, dtype=float)
+    S = coeffs.sigma_at(x)
+    J = coeffs.jacobian_at(x)
+    corr = 0.5 * np.einsum("...ikj,...jk->...i", J, S)
+    return coeffs.b_at(x) + corr
+
+
+def advance_reference(domain, X, du):
+    nsub = np.ones(len(du))
+    if not domain.convex:
+        half = 0.5 * domain.r0
+        norms = np.linalg.norm(du, axis=1)
+        big = norms > half
+        nsub[big] = np.ldexp(1.0, np.ceil(np.log2(norms[big] / half)).astype(int))
+        du = du / nsub[:, None]
+    Y = X + du
+    X, _, tv_inc = domain.project_rows(Y)
+    k_inc = X - Y
+    for s in range(1, int(nsub.max(initial=1.0))):
+        rows = np.nonzero(nsub > s)[0]
+        Y = X[rows] + du[rows]
+        Xr, _, dist = domain.project_rows(Y)
+        X[rows] = Xr
+        k_inc[rows] += Xr - Y
+        tv_inc[rows] += dist
+    return X, k_inc, tv_inc
+
+
+def drive_batch_reference(domain, times, x0, increment_fn, check_start=True,
+                          stride=1):
+    times = np.asarray(times, dtype=float)
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    P, d = x0.shape
+    if check_start and np.any(domain.signed_distance(x0) > BOUNDARY_TOL):
+        raise StartOutsideDomain("initial state outside the closure")
+    N = (len(times) - 1) // stride + 1
+    x = np.empty((P, N, d))
+    k = np.zeros((P, N, d))
+    tv = np.zeros((P, N))
+    pushes = np.zeros((P, N, d))
+    X = x0.copy()
+    K = np.zeros((P, d))
+    TV = np.zeros(P)
+    x[:, 0] = X
+    for i in range(len(times) - 1):
+        du = increment_fn(i, X)
+        X, k_inc, tv_inc = advance_reference(domain, X, du)
+        K = K + k_inc
+        TV = TV + tv_inc
+        j, off = divmod(i + 1, stride)
+        if off:
+            continue
+        x[:, j] = X
+        k[:, j] = K
+        tv[:, j] = TV
+        norms = np.linalg.norm(k_inc, axis=1)
+        hit = norms > 0
+        pushes[hit, j] = k_inc[hit] / norms[hit, None]
+    return x, k, tv, pushes

@@ -367,6 +367,10 @@ class TestDeterminism:
             0.5, [0.5, 0.7, 1.0], [0.25, 0.5, 1.0], 300, seed=27,
             grid_level=5, levy_attempts=9 * mc.TUBE_BLOCK, levy_grid_level=3,
             workers=w),
+        # tube hits given as driver arrays: 300 of them span two chunks
+        "approx_continuity": lambda w: mc.approx_continuity(
+            HALF_LINE, SIN_1D, [1.0], 1.0, zero_control(1.0, 1), 0.5,
+            [0.8, 0.6], 300, seed=31, grid_level=4, workers=w),
         # the nonconvex kind: projection and per-row bisection substeps
         "wz_convergence": lambda w: mc.wz_convergence(
             NOTCHED, HALF_2D, [0.5, 0.4], 1.0, [3, 4], 300, seed=29,

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from rsdekit import (Ball, HalfSpace, SamplePath, StartOutsideDomain, btilde,
-                     coefficients_from_pointwise, control_from_path,
-                     dyadic_grid, euler_reflected, linear_control,
-                     make_coefficients, sample_brownian, shifted_driver,
-                     skeleton, solve, wong_zakai, zero_control)
-from rsdekit.rsde import euler_reflected_batch
+from rsdekit import (Ball, Coefficients, HalfSpace, SamplePath,
+                     StartOutsideDomain, btilde, coefficients_from_pointwise,
+                     control_from_path, dyadic_grid, euler_reflected,
+                     linear_control, make_coefficients, sample_brownian,
+                     shifted_driver, skeleton, solve, wong_zakai,
+                     zero_control)
+from rsdekit.rsde import euler_reflected_batch, shifted_driver_batch
 
 HALF_LINE = HalfSpace([1.0], 0.0)
 DISC = Ball([0.0, 0.0], 1.0)
@@ -100,6 +101,64 @@ class TestEulerReflected:
         for j, w in enumerate(paths):
             single = euler_reflected(DISC, cf, w, x0=[0.0, 0.0])
             assert np.array_equal(batch.x[j], single.x.values)
+
+
+class TestEvaluationCounts:
+    """Coefficient evaluations per Ito step, counted at the Coefficients
+    methods every integrator goes through."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        counts = {"sigma_at": 0, "b_at": 0, "jacobian_at": 0}
+        for name in counts:
+            original = getattr(Coefficients, name)
+
+            def counted(self, X, name=name, original=original):
+                counts[name] += 1
+                return original(self, X)
+
+            monkeypatch.setattr(Coefficients, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("sigma,params", [
+        ("sin", {"base": 0.4, "amp": 0.2}), ("const", {"value": 0.5})])
+    def test_sigma_once_per_ito_step(self, monkeypatch, sigma, params):
+        cf = make_coefficients(2, 2, sigma=sigma, sigma_params=params,
+                               b="const", b_params={"value": [0.1, 0.0]})
+        times = dyadic_grid(1.0, 5)
+        steps = len(times) - 1
+        W = np.stack([sample_brownian(2, times, seed=70 + j).values
+                      for j in range(3)])
+        counts = self._count(monkeypatch)
+        euler_reflected_batch(DISC, cf, times, np.diff(W, axis=1),
+                              np.zeros(2))
+        # the constant family's Jacobian is zero and never evaluated
+        jac = steps if sigma == "sin" else 0
+        assert counts == {"sigma_at": steps, "b_at": steps,
+                          "jacobian_at": jac}
+        for name in counts:
+            counts[name] = 0
+        # stacked levels share one batch, so one evaluation per step
+        shifted_driver_batch(DISC, cf, times, W, [2, 3], zero_control(1.0, 2),
+                             np.zeros(2))
+        assert counts == {"sigma_at": steps, "b_at": steps,
+                          "jacobian_at": jac}
+
+    def test_constant_coefficients_are_read_only(self):
+        cf = make_coefficients(2, 2, sigma="const", sigma_params={"value": 0.5},
+                               b="const", b_params={"value": [0.1, -0.2]})
+        X = np.zeros((4, 2))
+        S, b = cf.sigma_at(X), cf.b_at(X)
+        assert S.shape == (4, 2, 2)
+        assert np.broadcast_shapes(b.shape, X.shape) == X.shape
+        for out in (S, b, cf.sigma_at(X[0])):
+            with pytest.raises(ValueError):
+                out[...] = 1.0
+        w = sample_brownian(2, np.linspace(0, 1, 33), seed=7)
+        euler_reflected(DISC, cf, w, x0=[0.0, 0.0])
+        assert np.array_equal(cf.sigma_at(X), np.broadcast_to(0.5 * np.eye(2),
+                                                              (4, 2, 2)))
+        assert np.array_equal(cf.b_at(X), [0.1, -0.2])
 
 
 class TestWongZakai:

@@ -1,17 +1,21 @@
-"""Row independence and step invariants of the projection stepping kernel,
-on every shipped domain kind."""
+"""Row independence, step invariants and bitwise references of the
+projection stepping kernel, on every shipped domain kind."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import nnls
 
+import oracles
 from rsdekit import (AxisBox, Ball, ConvexPolytope, HalfSpace, NotchedDisc,
                      dyadic_grid, make_coefficients, sine_control)
+from rsdekit import rsde
 from rsdekit.geometry import BOUNDARY_TOL
 from rsdekit.montecarlo import brownian_batch
 from rsdekit.rsde import (euler_reflected_batch, shifted_driver_batch,
-                          wong_zakai_batch)
+                          skeleton, skeleton_batch, wong_zakai_batch)
 from rsdekit.skorohod import drive_batch
 
 # (domain, start) per kind; all two-dimensional so one model drives them all
@@ -116,3 +120,91 @@ def test_step_invariants(kind, seed, scale):
         assert np.allclose(np.linalg.norm(X - Y, axis=1), dist, atol=1e-12)
         for y, xp, d in zip(Y[moved], X[moved], dist[moved]):
             assert _in_normal_cone(dom, xp, (xp - y) / d)
+
+
+# one-dimensional kinds for the d = 1 models
+KINDS_1D = {
+    "half_space": (HalfSpace([1.0], 0.0), [0.3]),
+    "ball": (Ball([0.0], 1.0), [0.5]),
+    "axis_box": (AxisBox([0.0], [1.0]), [0.5]),
+}
+# sigma families by (name, d): the sin diagonal takes both signs, so a
+# zero off the diagonal could come out as -0.0
+SIGMAS = {
+    ("const", 2): {"matrix": [[0.6, -0.2], [0.1, 0.5]]},
+    ("sin", 2): {"base": 0.2, "amp": 0.5},
+    ("affine", 2): {"const": [[0.4, 0.0], [0.1, 0.3]],
+                    "linear": [[[0.1, -0.2], [0.0, 0.1]],
+                               [[0.05, 0.0], [-0.1, 0.2]]]},
+    ("sin", 1): {"base": 0.2, "amp": 0.5},
+}
+DRIFTS = {
+    "zero": ("const", lambda d: {}),
+    "const": ("const", lambda d: {"value": [0.3, -0.2][:d]}),
+    "linear": ("linear", lambda d: {"matrix": np.diag([-0.5, -0.3][:d]),
+                                    "const": [0.1, 0.0][:d]}),
+}
+REFERENCE_SIGMAS = {"const": oracles.const_family_reference,
+                    "sin": oracles.sin_family_reference}
+
+
+def _reference_coefficients(cf, sigma, sigma_params, drift, b_params):
+    """cf with its const and sin families and its const drift as first
+    written."""
+    d = cf.d
+    if sigma in REFERENCE_SIGMAS:
+        sig, jac = REFERENCE_SIGMAS[sigma](d, d, sigma_params)
+        cf = dataclasses.replace(cf, sigma=sig, sigma_jac=jac)
+    if drift == "const":
+        cf = dataclasses.replace(cf, b=oracles.const_drift_reference(d, b_params))
+    return cf
+
+
+def _integrate_all(dom, cf, x0):
+    """Every integrator on one small driver batch; one row's increments are
+    large, so nonconvex kinds bisect it."""
+    d = cf.d
+    times = dyadic_grid(1.0, 5)
+    W = brownian_batch(d, times, 11, 0, 6)
+    W[4] *= 6.0
+    h = sine_control(1.0, amplitude=0.5, dim=d, n_cells=64)
+    grid = dyadic_grid(1.0, 3)
+    slopes = np.random.default_rng(5).uniform(-1.0, 1.0, size=(6, 8, d))
+    runs = [euler_reflected_batch(dom, cf, times, np.diff(W, axis=1), x0),
+            wong_zakai_batch(dom, cf, times, W, [2, 3], 2, x0),
+            shifted_driver_batch(dom, cf, times, W, [2, 3], h, x0),
+            skeleton_batch(dom, cf, grid, slopes, x0, 4)]
+    sk = skeleton(dom, cf, h, 4, x0, grid=grid)
+    return [(b.x, b.k, b.tv, pushes) for b, pushes in runs] \
+        + [(sk.x.values, sk.k.values, sk.tv, sk.pushes)]
+
+
+# the five kinds, plus a half-space whose normal has no zero coordinate, so
+# that its projection sums two nonzero products
+KINDS_2D = dict(KINDS, half_space_tilted=(HalfSpace([0.6, 0.8], -0.1),
+                                          [0.3, 0.2]))
+_CASES = [(kind, sigma, d, drift)
+          for (sigma, d) in SIGMAS for kind in sorted(KINDS_1D if d == 1
+                                                       else KINDS_2D)
+          for drift in sorted(DRIFTS)]
+
+
+@pytest.mark.parametrize("kind,sigma,d,drift", _CASES)
+def test_integrators_match_the_reference_step(kind, sigma, d, drift,
+                                              monkeypatch):
+    # x, k, tv and pushes compared as int64 views, so a sign change of a
+    # zero shows as a difference
+    dom, x0 = (KINDS_1D if d == 1 else KINDS_2D)[kind]
+    b_name, b_params = DRIFTS[drift][0], DRIFTS[drift][1](d)
+    cf = make_coefficients(d, d, sigma=sigma, sigma_params=SIGMAS[sigma, d],
+                           b=b_name, b_params=b_params)
+    got = _integrate_all(dom, cf, x0)
+    monkeypatch.setattr(rsde, "btilde", oracles.btilde_reference)
+    monkeypatch.setattr(rsde, "drive_batch", oracles.drive_batch_reference)
+    want = _integrate_all(dom, _reference_coefficients(
+        cf, sigma, SIGMAS[sigma, d], b_name, b_params), x0)
+    for run, (g, w) in enumerate(zip(got, want)):
+        for name, a, b in zip(("x", "k", "tv", "pushes"), g, w):
+            assert a.shape == b.shape, (run, name)
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), \
+                (run, name)
