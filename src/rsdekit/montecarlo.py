@@ -199,14 +199,20 @@ def parallel_chunks(fn, n_items, workers, payload, chunk=CHUNK, rows=()):
 def brownian_batch(d1, times, seed, lo, hi):
     """Driver values for paths lo..hi-1, one stream per path index.
 
-    Each path's stream fills its own row in place; the whole batch is then
-    scaled and summed at once, which gives the bits of
+    The Philox keys of all paths are derived at once; one generator is
+    re-keyed before each path fills its own row in place, and the whole
+    batch is then scaled and summed at once.  That gives the bits of
     `paths.brownian_increments` path by path.
     """
     W = np.zeros((hi - lo, len(times), d1))
     Z = W[:, 1:]
-    for j, stream in enumerate(range(lo, hi)):
-        pth.rng_for(seed, stream).standard_normal(out=Z[j])
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # a fresh stream: zero counter, empty buffer
+    for j, key in enumerate(pth.stream_keys(seed, lo, hi)):
+        state["state"]["key"] = key
+        bitgen.state = state
+        gen.standard_normal(out=Z[j])
     Z *= np.sqrt(np.diff(np.asarray(times, dtype=float)))[:, None]
     np.cumsum(Z, axis=1, out=Z)
     return W
@@ -451,59 +457,13 @@ def skeleton_convergence(domain, coeffs, x0, T, h, levels, paths, seed,
 # ---------------------------------------------------------------------------
 
 
-def _sq_norm(D, out=None):
-    """|D|^2 over the last axis, coordinates summed in order as
-    np.linalg.norm sums them, so its sqrt has norm's bits."""
-    sq = np.multiply(D[..., 0], D[..., 0], out=out)
-    for k in range(1, D.shape[-1]):
-        sq += D[..., k] * D[..., k]
-    return sq
-
-
-def _tube_block(lo, hi, payload):
-    """Generate candidate-driver blocks block0 + lo .. block0 + hi - 1 and
-    return the rows of each that stay in the delta-tube around href (the
-    zero path when href is None), with each hit row's node deviation
-    max_k |W_k - href_k| in `dev`.
-
-    Squared deviations are compared and only each row's max is rooted:
-    sqrt is monotone and correctly rounded, so `dev` equals the max of the
-    node norms bit for bit.
-    """
-    d1 = payload["d1"]
-    times = np.asarray(payload["times"])
-    href = payload["href"]
-    delta = payload["delta"]
-    block0 = payload.get("block0", 0)
-    n = len(times)
-    dt_sqrt = np.sqrt(np.diff(times))[:, None]
-    # every candidate starts at 0, so node 0 deviates by |href(0)|
-    sq0 = 0.0 if href is None else float(_sq_norm(href[0]))
-    sq = np.empty((TUBE_BLOCK, n - 1))
-    accepted, counts, devs = [], [], []
-    for block in range(block0 + lo, block0 + hi):
-        rng = pth.rng_for(payload["seed"], payload["tag"], payload["delta_idx"],
-                          block)
-        C = rng.standard_normal((TUBE_BLOCK, n - 1, d1))
-        C *= dt_sqrt
-        np.cumsum(C, axis=1, out=C)  # nodes 1 .. n-1
-        _sq_norm(C if href is None else C - href[1:], out=sq)
-        dev = np.sqrt(np.maximum(sq.max(axis=1), sq0))
-        hit = dev < delta
-        W = np.zeros((int(np.sum(hit)), n, d1))
-        W[:, 1:] = C[hit]
-        counts.append(len(W))
-        accepted.append(W)
-        devs.append(dev[hit])
-    return {"accepted": accepted, "counts": counts, "dev": devs}
-
-
 def _collect_tube_samples(d1, times, href, delta, delta_idx, target, seed,
                           workers, tag, max_attempts):
     """First `target` tube hits in deterministic (block, row) order."""
-    payload = {"d1": d1, "times": times, "href": href, "delta": float(delta),
-               "delta_idx": int(delta_idx), "seed": int(seed), "tag": int(tag)}
-    pilot = _tube_block(0, 1, payload)
+    payload = {"d1": d1, "size": TUBE_BLOCK, "times": times, "href": href,
+               "delta": float(delta), "delta_idx": int(delta_idx),
+               "seed": int(seed), "tag": int(tag)}
+    pilot = pth.tube_block(0, 1, payload)
     acc = pilot["counts"][0] / TUBE_BLOCK
     if acc * max_attempts < target:
         raise TubeTooNarrow(
@@ -516,7 +476,7 @@ def _collect_tube_samples(d1, times, href, delta, delta_idx, target, seed,
     while got < target:
         remaining = target - got
         guess = int(np.ceil(remaining / max(acc, 1e-12) / TUBE_BLOCK * 1.2)) + 1
-        results = parallel_chunks(_tube_block, guess, workers,
+        results = parallel_chunks(pth.tube_block, guess, workers,
                                   {**payload, "block0": next_block}, chunk=8)
         for r in results:
             chunks.append(r)
@@ -561,7 +521,8 @@ def approx_continuity(domain, coeffs, x0, T, h, epsilon, deltas,
         parameters={"T": T, "epsilon": epsilon, "deltas": deltas,
                     "target_accepted": int(target_accepted),
                     "grid_level": grid_level, "x0": np.atleast_1d(x0).tolist()},
-        seeds={"seed": int(seed), "streams": "delta index, block",
+        seeds={"seed": int(seed),
+               "streams": "delta index, block, time-major",
                "rng": "philox"},
         thresholds=[Threshold("final_state_min", final_min, "policy"),
                     Threshold("limit_probability", 1.0, "theory")])
@@ -757,7 +718,7 @@ def _smallball_chunk(lo, hi, payload):
 def _levy_blocks(lo, hi, payload):
     """Tube-conditioned iterated-integral sups for blocks [lo, hi), with
     each hit's node deviation from zero."""
-    tube = _tube_block(lo, hi, payload)
+    tube = pth.tube_block(lo, hi, payload)
     zeta_sups = [np.zeros(0)]
     for Wh in tube["accepted"]:
         mid = 0.5 * (Wh[:, :-1, 0] + Wh[:, 1:, 0])
@@ -788,7 +749,8 @@ def smallball_and_levy(T, deltas, M_values, paths, seed, workers=1,
                     "levy_attempts": int(levy_attempts),
                     "levy_grid_level": levy_grid_level},
         seeds={"seed": int(seed),
-               "streams": "path index / block, one Levy pool for all deltas",
+               "streams": "path index / block, time-major, one Levy pool "
+                          "for all deltas",
                "rng": "philox"},
         thresholds=[Threshold("smallball_oracle_slope", oracle_slope, "theory"),
                     Threshold("slope_factor", slope_factor, "policy"),
@@ -823,7 +785,7 @@ def smallball_and_levy(T, deltas, M_values, paths, seed, workers=1,
     ltimes = pth.dyadic_grid(T, levy_grid_level)
     max_blocks = max(1, int(np.ceil(levy_attempts / TUBE_BLOCK)))
     pool_deltas = sorted((float(d) for d in levy_deltas), reverse=True)
-    payload = {"d1": 2, "times": ltimes, "href": None,
+    payload = {"d1": 2, "size": TUBE_BLOCK, "times": ltimes, "href": None,
                "delta": pool_deltas[0], "delta_idx": 0, "seed": int(seed),
                "tag": 0x1E}
     parts = parallel_chunks(_levy_blocks, max_blocks, workers, payload,
@@ -884,18 +846,19 @@ def regulator_conditional(domain, coeffs, x0, T, deltas, c3, paths, seed,
         parameters={"T": T, "deltas": deltas, "c3": c3, "paths": int(paths),
                     "epsilon": epsilon, "grid_level": grid_level,
                     "x0": np.atleast_1d(x0).tolist()},
-        seeds={"seed": int(seed), "streams": "block, one pool for all deltas",
+        seeds={"seed": int(seed),
+               "streams": "block, time-major, one pool for all deltas",
                "rng": "philox"},
         thresholds=[Threshold("limit_probability", 0.0, "theory")])
     props = {"scaled": [], "fixed": []}
     cis = {"scaled": [], "fixed": []}
-    # one candidate pool at the widest delta, integrated once; rows are
-    # independent, so each narrower delta takes its hits' rows
+    # one candidate pool at the widest delta, integrated once; each
+    # narrower delta takes the hits that deviate less than it
     max_blocks = max(1, int(np.ceil(paths / TUBE_BLOCK)))
-    payload = {"d1": coeffs.d1, "times": times, "href": None,
-               "delta": deltas[0], "delta_idx": 0, "seed": int(seed),
-               "tag": 0x4E6}
-    parts = parallel_chunks(_tube_block, max_blocks, workers, payload,
+    payload = {"d1": coeffs.d1, "size": TUBE_BLOCK, "times": times,
+               "href": None, "delta": deltas[0], "delta_idx": 0,
+               "seed": int(seed), "tag": 0x4E6}
+    parts = parallel_chunks(pth.tube_block, max_blocks, workers, payload,
                             chunk=8)
     W = np.concatenate([w for p in parts for w in p["accepted"]], axis=0)
     dev = np.concatenate([d for p in parts for d in p["dev"]])

@@ -18,12 +18,77 @@ from .errors import GridMismatch, TubeTooNarrow
 
 HOLDER_EXACT_LIMIT = 4096
 LAG_SCAN_TILE = 64
+TUBE_SLAB = 16
+TUBE_SAMPLE_BLOCK = 256
+
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe): a 4-word pool
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 def rng_for(seed, *stream_key):
     """Counter-based generator, identical for an identical key tuple."""
     return np.random.Generator(np.random.Philox(
         np.random.SeedSequence((int(seed),) + tuple(int(k) for k in stream_key))))
+
+
+def _words32(k):
+    """An int as SeedSequence reads it: 32-bit words, least significant first."""
+    k = int(k)
+    if k < 0:
+        raise ValueError("stream key entries must be non-negative")
+    words = [k & _MASK32]
+    while k > _MASK32:
+        k >>= 32
+        words.append(k & _MASK32)
+    return words
+
+
+def stream_keys(seed, lo, hi, prefix=()):
+    """Philox keys of rng_for(seed, *prefix, s) for s = lo .. hi-1, shape
+    (hi - lo, 2), from one vectorized pass of SeedSequence's hash.
+
+    The stream index is the last entropy word, so it must fit in 32 bits.
+    """
+    if not 0 <= lo <= hi <= 1 << 32:
+        raise ValueError("streams must lie in [0, 2**32)")
+    words = [np.uint32(w) for k in (seed, *prefix) for w in _words32(k)]
+    words.append(np.arange(lo, hi, dtype=np.uint32))
+    hc = _HASH_INIT_A
+
+    def hashmix(v):
+        nonlocal hc
+        v = v ^ hc
+        hc = hc * _HASH_MULT_A & _MASK32
+        v = v * hc
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ (r >> 16)
+
+    with np.errstate(over="ignore"):  # uint32 scalar arithmetic wraps
+        pool = [hashmix(words[i] if i < len(words) else np.uint32(0))
+                for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for w in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(w))
+        hb, state = _HASH_INIT_B, []
+        for v in pool:
+            v = v ^ hb
+            hb = hb * _HASH_MULT_B & _MASK32
+            v = v * hb
+            state.append((v ^ (v >> 16)).astype(np.uint64))
+    keys = np.empty((hi - lo, 2), dtype=np.uint64)
+    keys[:, 0] = state[0] | state[1] << np.uint64(32)
+    keys[:, 1] = state[2] | state[3] << np.uint64(32)
+    return keys
 
 
 @dataclass(frozen=True)
@@ -419,27 +484,107 @@ def levy_sup(w, T=None):
 # ---------------------------------------------------------------------------
 
 
+def _sq_norm(D):
+    """|D|^2 over the last axis, coordinates summed in order as
+    np.linalg.norm sums them, so its sqrt has norm's bits."""
+    sq = D[..., 0] * D[..., 0]
+    for k in range(1, D.shape[-1]):
+        sq += D[..., k] * D[..., k]
+    return sq
+
+
+def tube_block(lo, hi, payload):
+    """Draw candidate-driver blocks block0 + lo .. block0 + hi - 1, each of
+    `size` candidates from the stream (seed, tag, delta_idx, block), and
+    return the rows of each that stay in the delta-tube around href (the
+    zero path when href is None): per block the hits' zero-prefixed values
+    (hits, n, d1) in row order, their rows and each hit's node deviation
+    max_k |W_k - href_k| in `dev`.
+
+    A block is drawn time-major, TUBE_SLAB steps at a time, as
+    (steps, live candidates, d1); a candidate stops drawing once its running
+    max of squared node deviations reaches delta^2.  Each candidate's
+    increments are still iid N(0, dt), but which normals it gets depends on
+    which other rows of its block are still live.  Only each hit's max is
+    rooted: sqrt is monotone and correctly rounded, so `dev` equals the max
+    of the node norms bit for bit.
+    """
+    d1, size, delta = payload["d1"], payload["size"], payload["delta"]
+    delta_sq = delta * delta
+    times = np.asarray(payload["times"])
+    href = payload["href"]
+    block0 = payload.get("block0", 0)
+    n = len(times)
+    dt_sqrt = np.sqrt(np.diff(times))
+    # every candidate starts at 0, so node 0 deviates by |href(0)|
+    sq0 = 0.0 if href is None else float(_sq_norm(href[0]))
+    # one buffer for a block's slabs, back to back, reused block after
+    # block: a block writes only as much of it as it draws
+    arena = np.empty((n - 1) * size * d1)
+    accepted, counts, rows, devs = [], [], [], []
+    for block in range(block0 + lo, block0 + hi):
+        rng = rng_for(payload["seed"], payload["tag"], payload["delta_idx"],
+                      block)
+        live = np.arange(size if sq0 < delta_sq else 0)
+        worst = np.full(len(live), sq0)
+        slabs, pos, used = [], None, 0
+        for k0 in range(1, n, TUBE_SLAB):  # nodes k0 .. k1-1
+            if not len(live):
+                break
+            k1 = min(k0 + TUBE_SLAB, n)
+            S = arena[used:used + (k1 - k0) * len(live) * d1].reshape(
+                k1 - k0, len(live), d1)
+            used += S.size
+            rng.standard_normal(out=S)
+            S *= dt_sqrt[k0 - 1:k1 - 1, None, None]
+            if pos is not None:
+                S[0] += pos
+            for j in range(1, k1 - k0):  # cumsum over the leading axis
+                np.add(S[j - 1], S[j], out=S[j])
+            sq = _sq_norm(S if href is None else S - href[k0:k1, None])
+            np.maximum(worst, sq.max(axis=0), out=worst)
+            slabs.append((live, S))
+            keep = worst < delta_sq
+            live, worst, pos = live[keep], worst[keep], S[-1, keep]
+        dev = np.sqrt(worst)
+        hit = dev < delta
+        live, dev = live[hit], dev[hit]
+        W = np.zeros((len(live), n, d1))
+        for k0, (slab_rows, S) in zip(range(1, n, TUBE_SLAB), slabs):
+            W[:, k0:k0 + len(S)] = np.swapaxes(
+                S[:, np.searchsorted(slab_rows, live)], 0, 1)
+        accepted.append(W)
+        counts.append(len(W))
+        rows.append(live)
+        devs.append(dev)
+    return {"accepted": accepted, "counts": counts, "rows": rows, "dev": devs}
+
+
 def tube_sample(h, delta, times, seed, max_attempts=100000, stream=0):
     """Rejection-sample a Brownian path with sup_t |w_t - h_t| < delta.
 
-    The tube event is checked at grid nodes only, so excursions between
-    nodes are not seen: the sampler over-accepts slightly, with bias
-    vanishing as the mesh shrinks.  Returns (path, attempts).
+    Candidates come from `tube_block` in blocks of TUBE_SAMPLE_BLOCK keyed
+    by (seed, 0x7B, stream, block); the first hit in block order
+    is returned with its 1-based attempt index.  The tube event is checked
+    at grid nodes only, so excursions between nodes are not seen: the
+    sampler over-accepts slightly, with bias vanishing as the mesh shrinks.
+    Returns (path, attempts).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     times = np.asarray(times, dtype=float)
     href = np.atleast_2d(h(times))
-    dim = href.shape[1]
-    dt_sqrt = np.sqrt(np.diff(times))[:, None]
-    vals = np.zeros((len(times), dim))
-    for attempt in range(1, int(max_attempts) + 1):
-        rng = rng_for(seed, stream, attempt, 0x7B)
-        vals[1:] = np.cumsum(rng.standard_normal((len(times) - 1, dim)) * dt_sqrt,
-                             axis=0)
-        dev = np.max(np.linalg.norm(vals - href, axis=1))
-        if dev < delta:
-            return SamplePath(times, vals.copy()), attempt
+    payload = {"d1": href.shape[1], "size": TUBE_SAMPLE_BLOCK,
+               "times": times, "href": href, "delta": float(delta),
+               "seed": int(seed), "tag": 0x7B,
+               "delta_idx": int(stream)}
+    for block in range(-(-int(max_attempts) // TUBE_SAMPLE_BLOCK)):
+        got = tube_block(block, block + 1, payload)
+        if got["counts"][0]:
+            attempts = block * TUBE_SAMPLE_BLOCK + int(got["rows"][0][0]) + 1
+            if attempts <= max_attempts:
+                return SamplePath(times, got["accepted"][0][0]), attempts
+            break
     raise TubeTooNarrow(
         f"no tube sample within {max_attempts} attempts (delta={delta})",
         acceptance_estimate=0.0, attempts=int(max_attempts))

@@ -101,11 +101,14 @@ def holder_pairs_brute(times, values, alpha):
     return best
 
 
-def tube_block_reference(lo, hi, payload, block_size):
-    """Tube rejection as first written: draw, scale, zero-prefixed cumsum,
-    max over nodes of np.linalg.norm of the deviation from href.  Returns
-    the kernel's accepted rows and counts per block, plus each hit's dev."""
-    d1 = payload["d1"]
+def tube_block_reference(lo, hi, payload):
+    """Tube rejection as first written, candidate-major: each candidate's
+    whole driver drawn at once from its block's stream, then the max over
+    nodes of np.linalg.norm of the deviation from href.  The streams differ
+    from the time-major kernel's, the law of the hits does not, so this is
+    a law oracle.  Returns the accepted rows and counts per block, plus each
+    hit's dev."""
+    d1, block_size = payload["d1"], payload["size"]
     times = np.asarray(payload["times"])
     href = payload["href"]
     block0 = payload.get("block0", 0)
@@ -125,6 +128,45 @@ def tube_block_reference(lo, hi, payload, block_size):
         accepted.append(W[hit])
         devs.append(dev[hit])
     return {"accepted": accepted, "counts": counts, "dev": devs}
+
+
+def tube_block_slab_reference(lo, hi, payload, slab):
+    """Time-major tube rejection, plainly: every candidate of a block keeps
+    its whole driver; slab by slab the block's stream gives
+    (steps, live candidates, d1) normals, each live driver is extended node
+    by node, and a candidate stops being live once a node's squared
+    deviation from href reaches delta^2.  Hits are the candidates live at
+    the end whose max node norm is below delta."""
+    d1, size, delta = payload["d1"], payload["size"], payload["delta"]
+    times = np.asarray(payload["times"])
+    n = len(times)
+    href = np.zeros((n, d1)) if payload["href"] is None else payload["href"]
+    block0 = payload.get("block0", 0)
+    dt_sqrt = np.sqrt(np.diff(times))
+    out = {"accepted": [], "counts": [], "rows": [], "dev": []}
+    for block in range(block0 + lo, block0 + hi):
+        rng = rng_for(payload["seed"], payload["tag"], payload["delta_idx"],
+                      block)
+        W = np.zeros((size, n, d1))
+        live = np.full(size, np.sum(href[0] ** 2) < delta * delta)
+        for k0 in range(1, n, slab):
+            rows = np.flatnonzero(live)
+            if not len(rows):
+                break
+            steps = min(slab, n - k0)
+            incs = rng.standard_normal((steps, len(rows), d1))
+            for j in range(steps):
+                k = k0 + j
+                W[rows, k] = W[rows, k - 1] + incs[j] * dt_sqrt[k - 1]
+                sq = np.sum((W[rows, k] - href[k]) ** 2, axis=1)
+                live[rows[sq >= delta * delta]] = False
+        dev = np.max(np.linalg.norm(W - href, axis=2), axis=1)
+        hit = np.flatnonzero(live & (dev < delta))
+        out["accepted"].append(W[hit])
+        out["counts"].append(len(hit))
+        out["rows"].append(hit)
+        out["dev"].append(dev[hit])
+    return out
 
 
 def brownian_batch_reference(d1, times, seed, lo, hi):

@@ -10,6 +10,7 @@ from rsdekit import (Ball, HalfSpace, NotchedDisc, dyadic_grid, levy_sup,
                      tube_sample, zero_control)
 from rsdekit import maxprinciple as mp
 from rsdekit import montecarlo as mc
+from rsdekit.paths import TUBE_SLAB, tube_block
 
 HALF_LINE = HalfSpace([1.0], 0.0)
 DISC = Ball([0.0, 0.0], 1.0)
@@ -184,8 +185,9 @@ class TestTubeMachinery:
 
 
 class TestTubeKernel:
-    """The block kernel and the batch driver against their first-written
-    forms in oracles.py, compared bit for bit."""
+    """The time-major block kernel against its plain per-slab form and, in
+    law, against the candidate-major kernel in oracles.py; the batch driver
+    against its first-written form, bit for bit."""
 
     TIMES = dyadic_grid(1.0, 5)
     DELTA = {1: 1.0, 2: 1.3, 3: 1.5}
@@ -194,29 +196,63 @@ class TestTubeKernel:
     def _bits(a):
         return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
-    @pytest.mark.parametrize("shifted", [False, True], ids=["zero", "href"])
-    @pytest.mark.parametrize("d1", [1, 2, 3])
-    def test_tube_block_matches_reference(self, d1, shifted):
-        from oracles import tube_block_reference
-        t, delta = self.TIMES[:, None], self.DELTA[d1]
+    @classmethod
+    def _payload(cls, d1, shifted):
+        t, delta = cls.TIMES[:, None], cls.DELTA[d1]
         # a control with |href(0)| = 0.85 delta: node 0 holds the max
         # deviation of every hit that stays closer than that afterwards
         href = 0.85 * delta / np.sqrt(d1) * (1.0 - t) ** 2 \
             + 0.05 * np.arange(d1) * t if shifted else None
-        payload = {"d1": d1, "times": self.TIMES, "href": href,
-                   "delta": delta, "delta_idx": 1, "seed": 31, "tag": 0x7E,
-                   "block0": 3}
-        got = mc._tube_block(1, 3, payload)
-        want = tube_block_reference(1, 3, payload, mc.TUBE_BLOCK)
+        return {"d1": d1, "size": mc.TUBE_BLOCK, "times": cls.TIMES,
+                "href": href, "delta": delta, "delta_idx": 1, "seed": 31,
+                "tag": 0x7E, "block0": 3}
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["zero", "href"])
+    @pytest.mark.parametrize("d1", [1, 2, 3])
+    def test_tube_block_matches_reference(self, d1, shifted):
+        from oracles import tube_block_slab_reference
+        payload = self._payload(d1, shifted)
+        got = tube_block(1, 3, payload)
+        want = tube_block_slab_reference(1, 3, payload, TUBE_SLAB)
         assert got["counts"] == want["counts"]
         assert all(0 < c < mc.TUBE_BLOCK for c in got["counts"])
-        for key in ("accepted", "dev"):
+        for key in ("accepted", "rows", "dev"):
             assert len(got[key]) == len(want[key]) == 2
             for a, b in zip(got[key], want[key]):
                 assert a.shape == b.shape
-                assert np.array_equal(self._bits(a), self._bits(b))
+                assert np.array_equal(a, b)
+                if key != "rows":
+                    assert np.array_equal(self._bits(a), self._bits(b))
         if shifted:
-            assert np.linalg.norm(href[0]) in np.concatenate(got["dev"])
+            assert np.linalg.norm(payload["href"][0]) in np.concatenate(
+                got["dev"])
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["zero", "href"])
+    @pytest.mark.parametrize("d1", [1, 3])
+    def test_hit_dev_is_its_max_node_deviation(self, d1, shifted):
+        payload = self._payload(d1, shifted)
+        href = payload["href"]
+        got = tube_block(0, 2, payload)
+        for W, dev in zip(got["accepted"], got["dev"]):
+            assert np.all(W[:, 0] == 0.0)
+            again = np.max(np.linalg.norm(
+                W if href is None else W - href, axis=2), axis=1)
+            assert np.array_equal(self._bits(dev), self._bits(again))
+            assert np.all(dev < payload["delta"])
+
+    @pytest.mark.parametrize("d1", [1, 2])
+    def test_hit_counts_agree_with_candidate_major_law(self, d1):
+        # same law, independent streams: the Wilson intervals of the two
+        # hit proportions over 6 blocks each must overlap
+        from oracles import tube_block_reference
+        payload = self._payload(d1, False)
+        n = 6 * mc.TUBE_BLOCK
+        k_time = sum(tube_block(0, 6, payload)["counts"])
+        k_cand = sum(tube_block_reference(
+            0, 6, {**payload, "tag": 0x7F})["counts"])
+        (p_t, h_t), (p_c, h_c) = mc.wilson(k_time, n), mc.wilson(k_cand, n)
+        assert abs(p_t - p_c) <= h_t + h_c
+        assert 0.05 < k_time / n < 0.95
 
     @pytest.mark.parametrize("d1", [1, 3])
     def test_brownian_batch_matches_reference(self, d1):
@@ -425,13 +461,14 @@ def test_benchmark_tracer_sees_the_projection():
 
 
 def test_benchmark_tracer_counts_one_levy_pool():
-    # one generator per small-ball path plus one per block of the single
-    # Levy pool; the tracer labels tube chunks by their function's name
+    # small-ball paths are keyed in one vectorized pass, so the only
+    # generators built are one per block of the single Levy pool; the
+    # tracer labels tube chunks by their function's name
     tracer = _traced(lambda: mc.smallball_and_levy(
         0.5, [0.5, 0.7, 1.0], [0.25, 0.5, 1.0], 300, seed=36, grid_level=5,
         levy_deltas=(0.8, 0.5), levy_attempts=3 * mc.TUBE_BLOCK,
         levy_grid_level=3))
-    assert tracer.counters["paths.streams"] == 300 + 3
+    assert tracer.counters["paths.streams"] == 3
     assert _tracing().self_times(tracer.spans)["montecarlo.tube"] > 0
 
 

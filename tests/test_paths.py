@@ -12,7 +12,7 @@ from rsdekit import (Control, GridMismatch, SamplePath, TubeTooNarrow,
                      zero_control)
 from rsdekit.montecarlo import brownian_batch
 from rsdekit.paths import (dyadic_lags, holder_seminorm_batch, lag_scan_sq,
-                           oscillation)
+                           oscillation, stream_keys)
 
 from oracles import holder_pairs_brute, smallball_1d
 
@@ -85,6 +85,48 @@ class TestBrownian:
             count += inc.shape[0] * inc.shape[1]
         ratio = total / count
         assert np.all(ratio > 0.9) and np.all(ratio < 1.1)
+
+
+class TestStreamKeys:
+    """The vectorized Philox keys equal SeedSequence's, word for word."""
+
+    @staticmethod
+    def _want(seed, lo, hi, prefix=()):
+        return np.array([np.random.SeedSequence((seed, *prefix, s))
+                         .generate_state(2, np.uint64)
+                         for s in range(lo, hi)], dtype=np.uint64).reshape(-1, 2)
+
+    @pytest.mark.parametrize("prefix", [(), (0x1E, 3), (2 ** 40, 0, 1)],
+                             ids=["none", "two", "multiword"])
+    @pytest.mark.parametrize("span", [(0, 3), (2 ** 32 - 2, 2 ** 32)],
+                             ids=["first", "last"])
+    @pytest.mark.parametrize("seed", [0, 0xA8, 2 ** 32, 2 ** 70 + 5],
+                             ids=["0", "small", "2^32", "3words"])
+    def test_match_seedsequence(self, seed, span, prefix):
+        got = stream_keys(seed, *span, prefix)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, self._want(seed, *span, prefix))
+
+    def test_empty_span(self):
+        assert stream_keys(7, 5, 5).shape == (0, 2)
+        assert brownian_batch(2, np.linspace(0, 1, 5), 7, 5, 5).shape \
+            == (0, 5, 2)
+
+    @pytest.mark.parametrize("span", [(2 ** 32, 2 ** 32 + 1), (0, 2 ** 32 + 1)])
+    def test_stream_past_32_bits_rejected(self, span):
+        with pytest.raises(ValueError):
+            stream_keys(1, *span)
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ValueError):
+            stream_keys(-1, 0, 2)
+
+    def test_batch_with_multiword_seed_matches_streams(self):
+        grid = np.linspace(0, 1, 17)
+        W = brownian_batch(1, grid, 2 ** 40 + 3, 2 ** 32 - 2, 2 ** 32)
+        for j, stream in enumerate(range(2 ** 32 - 2, 2 ** 32)):
+            w = sample_brownian(1, grid, 2 ** 40 + 3, stream)
+            assert np.array_equal(W[j], w.values)
 
 
 class TestBridge:
