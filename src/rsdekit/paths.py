@@ -21,10 +21,14 @@ LAG_SCAN_TILE = 64
 TUBE_SLAB = 16
 TUBE_SAMPLE_BLOCK = 256
 
-# numpy's SeedSequence hash (O'Neill's seed_seq_fe): a 4-word pool
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe): a 4-word pool.  The
+# hash multipliers are stepped as Python ints; every array operand is uint32
+# and meets only np.uint32 scalars, so products wrap mod 2**32 under both the
+# legacy (NumPy 1) and the NEP 50 (NumPy 2) promotion rules.
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT16 = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
 
 
@@ -54,38 +58,39 @@ def stream_keys(seed, lo, hi, prefix=()):
     """
     if not 0 <= lo <= hi <= 1 << 32:
         raise ValueError("streams must lie in [0, 2**32)")
-    words = [np.uint32(w) for k in (seed, *prefix) for w in _words32(k)]
+    n = hi - lo
+    words = [np.full(n, w, dtype=np.uint32)
+             for k in (seed, *prefix) for w in _words32(k)]
     words.append(np.arange(lo, hi, dtype=np.uint32))
     hc = _HASH_INIT_A
 
     def hashmix(v):
         nonlocal hc
-        v = v ^ hc
+        v = v ^ np.uint32(hc)
         hc = hc * _HASH_MULT_A & _MASK32
-        v = v * hc
-        return v ^ (v >> 16)
+        v = v * np.uint32(hc)
+        return v ^ (v >> _SHIFT16)
 
     def mix(x, y):
         r = _MIX_L * x - _MIX_R * y
-        return r ^ (r >> 16)
+        return r ^ (r >> _SHIFT16)
 
-    with np.errstate(over="ignore"):  # uint32 scalar arithmetic wraps
-        pool = [hashmix(words[i] if i < len(words) else np.uint32(0))
-                for i in range(4)]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for w in words[4:]:
-            for dst in range(4):
-                pool[dst] = mix(pool[dst], hashmix(w))
-        hb, state = _HASH_INIT_B, []
-        for v in pool:
-            v = v ^ hb
-            hb = hb * _HASH_MULT_B & _MASK32
-            v = v * hb
-            state.append((v ^ (v >> 16)).astype(np.uint64))
-    keys = np.empty((hi - lo, 2), dtype=np.uint64)
+    pool = [hashmix(words[i] if i < len(words) else np.zeros(n, np.uint32))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    hb, state = _HASH_INIT_B, []
+    for v in pool:
+        v = v ^ np.uint32(hb)
+        hb = hb * _HASH_MULT_B & _MASK32
+        v = v * np.uint32(hb)
+        state.append((v ^ (v >> _SHIFT16)).astype(np.uint64))
+    keys = np.empty((n, 2), dtype=np.uint64)
     keys[:, 0] = state[0] | state[1] << np.uint64(32)
     keys[:, 1] = state[2] | state[3] << np.uint64(32)
     return keys

@@ -128,6 +128,28 @@ class TestStreamKeys:
             w = sample_brownian(1, grid, 2 ** 40 + 3, stream)
             assert np.array_equal(W[j], w.values)
 
+    def test_hash_operands_are_numpy_unsigned(self, monkeypatch):
+        # A Python int operand would wrap mod 2**32 only under NEP 50
+        # promotion (NumPy 2); under NumPy 1 it promotes to int64.
+        seen = []
+
+        class Probe(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                seen.extend(type(x) if not isinstance(x, (np.ndarray, np.generic))
+                            else x.dtype for x in inputs)
+                args = [np.asarray(x) for x in inputs]
+                out = getattr(ufunc, method)(*args, **kwargs)
+                return out.view(Probe) if isinstance(out, np.ndarray) else out
+
+        for name in ("full", "arange", "zeros"):
+            make = getattr(np, name)
+            monkeypatch.setattr(
+                np, name, lambda *a, _make=make, **k: _make(*a, **k).view(Probe))
+        got = stream_keys(2 ** 70 + 5, 7, 12, (3,))
+        monkeypatch.undo()
+        assert seen and set(seen) <= {np.dtype(np.uint32), np.dtype(np.uint64)}
+        assert np.array_equal(got, self._want(2 ** 70 + 5, 7, 12, (3,)))
+
 
 class TestBridge:
     def test_endpoints_exact(self):
