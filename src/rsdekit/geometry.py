@@ -28,6 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import AmbiguousProjection, UnsupportedKind
+from .paths import _sq_norm
 
 BOUNDARY_TOL = 1e-12
 AMBIGUITY_RTOL = 1e-9
@@ -263,7 +264,7 @@ class Ball(Domain):
 
     def project_rows(self, Y):
         v = Y - self.center
-        r = np.linalg.norm(v, axis=1)
+        r = np.sqrt(_sq_norm(v))
         out = r > self.radius
         X = Y.copy()
         N = np.zeros_like(Y)
@@ -517,7 +518,7 @@ class NotchedDisc(Domain):
 
     def _box_sd(self, X):
         q = np.maximum(self.low - X, X - self.high)
-        outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
+        outside = np.sqrt(_sq_norm(np.maximum(q, 0.0)))
         inside = np.minimum(np.max(q, axis=1), 0.0)
         return outside + inside
 
@@ -574,7 +575,7 @@ class NotchedDisc(Domain):
         N = np.zeros_like(Y)
         dist = np.zeros(len(Y))
         sd_box = self._box_sd(Y)
-        r = np.linalg.norm(Y - self.c, axis=1)
+        r = np.sqrt(_sq_norm(Y - self.c))
         in_box = sd_box <= 0
         # inside the box but in the notch: radial push onto the arc
         notch = in_box & (r < self.rho)

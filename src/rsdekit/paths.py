@@ -18,6 +18,12 @@ from .errors import GridMismatch, TubeTooNarrow
 
 HOLDER_EXACT_LIMIT = 4096
 LAG_SCAN_TILE = 64
+# pruned exact lag scan: nodes per block, fewest blocks worth pruning,
+# block pairs evaluated first per row, elements per tile-sized array
+LAG_SCAN_BLOCK = 8
+LAG_SCAN_MIN_BLOCKS = 4
+LAG_SCAN_TOP = 4
+LAG_SCAN_BUDGET = 1 << 17
 TUBE_SLAB = 16
 TUBE_SAMPLE_BLOCK = 256
 
@@ -355,6 +361,16 @@ def control_from_path(w, n, T):
 # ---------------------------------------------------------------------------
 
 
+def _sq_norm(D):
+    """|D|^2 over the last axis, coordinates summed in order as
+    np.linalg.norm sums them, so np.sqrt of it has norm(D, axis=-1)'s bits
+    at a fraction of its cost on short rows (the step loop's row norms)."""
+    sq = D[..., 0] * D[..., 0]
+    for k in range(1, D.shape[-1]):
+        sq += D[..., k] * D[..., k]
+    return sq
+
+
 def sup_norm(x, T=None):
     """sup of |x_t| (Euclidean) over grid nodes up to T."""
     T = x.duration if T is None else float(T)
@@ -402,37 +418,153 @@ def lag_scan_sq(times, values, alpha, lags=None):
     """Per-path max over node pairs (i, i + L) of
     |v_{i+L} - v_i|^2 / (t_{i+L} - t_i)^(2 alpha), for values (P, N, d).
 
-    lags=None scans every lag, hence every node pair (exact); otherwise only
-    the given lags, which gives a lower bound.  times is not read when alpha
-    is 0.  The result is squared, so callers take one sqrt per path.  Paths
-    are scanned LAG_SCAN_TILE at a time from an axis-major copy, with
-    elementwise arithmetic only, so each row depends on that row alone.
+    lags=None gives the max over every node pair (exact); otherwise only
+    the given lags are scanned, which gives a lower bound.  times is not
+    read when alpha is 0.  The result is squared, so callers take one sqrt
+    per path.  Every pair value it takes is computed as a scan of every lag
+    computes it, so the exact max has that scan's bits, and each row
+    depends on that row alone.
+
+    The exact scan prunes once a path has LAG_SCAN_MIN_BLOCKS blocks of
+    LAG_SCAN_BLOCK nodes: it evaluates only the block pairs whose bound can
+    still reach the row's best (see _scan_pruned), on tiles of rows sized
+    from LAG_SCAN_BUDGET.  Shorter paths, a given lag list and tiles with a
+    non-finite value scan lag by lag on tiles of LAG_SCAN_TILE rows.
     """
-    axes = np.moveaxis(np.asarray(values), 2, 0).astype(float, order="C")
-    d, P, N = axes.shape
+    values = np.asarray(values)
+    P, N, d = values.shape
     best = np.zeros(P)
     if N < 2:
         return best
-    lags = range(1, N) if lags is None else lags
-    acc_buf, tmp_buf = np.empty((2, min(P, LAG_SCAN_TILE) * (N - 1)))
-    for p0 in range(0, P, LAG_SCAN_TILE):
-        tile = axes[:, p0:p0 + LAG_SCAN_TILE]
-        rows = tile.shape[1]
+    plan = None
+    if lags is None:
+        lags = range(1, N)
+        if -(-N // LAG_SCAN_BLOCK) >= LAG_SCAN_MIN_BLOCKS:
+            plan = _BlockPlan(times, N, alpha)
+    rows = LAG_SCAN_TILE if plan is None else plan.tile_rows
+    for p0 in range(0, P, rows):
+        tile = np.moveaxis(values[p0:p0 + rows], 2, 0).astype(float, order="C")
         out = best[p0:p0 + rows]
-        for L in lags:
-            n = N - L
-            acc = acc_buf[:rows * n].reshape(rows, n)
-            np.subtract(tile[0, :, L:], tile[0, :, :n], out=acc)
-            np.multiply(acc, acc, out=acc)
-            for k in range(1, d):
-                tmp = tmp_buf[:rows * n].reshape(rows, n)
-                np.subtract(tile[k, :, L:], tile[k, :, :n], out=tmp)
-                np.multiply(tmp, tmp, out=tmp)
-                acc += tmp
-            if alpha != 0:
-                acc /= (times[L:] - times[:n]) ** (2.0 * alpha)
-            np.maximum(out, acc.max(axis=1), out=out)
+        if plan is not None and np.isfinite(tile).all():
+            _scan_pruned(tile, times, alpha, plan, out)
+        else:
+            _scan_lags(tile, times, alpha, lags, out)
     return best
+
+
+def _scan_lags(tile, times, alpha, lags, out):
+    """Raise out (rows,) to each row's max over the pairs (i, i + L) of the
+    given lags, for a tile (d, rows, N)."""
+    d, rows, N = tile.shape
+    acc_buf, tmp_buf = np.empty((2, rows * (N - 1)))
+    for L in lags:
+        n = N - L
+        acc = acc_buf[:rows * n].reshape(rows, n)
+        np.subtract(tile[0, :, L:], tile[0, :, :n], out=acc)
+        np.multiply(acc, acc, out=acc)
+        for k in range(1, d):
+            tmp = tmp_buf[:rows * n].reshape(rows, n)
+            np.subtract(tile[k, :, L:], tile[k, :, :n], out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            acc += tmp
+        if alpha != 0:
+            acc /= (times[L:] - times[:n]) ** (2.0 * alpha)
+        np.maximum(out, acc.max(axis=1), out=out)
+
+
+class _BlockPlan:
+    """Row-independent layout of the pruned exact scan for N nodes.
+
+    Block b holds nodes b*B .. b*B + B - 1, the last block padded by
+    repeating node N - 1 (`nodes`, (nb, B)).  `den` (nb, nb) holds, for
+    I <= J, the smallest span between blocks I and J raised to 2 alpha (1
+    when alpha is 0), and inf below the diagonal, so that dividing by it
+    zeroes the bounds of the pairs I > J; a one-node diagonal block has no
+    pair and an infinite span.
+    """
+
+    def __init__(self, times, N, alpha):
+        B = LAG_SCAN_BLOCK
+        self.nb = nb = -(-N // B)
+        self.nodes = np.minimum(np.arange(nb * B).reshape(nb, B), N - 1)
+        self.tile_rows = max(1, LAG_SCAN_BUDGET // (nb * nb))
+        upper = np.triu(np.ones((nb, nb), dtype=bool))
+        if alpha == 0:
+            self.den = np.where(upper, 1.0, np.inf)
+            return
+        tb = times[self.nodes]
+        real = self.nodes[:, 1:] != self.nodes[:, :-1]
+        span = tb[None, :, 0] - tb[:, None, -1]
+        np.fill_diagonal(span, np.where(real, np.diff(tb, axis=1),
+                                        np.inf).min(axis=1))
+        span[~upper] = np.inf
+        self.den = span ** (2.0 * alpha)
+
+
+def _scan_pruned(tile, times, alpha, plan, out):
+    """Raise out (rows,) to each row's max over all node pairs, evaluating
+    only the block pairs that can still reach it.
+
+    The bound of block pair (I, J) sums, coordinate by coordinate, the
+    square of the widest difference the two blocks' min/max boxes allow,
+    and divides by the smallest span between the blocks raised to 2 alpha.
+    Subtraction, squares, sums and division round monotonically, so it
+    dominates every computed pair value of the two blocks up to pow's last
+    bit, which the factor 1 + 1e-12 covers.  A block pair whose bound is not
+    strictly above a value the row already attains cannot raise its max.
+    """
+    d, rows, N = tile.shape
+    nb = plan.nb
+    blocks = tile[:, :, plan.nodes]  # (d, rows, nb, B)
+    lo, hi = blocks.min(axis=3), blocks.max(axis=3)
+    bound = np.empty((rows, nb, nb))
+    wide = np.empty((rows, nb, nb))
+    for k in range(d):
+        np.subtract(hi[k][:, None, :], lo[k][:, :, None], out=wide)
+        np.maximum(wide, wide.swapaxes(1, 2), out=wide)
+        np.multiply(wide, wide, out=bound if k == 0 else wide)
+        if k:
+            bound += wide
+    del wide
+    bound /= plan.den
+    bound = bound.reshape(rows, nb * nb)
+    # each row's LAG_SCAN_TOP highest bounds first: their values give it a
+    # lower bound (a pair I > J evaluated here is a pair of J, I mirrored)
+    top = LAG_SCAN_TOP
+    first = np.argpartition(bound, nb * nb - top, axis=1)[:, -top:].ravel()
+    row_of = np.repeat(np.arange(rows), top)
+    _eval_block_pairs(blocks, times, alpha, plan, row_of, first, out)
+    bound[row_of, first] = 0.0
+    bound *= 1.0 + 1e-12
+    row_of, pair = np.nonzero(bound > out[:, None])
+    _eval_block_pairs(blocks, times, alpha, plan, row_of, pair, out)
+
+
+def _eval_block_pairs(blocks, times, alpha, plan, row_of, pair, out):
+    """Raise out[row_of[q]] to the max pair value of block pair
+    pair[q] = I * nb + J, LAG_SCAN_BUDGET // B^2 block pairs at a time."""
+    B = LAG_SCAN_BLOCK
+    step = max(1, LAG_SCAN_BUDGET // (B * B))
+    for q0 in range(0, len(pair), step):
+        r = row_of[q0:q0 + step]
+        I, J = np.divmod(pair[q0:q0 + step], plan.nb)
+        acc = None
+        for k in range(len(blocks)):
+            dv = blocks[k][r, J][:, None, :] - blocks[k][r, I][:, :, None]
+            np.multiply(dv, dv, out=dv)
+            if acc is None:
+                acc = dv
+            else:
+                acc += dv
+        if alpha != 0:
+            # spans of the distinct block pairs only; a node paired with
+            # itself (diagonal or padding) has value 0 and span set to 1
+            up, inv = np.unique(pair[q0:q0 + step], return_inverse=True)
+            ni, nj = plan.nodes[up // plan.nb], plan.nodes[up % plan.nb]
+            span = np.abs(times[nj][:, None, :] - times[ni][:, :, None])
+            span[ni[:, :, None] == nj[:, None, :]] = 1.0
+            acc /= (span ** (2.0 * alpha))[inv]
+        np.maximum.at(out, r, acc.reshape(len(r), -1).max(axis=1))
 
 
 def holder_seminorm_batch(times, values, alpha):
@@ -487,15 +619,6 @@ def levy_sup(w, T=None):
 # ---------------------------------------------------------------------------
 # Tube sampling
 # ---------------------------------------------------------------------------
-
-
-def _sq_norm(D):
-    """|D|^2 over the last axis, coordinates summed in order as
-    np.linalg.norm sums them, so its sqrt has norm's bits."""
-    sq = D[..., 0] * D[..., 0]
-    for k in range(1, D.shape[-1]):
-        sq += D[..., k] * D[..., k]
-    return sq
 
 
 def tube_block(lo, hi, payload):

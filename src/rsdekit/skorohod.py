@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import StartOutsideDomain
 from .geometry import BOUNDARY_TOL
-from .paths import SamplePath, dyadic_lags, lag_scan_sq, oscillation
+from .paths import SamplePath, _sq_norm, dyadic_lags, lag_scan_sq, oscillation
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def _advance(domain, X, du):
         X, _, tv_inc = domain.project_rows(Y)
         return X, X - Y, tv_inc
     half = 0.5 * domain.r0
-    norms = np.linalg.norm(du, axis=1)
+    norms = np.sqrt(_sq_norm(du))
     big = norms > half
     nsub = np.ones(len(du))
     nsub[big] = np.ldexp(1.0, np.ceil(np.log2(norms[big] / half)).astype(int))
@@ -129,7 +129,7 @@ def drive_batch(domain, times, x0, increment_fn, check_start=True, stride=1):
         x[:, j] = X
         k[:, j] = K
         tv[:, j] = TV
-        norms = np.linalg.norm(k_inc, axis=1)
+        norms = np.sqrt(_sq_norm(k_inc))
         hit = norms > 0
         pushes[hit, j] = k_inc[hit] / norms[hit, None]
     return x, k, tv, pushes

@@ -101,6 +101,37 @@ def holder_pairs_brute(times, values, alpha):
     return best
 
 
+def lag_scan_sq_reference(times, values, alpha, lags=None):
+    """The all-lags loop as first written: per path the max over node pairs
+    (i, i + L) of |v_{i+L} - v_i|^2 / (t_{i+L} - t_i)^(2 alpha), every lag
+    scanned in full on 64-path tiles."""
+    axes = np.moveaxis(np.asarray(values), 2, 0).astype(float, order="C")
+    d, P, N = axes.shape
+    best = np.zeros(P)
+    if N < 2:
+        return best
+    lags = range(1, N) if lags is None else lags
+    acc_buf, tmp_buf = np.empty((2, min(P, 64) * (N - 1)))
+    for p0 in range(0, P, 64):
+        tile = axes[:, p0:p0 + 64]
+        rows = tile.shape[1]
+        out = best[p0:p0 + rows]
+        for L in lags:
+            n = N - L
+            acc = acc_buf[:rows * n].reshape(rows, n)
+            np.subtract(tile[0, :, L:], tile[0, :, :n], out=acc)
+            np.multiply(acc, acc, out=acc)
+            for k in range(1, d):
+                tmp = tmp_buf[:rows * n].reshape(rows, n)
+                np.subtract(tile[k, :, L:], tile[k, :, :n], out=tmp)
+                np.multiply(tmp, tmp, out=tmp)
+                acc += tmp
+            if alpha != 0:
+                acc /= (times[L:] - times[:n]) ** (2.0 * alpha)
+            np.maximum(out, acc.max(axis=1), out=out)
+    return best
+
+
 def tube_block_reference(lo, hi, payload):
     """Tube rejection as first written, candidate-major: each candidate's
     whole driver drawn at once from its block's stream, then the max over

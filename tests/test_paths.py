@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from rsdekit import (Control, GridMismatch, SamplePath, TubeTooNarrow,
                      refine_bridge, sample_brownian, sup_norm, tube_sample,
                      zero_control)
 from rsdekit.montecarlo import brownian_batch
-from rsdekit.paths import (dyadic_lags, holder_seminorm_batch, lag_scan_sq,
-                           oscillation, stream_keys)
+from rsdekit import paths as pth
+from rsdekit.paths import (_sq_norm, dyadic_lags, holder_seminorm_batch,
+                           lag_scan_sq, oscillation, stream_keys)
 
-from oracles import holder_pairs_brute, smallball_1d
+from oracles import holder_pairs_brute, lag_scan_sq_reference, smallball_1d
 
 
 class TestSamplePath:
@@ -322,13 +324,117 @@ class TestLagScan:
                     assert np.all(np.abs(got - want) <= 4 * self.ULP * want)
                 assert np.all(lag_scan_sq(t, v, alpha, dyadic_lags(N)) <= exact)
 
-    def test_rows_independent_of_tiling(self):
+    @pytest.mark.parametrize("N, walk", [(65, False), (65, True), (257, True)])
+    def test_rows_independent_of_tiling(self, N, walk):
         rng = np.random.default_rng(7)
-        t = _grid("nonuniform", 65, rng)
-        v = rng.standard_normal((130, 65, 2))
+        t = _grid("nonuniform", N, rng)
+        v = rng.standard_normal((130, N, 2))
+        if walk:
+            v = np.cumsum(v, axis=1)
         batch = holder_seminorm_batch(t, v, 0.2)
         for i in range(len(v)):
             assert batch[i] == holder_seminorm_batch(t, v[i:i + 1], 0.2)[0]
+
+
+def _tile_rows(N):
+    """Rows per tile of the exact scan of N nodes."""
+    nb = -(-N // pth.LAG_SCAN_BLOCK)
+    if nb < pth.LAG_SCAN_MIN_BLOCKS:
+        return pth.LAG_SCAN_TILE
+    return max(1, pth.LAG_SCAN_BUDGET // (nb * nb))
+
+
+def _walk(rng, P, N, d):
+    return np.cumsum(rng.standard_normal((P, N, d)), axis=1)
+
+
+class TestExactScanBits:
+    """The pruned exact scan against the all-lags loop, bit for bit."""
+
+    @pytest.mark.parametrize("grid", ["uniform", "nonuniform"])
+    @pytest.mark.parametrize("N", [2, 3, 9, 17, 64, 65, 257, 513])
+    def test_random_walks(self, N, grid):
+        rng = np.random.default_rng(N + 1000 * (grid == "uniform"))
+        t = _grid(grid, N, rng)
+        t *= 0.7 / t[-1]
+        for d in (1, 2, 3):
+            # one tile, then one row past a tile edge
+            for P in (1, _tile_rows(N) + 1):
+                v = _walk(rng, P, N, d)
+                for alpha in (0.0, 0.2, 0.5):
+                    want = lag_scan_sq_reference(t, v, alpha)
+                    assert np.array_equal(lag_scan_sq(t, v, alpha), want)
+                    if alpha == 0.0:
+                        assert np.array_equal(lag_scan_sq(None, v, 0.0), want)
+
+    @pytest.mark.parametrize("N", [65, 257])
+    def test_degenerate_paths(self, N):
+        t = np.linspace(0.0, 0.7, N)
+        flat = np.full((3, N, 2), 0.25)
+        line = np.stack([t, -2.0 * t], axis=1)[None]
+        steps = np.floor(4.0 * t / 0.7)[None, :, None] * np.ones((1, 1, 2))
+        spike = np.zeros((4, N, 2))
+        for p, at in enumerate((0, 1, N // 2, N - 1)):
+            spike[p, at, p % 2] = 3.0
+        for v in (flat, line, steps, spike):
+            for alpha in (0.0, 0.2, 0.5):
+                assert np.array_equal(lag_scan_sq(t, v, alpha),
+                                      lag_scan_sq_reference(t, v, alpha))
+        assert np.all(lag_scan_sq(t, flat, 0.5) == 0.0)
+
+    def test_non_finite_rows_as_reference(self):
+        rng = np.random.default_rng(3)
+        t = np.linspace(0.0, 1.0, 100)
+        v = _walk(rng, 5, 100, 2)
+        v[1, 50, 0] = np.nan
+        v[2, 10, 1] = np.inf
+        v[3, 10:12, 1] = np.inf
+        with np.errstate(invalid="ignore"):
+            got = lag_scan_sq(t, v, 0.3)
+            want = lag_scan_sq_reference(t, v, 0.3)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(2, 300), P=st.integers(1, 4), d=st.integers(1, 3),
+           alpha=st.sampled_from([0.0, 0.1, 0.25, 0.45, 0.5, 0.9]),
+           uniform=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_property_bit_equal(self, N, P, d, alpha, uniform, seed):
+        rng = np.random.default_rng(seed)
+        t = np.linspace(0.0, 0.7, N) if uniform else _grid("nonuniform", N, rng)
+        v = _walk(rng, P, N, d)
+        assert np.array_equal(lag_scan_sq(t, v, alpha),
+                              lag_scan_sq_reference(t, v, alpha))
+
+    @pytest.mark.parametrize("P, N", [(64, 4096), (1024, 257)])
+    def test_memory_within_twice_reference(self, P, N):
+        rng = np.random.default_rng(P)
+        t = np.linspace(0.0, 1.0, N)
+        v = _walk(rng, P, N, 2)
+        peaks = []
+        for scan in (lag_scan_sq_reference, lag_scan_sq):
+            tracemalloc.start()
+            try:
+                got = scan(t, v, 0.2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert got.shape == (P,)
+        assert peaks[1] <= 2 * peaks[0]
+
+
+class TestSqNorm:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sqrt_has_linalg_norm_bits(self, d):
+        rng = np.random.default_rng(d)
+        V = rng.standard_normal((4096, d)) * 10.0 ** rng.integers(-8, 8, (4096, d))
+        V[::7] = 0.0
+        V[1::11, 0] = 1e-200
+        V[2::13] = 1e200
+        V[3::17, -1] = -1e200
+        with np.errstate(over="ignore"):
+            for rows in (V, V[::3], np.repeat(V[:, None], 3, axis=1)[:, 1]):
+                assert np.array_equal(np.sqrt(_sq_norm(rows)),
+                                      np.linalg.norm(rows, axis=1))
 
 
 class TestLevy:

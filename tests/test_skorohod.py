@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 from rsdekit import (BV_COMPARISON_BOUND, Ball, HalfSpace, SamplePath,
                      StartOutsideDomain, dyadic_grid, sample_brownian, solve,
                      verify_bv_comparison, verify_tv_bound)
+from rsdekit import paths as pth
+from rsdekit import skorohod
 from rsdekit.skorohod import solve_batch
 
-from oracles import reflect_half_line
+from oracles import lag_scan_sq_reference, reflect_half_line
 
 HALF_LINE = HalfSpace([1.0], 0.0)
 DISC = Ball([0.0, 0.0], 1.0)
@@ -152,6 +154,16 @@ class TestTVBound:
         sol = solve(HALF_LINE, driver, x0=[1.0])
         with pytest.raises(ValueError):
             verify_tv_bound(HALF_LINE, sol, driver, theta=0.0)
+
+    def test_same_report_as_reference_scan(self, monkeypatch):
+        # the windows' oscillation runs the exact scan, pruned on long windows
+        w = sample_brownian(2, dyadic_grid(1.0, 8), seed=41)
+        sol = solve(DISC, w, x0=[0.9, 0.0])
+        got = verify_tv_bound(DISC, sol, w, theta=0.5)
+        monkeypatch.setattr(pth, "lag_scan_sq", lag_scan_sq_reference)
+        monkeypatch.setattr(skorohod, "lag_scan_sq", lag_scan_sq_reference)
+        assert got.fitted_C > 0
+        assert verify_tv_bound(DISC, sol, w, theta=0.5) == got
 
     def test_stable_under_refinement(self):
         # fitted C within x2 across meshes 2^6 -> 2^10 with common drivers
