@@ -23,7 +23,7 @@ LAG_SCAN_TILE = 64
 LAG_SCAN_BLOCK = 8
 LAG_SCAN_MIN_BLOCKS = 4
 LAG_SCAN_TOP = 4
-LAG_SCAN_BUDGET = 1 << 17
+LAG_SCAN_BUDGET = 1 << 16
 TUBE_SLAB = 16
 TUBE_SAMPLE_BLOCK = 256
 
@@ -543,8 +543,7 @@ def _scan_pruned(tile, times, alpha, plan, out):
 def _eval_block_pairs(blocks, times, alpha, plan, row_of, pair, out):
     """Raise out[row_of[q]] to the max pair value of block pair
     pair[q] = I * nb + J, LAG_SCAN_BUDGET // B^2 block pairs at a time."""
-    B = LAG_SCAN_BLOCK
-    step = max(1, LAG_SCAN_BUDGET // (B * B))
+    step = LAG_SCAN_BUDGET // LAG_SCAN_BLOCK ** 2
     for q0 in range(0, len(pair), step):
         r = row_of[q0:q0 + step]
         I, J = np.divmod(pair[q0:q0 + step], plan.nb)
@@ -560,7 +559,7 @@ def _eval_block_pairs(blocks, times, alpha, plan, row_of, pair, out):
             # spans of the distinct block pairs only; a node paired with
             # itself (diagonal or padding) has value 0 and span set to 1
             up, inv = np.unique(pair[q0:q0 + step], return_inverse=True)
-            ni, nj = plan.nodes[up // plan.nb], plan.nodes[up % plan.nb]
+            ni, nj = (plan.nodes[u] for u in np.divmod(up, plan.nb))
             span = np.abs(times[nj][:, None, :] - times[ni][:, :, None])
             span[ni[:, :, None] == nj[:, None, :]] = 1.0
             acc /= (span ** (2.0 * alpha))[inv]

@@ -324,16 +324,16 @@ class TestLagScan:
                     assert np.all(np.abs(got - want) <= 4 * self.ULP * want)
                 assert np.all(lag_scan_sq(t, v, alpha, dyadic_lags(N)) <= exact)
 
-    @pytest.mark.parametrize("N, walk", [(65, False), (65, True), (257, True)])
-    def test_rows_independent_of_tiling(self, N, walk):
+    def test_rows_independent_of_tiling(self):
         rng = np.random.default_rng(7)
-        t = _grid("nonuniform", N, rng)
-        v = rng.standard_normal((130, N, 2))
-        if walk:
-            v = np.cumsum(v, axis=1)
-        batch = holder_seminorm_batch(t, v, 0.2)
-        for i in range(len(v)):
-            assert batch[i] == holder_seminorm_batch(t, v[i:i + 1], 0.2)[0]
+        for N, walk in ((65, False), (65, True), (257, True)):
+            t = _grid("nonuniform", N, rng)
+            v = rng.standard_normal((130, N, 2))
+            if walk:  # pruned: each row evaluates its own block pairs
+                v = np.cumsum(v, axis=1)
+            batch = holder_seminorm_batch(t, v, 0.2)
+            for i in range(len(v)):
+                assert batch[i] == holder_seminorm_batch(t, v[i:i + 1], 0.2)[0]
 
 
 def _tile_rows(N):
