@@ -429,47 +429,52 @@ def lag_scan_sq(times, values, alpha, lags=None):
     LAG_SCAN_BLOCK nodes: it evaluates only the block pairs whose bound can
     still reach the row's best (see _scan_pruned), on tiles of rows sized
     from LAG_SCAN_BUDGET.  Shorter paths, a given lag list and tiles with a
-    non-finite value scan lag by lag on tiles of LAG_SCAN_TILE rows.
+    non-finite value scan lag by lag, LAG_SCAN_TILE paths at a time.
     """
     values = np.asarray(values)
     P, N, d = values.shape
     best = np.zeros(P)
     if N < 2:
         return best
-    plan = None
-    if lags is None:
-        lags = range(1, N)
-        if -(-N // LAG_SCAN_BLOCK) >= LAG_SCAN_MIN_BLOCKS:
-            plan = _BlockPlan(times, N, alpha)
-    rows = LAG_SCAN_TILE if plan is None else plan.tile_rows
-    for p0 in range(0, P, rows):
-        tile = np.moveaxis(values[p0:p0 + rows], 2, 0).astype(float, order="C")
-        out = best[p0:p0 + rows]
-        if plan is not None and np.isfinite(tile).all():
+    if lags is not None or -(-N // LAG_SCAN_BLOCK) < LAG_SCAN_MIN_BLOCKS:
+        _scan_lags(np.moveaxis(values, 2, 0).astype(float, order="C"), times,
+                   alpha, range(1, N) if lags is None else lags, best)
+        return best
+    plan = _BlockPlan(times, N, alpha)
+    for p0 in range(0, P, plan.tile_rows):
+        tile = np.moveaxis(values[p0:p0 + plan.tile_rows], 2, 0).astype(
+            float, order="C")
+        out = best[p0:p0 + plan.tile_rows]
+        if np.isfinite(tile).all():
             _scan_pruned(tile, times, alpha, plan, out)
         else:
-            _scan_lags(tile, times, alpha, lags, out)
+            _scan_lags(tile, times, alpha, range(1, N), out)
     return best
 
 
-def _scan_lags(tile, times, alpha, lags, out):
-    """Raise out (rows,) to each row's max over the pairs (i, i + L) of the
-    given lags, for a tile (d, rows, N)."""
-    d, rows, N = tile.shape
-    acc_buf, tmp_buf = np.empty((2, rows * (N - 1)))
-    for L in lags:
-        n = N - L
-        acc = acc_buf[:rows * n].reshape(rows, n)
-        np.subtract(tile[0, :, L:], tile[0, :, :n], out=acc)
-        np.multiply(acc, acc, out=acc)
-        for k in range(1, d):
-            tmp = tmp_buf[:rows * n].reshape(rows, n)
-            np.subtract(tile[k, :, L:], tile[k, :, :n], out=tmp)
-            np.multiply(tmp, tmp, out=tmp)
-            acc += tmp
-        if alpha != 0:
-            acc /= (times[L:] - times[:n]) ** (2.0 * alpha)
-        np.maximum(out, acc.max(axis=1), out=out)
+def _scan_lags(axes, times, alpha, lags, best):
+    """Raise best (P,) to each path's max over the pairs (i, i + L) of the
+    given lags, for an axis-major copy (d, P, N), LAG_SCAN_TILE paths at a
+    time."""
+    d, P, N = axes.shape
+    acc_buf, tmp_buf = np.empty((2, min(P, LAG_SCAN_TILE) * (N - 1)))
+    for p0 in range(0, P, LAG_SCAN_TILE):
+        tile = axes[:, p0:p0 + LAG_SCAN_TILE]
+        rows = tile.shape[1]
+        out = best[p0:p0 + rows]
+        for L in lags:
+            n = N - L
+            acc = acc_buf[:rows * n].reshape(rows, n)
+            np.subtract(tile[0, :, L:], tile[0, :, :n], out=acc)
+            np.multiply(acc, acc, out=acc)
+            for k in range(1, d):
+                tmp = tmp_buf[:rows * n].reshape(rows, n)
+                np.subtract(tile[k, :, L:], tile[k, :, :n], out=tmp)
+                np.multiply(tmp, tmp, out=tmp)
+                acc += tmp
+            if alpha != 0:
+                acc /= (times[L:] - times[:n]) ** (2.0 * alpha)
+            np.maximum(out, acc.max(axis=1), out=out)
 
 
 class _BlockPlan:
