@@ -518,7 +518,7 @@ def _scan_pruned(tile, times, alpha, plan, out):
     bit, which the factor 1 + 1e-12 covers.  A block pair whose bound is not
     strictly above a value the row already attains cannot raise its max.
     """
-    d, rows, N = tile.shape
+    d, rows, _ = tile.shape
     nb = plan.nb
     blocks = tile[:, :, plan.nodes]  # (d, rows, nb, B)
     lo, hi = blocks.min(axis=3), blocks.max(axis=3)
