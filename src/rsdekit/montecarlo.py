@@ -276,9 +276,11 @@ def run_paths(fn, drivers, workers, domain, coeffs, times, x0, seed, h=None,
 
 
 def _sup_dist(A, B):
-    """Per-path sup_t |A_t - B_t| for arrays (P, N, d) against (N, d) or (P, N, d)."""
-    diff = A - B
-    return np.max(np.linalg.norm(diff, axis=-1), axis=-1)
+    """Per-path sup_t |A_t - B_t| for arrays (P, N, d) against (N, d) or (P, N, d).
+
+    One sqrt per path: sqrt is monotone and correctly rounded, so this is
+    the max of the node norms bit for bit."""
+    return np.sqrt(np.max(pth._sq_norm(A - B), axis=-1))
 
 
 # ---------------------------------------------------------------------------

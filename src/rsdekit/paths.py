@@ -427,8 +427,9 @@ def lag_scan_sq(times, values, alpha, lags=None):
 
     The exact scan prunes once a path has LAG_SCAN_MIN_BLOCKS blocks of
     LAG_SCAN_BLOCK nodes: it evaluates only the block pairs whose bound can
-    still reach the row's best (see _scan_pruned), on tiles of rows sized
-    from LAG_SCAN_BUDGET.  Shorter paths, a given lag list and tiles with a
+    still reach the row's best (see _scan_pruned), on tiles of rows whose
+    bounds are taken in strips of at most LAG_SCAN_BUDGET elements (see
+    _BlockPlan).  Shorter paths, a given lag list and tiles with a
     non-finite value scan lag by lag, LAG_SCAN_TILE paths at a time.
     """
     values = np.asarray(values)
@@ -442,13 +443,14 @@ def lag_scan_sq(times, values, alpha, lags=None):
         return best
     plan = _BlockPlan(times, N, alpha)
     for p0 in range(0, P, plan.tile_rows):
-        tile = np.moveaxis(values[p0:p0 + plan.tile_rows], 2, 0).astype(
-            float, order="C")
+        tile = np.moveaxis(values[p0:p0 + plan.tile_rows], 2, 0)
+        blocks = tile[:, :, plan.nodes].astype(float, copy=False)
         out = best[p0:p0 + plan.tile_rows]
-        if np.isfinite(tile).all():
-            _scan_pruned(tile, times, alpha, plan, out)
+        if np.isfinite(blocks).all():
+            _scan_pruned(blocks, times, alpha, plan, out)
         else:
-            _scan_lags(tile, times, alpha, range(1, N), out)
+            _scan_lags(tile.astype(float, order="C"), times, alpha,
+                       range(1, N), out)
     return best
 
 
@@ -481,34 +483,52 @@ class _BlockPlan:
     """Row-independent layout of the pruned exact scan for N nodes.
 
     Block b holds nodes b*B .. b*B + B - 1, the last block padded by
-    repeating node N - 1 (`nodes`, (nb, B)).  `den` (nb, nb) holds, for
-    I <= J, the smallest span between blocks I and J raised to 2 alpha (1
-    when alpha is 0), and inf below the diagonal, so that dividing by it
-    zeroes the bounds of the pairs I > J; a one-node diagonal block has no
-    pair and an infinite span.
+    repeating node N - 1 (`nodes`, (nb, B)).  A tile of `tile_rows` rows
+    takes its (nb, nb) block-pair bounds in strips of `strip` block rows:
+    all of them at once while one row's nb^2 fit LAG_SCAN_BUDGET, else
+    strips of B block rows, about as many bounds per row as it has nodes.
+    A tile's strip holds at most LAG_SCAN_BUDGET bounds whenever a strip of
+    one row does.
     """
 
     def __init__(self, times, N, alpha):
         B = LAG_SCAN_BLOCK
         self.nb = nb = -(-N // B)
         self.nodes = np.minimum(np.arange(nb * B).reshape(nb, B), N - 1)
-        self.tile_rows = max(1, LAG_SCAN_BUDGET // (nb * nb))
-        upper = np.triu(np.ones((nb, nb), dtype=bool))
-        if alpha == 0:
-            self.den = np.where(upper, 1.0, np.inf)
-            return
-        tb = times[self.nodes]
-        real = self.nodes[:, 1:] != self.nodes[:, :-1]
-        span = tb[None, :, 0] - tb[:, None, -1]
-        np.fill_diagonal(span, np.where(real, np.diff(tb, axis=1),
-                                        np.inf).min(axis=1))
-        span[~upper] = np.inf
-        self.den = span ** (2.0 * alpha)
+        self.strip = nb if nb * nb <= LAG_SCAN_BUDGET else B
+        self.tile_rows = max(1, LAG_SCAN_BUDGET // (self.strip * nb))
+        self.alpha = alpha
+        if alpha != 0:
+            tb = times[self.nodes]
+            real = self.nodes[:, 1:] != self.nodes[:, :-1]
+            self.first, self.last = tb[:, 0].copy(), tb[:, -1].copy()
+            self.inner = np.where(real, np.diff(tb, axis=1), np.inf).min(axis=1)
+        self._whole = None
+        if self.strip == nb:
+            self._whole = self.den(0)
+
+    def den(self, i0):
+        """(strip, nb) divisors of the strip of block rows from i0: for
+        I <= J the smallest span between blocks I and J raised to 2 alpha
+        (1 when alpha is 0), and inf below the diagonal, so that dividing by
+        it zeroes the bounds of the pairs I > J; a one-node diagonal block
+        has no pair and an infinite span.  One strip is made once."""
+        if self._whole is not None:
+            return self._whole
+        I = np.arange(i0, min(i0 + self.strip, self.nb))
+        lower = np.arange(self.nb)[None, :] < I[:, None]
+        if self.alpha == 0:
+            return np.where(lower, np.inf, 1.0)
+        span = self.first[None, :] - self.last[I, None]
+        span[np.arange(len(I)), I] = self.inner[I]
+        span[lower] = np.inf
+        return np.power(span, 2.0 * self.alpha, out=span)
 
 
-def _scan_pruned(tile, times, alpha, plan, out):
+def _scan_pruned(blocks, times, alpha, plan, out):
     """Raise out (rows,) to each row's max over all node pairs, evaluating
-    only the block pairs that can still reach it.
+    only the block pairs that can still reach it, for the padded blocks
+    (d, rows, nb, B) of a tile.
 
     The bound of block pair (I, J) sums, coordinate by coordinate, the
     square of the widest difference the two blocks' min/max boxes allow,
@@ -517,32 +537,47 @@ def _scan_pruned(tile, times, alpha, plan, out):
     dominates every computed pair value of the two blocks up to pow's last
     bit, which the factor 1 + 1e-12 covers.  A block pair whose bound is not
     strictly above a value the row already attains cannot raise its max.
+
+    Strip by strip, each row's LAG_SCAN_TOP highest bounds are evaluated
+    first and raise its best (a pair I > J evaluated there is a pair J, I
+    mirrored), then the strip's pairs whose bound still beats it.  The best
+    only grows, so a pair skipped in an earlier strip cannot reach the
+    final max either.
     """
-    d, rows, _ = tile.shape
-    nb = plan.nb
-    blocks = tile[:, :, plan.nodes]  # (d, rows, nb, B)
+    rows, nb = blocks.shape[1], plan.nb
     lo, hi = blocks.min(axis=3), blocks.max(axis=3)
-    bound = np.empty((rows, nb, nb))
-    wide = np.empty((rows, nb, nb))
-    for k in range(d):
-        np.subtract(hi[k][:, None, :], lo[k][:, :, None], out=wide)
-        np.maximum(wide, wide.swapaxes(1, 2), out=wide)
+    top = LAG_SCAN_TOP
+    row_of = np.repeat(np.arange(rows), top)
+    for i0 in range(0, nb, plan.strip):
+        bound = _strip_bounds(lo, hi, plan, i0)
+        first = np.argpartition(bound, bound.shape[1] - top,
+                                axis=1)[:, -top:].ravel()
+        _eval_block_pairs(blocks, times, alpha, plan, row_of,
+                          first + i0 * nb, out)
+        bound[row_of, first] = 0.0
+        bound *= 1.0 + 1e-12
+        r, pair = np.nonzero(bound > out[:, None])
+        del bound  # before the next strip's bounds are made
+        _eval_block_pairs(blocks, times, alpha, plan, r, pair + i0 * nb, out)
+
+
+def _strip_bounds(lo, hi, plan, i0):
+    """Bounds (rows, strip * nb) of the block pairs (I, J), I in the strip
+    of block rows from i0, for blocks' per-coordinate min/max (d, rows, nb)."""
+    i1 = min(i0 + plan.strip, plan.nb)
+    rows, nb = lo.shape[1], plan.nb
+    bound = np.empty((rows, i1 - i0, nb))
+    wide, other = np.empty_like(bound), np.empty_like(bound)
+    for k in range(len(lo)):
+        np.subtract(hi[k][:, None, :], lo[k][:, i0:i1, None], out=wide)
+        np.subtract(hi[k][:, i0:i1, None], lo[k][:, None, :], out=other)
+        np.maximum(wide, other, out=wide)
         np.multiply(wide, wide, out=bound if k == 0 else wide)
         if k:
             bound += wide
-    del wide
-    bound /= plan.den
-    bound = bound.reshape(rows, nb * nb)
-    # each row's LAG_SCAN_TOP highest bounds first: their values give it a
-    # lower bound (a pair I > J evaluated here is a pair of J, I mirrored)
-    top = LAG_SCAN_TOP
-    first = np.argpartition(bound, nb * nb - top, axis=1)[:, -top:].ravel()
-    row_of = np.repeat(np.arange(rows), top)
-    _eval_block_pairs(blocks, times, alpha, plan, row_of, first, out)
-    bound[row_of, first] = 0.0
-    bound *= 1.0 + 1e-12
-    row_of, pair = np.nonzero(bound > out[:, None])
-    _eval_block_pairs(blocks, times, alpha, plan, row_of, pair, out)
+    del wide, other  # before the divisors are made
+    bound /= plan.den(i0)
+    return bound.reshape(rows, -1)
 
 
 def _eval_block_pairs(blocks, times, alpha, plan, row_of, pair, out):

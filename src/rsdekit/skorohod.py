@@ -69,26 +69,29 @@ class BatchPaths:
 def _advance(domain, X, du):
     """One constrained step from states X (P, d) by increments du (P, d).
 
-    Convex kinds project once.  Nonconvex kinds bisect each row by its own
-    increment norm; sub-step s projects only the rows with more than s
-    sub-steps.
+    Convex kinds, and nonconvex steps with no increment over r0/2, project
+    once.  Otherwise each row over r0/2 is bisected by its own increment
+    norm; sub-step s projects only the rows with more than s sub-steps.
     """
+    Y = X + du
     if domain.convex:
-        Y = X + du
         X, _, tv_inc = domain.project_rows(Y)
         return X, X - Y, tv_inc
     half = 0.5 * domain.r0
     norms = np.sqrt(_sq_norm(du))
-    big = norms > half
-    nsub = np.ones(len(du))
-    nsub[big] = np.ldexp(1.0, np.ceil(np.log2(norms[big] / half)).astype(int))
-    du = du / nsub[:, None]
-    Y = X + du
+    big = (norms > half).nonzero()[0]
+    if not len(big):
+        X, _, tv_inc = domain.project_rows(Y)
+        return X, X - Y, tv_inc
+    nsub = np.ldexp(1.0, np.ceil(np.log2(norms[big] / half)).astype(int))
+    du = du.take(big, axis=0) / nsub[:, None]
+    Y[big] = X.take(big, axis=0) + du
     X, _, tv_inc = domain.project_rows(Y)
     k_inc = X - Y
-    for s in range(1, int(nsub.max(initial=1.0))):
-        rows = np.nonzero(nsub > s)[0]
-        Y = X[rows] + du[rows]
+    for s in range(1, int(nsub.max())):
+        sub = (nsub > s).nonzero()[0]
+        rows = big[sub]
+        Y = X.take(rows, axis=0) + du.take(sub, axis=0)
         Xr, _, dist = domain.project_rows(Y)
         X[rows] = Xr
         k_inc[rows] += Xr - Y

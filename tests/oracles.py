@@ -12,7 +12,7 @@ import numpy as np
 
 from rsdekit.errors import AmbiguousProjection, StartOutsideDomain
 from rsdekit.geometry import AMBIGUITY_RTOL, BOUNDARY_TOL
-from rsdekit.paths import rng_for
+from rsdekit.paths import _sq_norm, rng_for
 
 
 def reflect_half_line(x0, w_values):
@@ -81,6 +81,35 @@ def notched_project_one(dom, y):
         raise AmbiguousProjection("equidistant junction corners")
     x = dom.junctions[0] if d0 < d1 else dom.junctions[1]
     return x, (x - y) / lo, lo
+
+
+def ball_project_rows_reference(dom, Y):
+    """Ball.project_rows as first written: boolean masks, each outside
+    row's v and r gathered once per use."""
+    v = Y - dom.center
+    r = np.sqrt(_sq_norm(v))
+    out = r > dom.radius
+    X = Y.copy()
+    N = np.zeros_like(Y)
+    dist = np.zeros(len(Y))
+    if np.any(out):
+        ro = r[out][:, None]
+        X[out] = dom.center + v[out] * (dom.radius / ro)
+        N[out] = -v[out] / ro
+        dist[out] = r[out] - dom.radius
+    return X, N, dist
+
+
+def box_project_rows_reference(dom, Y):
+    """AxisBox.project_rows as first written, distances by
+    np.linalg.norm."""
+    X = np.clip(Y, dom.low, dom.high)
+    diff = X - Y
+    dist = np.linalg.norm(diff, axis=1)
+    N = np.zeros_like(Y)
+    out = dist > 0
+    N[out] = diff[out] / dist[out][:, None]
+    return X, N, dist
 
 
 def gauss_tail(z):

@@ -6,7 +6,8 @@ from rsdekit import (AmbiguousProjection, AxisBox, Ball, ConvexPolytope,
                      HalfSpace, Membership, NotchedDisc, UnsupportedKind,
                      check_conditions, make_domain)
 
-from oracles import box_project_brute, notched_project_one
+from oracles import (ball_project_rows_reference, box_project_brute,
+                     box_project_rows_reference, notched_project_one)
 
 DISC = Ball([0.0, 0.0], 1.0, c0=0.5)
 HALF = HalfSpace([1.0, 0.0], 0.0)
@@ -153,6 +154,46 @@ class TestProject:
                     assert m is not Membership.EXTERIOR
 
 
+def _rows_with_corners(rng, d, lo, hi):
+    """Random rows around [lo, hi]^d, plus rows on the faces with signed
+    zeros, 1e-170 and 1e-150 beyond them, and exactly at the centre."""
+    Y = rng.uniform(lo - 1.0, hi + 1.0, (3000, d))
+    special = np.array([-0.0, 0.0, lo, hi, -1e-170, 1e-170, -1e-150,
+                        1e-150, hi + 1e-15, lo - 1e-15, 0.5 * (lo + hi)])
+    Y[:1000] = rng.choice(special, (1000, d))
+    return Y
+
+
+def _assert_rows_equal(got, want):
+    # int64 views, so that a sign change of a zero shows as a difference
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+
+
+class TestRowKernelsAsFirstWritten:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_box(self, d):
+        rng = np.random.default_rng(40 + d)
+        box = AxisBox(np.zeros(d), np.linspace(1.0, 2.0, d))
+        Y = _rows_with_corners(rng, d, 0.0, 1.0)
+        for rows in (Y, Y[:1], Y[1500:1501], Y[:0],
+                     np.clip(Y, box.low, box.high)):
+            _assert_rows_equal(box.project_rows(rows),
+                               box_project_rows_reference(box, rows))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ball(self, d):
+        rng = np.random.default_rng(50 + d)
+        ball = Ball(np.full(d, 0.25), 0.75)
+        Y = _rows_with_corners(rng, d, -0.5, 1.0)
+        Y[1000:1100] = ball.boundary_points(100, rng)
+        Y[1100] = ball.center
+        for rows in (Y, Y[:1], Y[1050:1051], Y[:0], Y[1100:1101]):
+            _assert_rows_equal(ball.project_rows(rows),
+                               ball_project_rows_reference(ball, rows))
+
+
 class TestNotched:
     def test_membership(self):
         assert NOTCHED.contains([0.5, 0.1])[0] is Membership.EXTERIOR
@@ -188,19 +229,56 @@ class TestNotched:
         gap = rng.uniform([c[0] - rho, -0.6], [c[0] + rho, 0.0], (3000, 2))
         return np.vstack([rng.uniform(-0.6, 1.6, (8000, 2)), notch, gap])
 
-    def test_project_rows_matches_scalar_reference(self):
-        Y = self._batch(31)
-        X, N, dist = NOTCHED.project_rows(Y)
+    @staticmethod
+    def _assert_matches_scalar_reference(Y):
+        got = NOTCHED.project_rows(Y)
         ref = [notched_project_one(NOTCHED, y) for y in Y]
-        for got, want in zip((X, N, dist), zip(*ref)):
-            np.testing.assert_array_equal(got.view(np.int64),
+        for g, want in zip(got, zip(*ref)):
+            np.testing.assert_array_equal(g.view(np.int64),
                                           np.array(want).view(np.int64))
+        return got
+
+    # rows on the faces with a signed zero coordinate, exactly on the faces,
+    # the arc and the junctions, one ulp either side of a junction, and
+    # outside by one ulp or by a signed zero
+    CORNERS = np.array(
+        [[-0.0, 0.5], [0.0, 0.5], [0.1, -0.0], [0.1, 0.0], [-0.0, -0.0],
+         [0.9, -0.0], [1.0, -0.0], [-0.0, 1.0], [-1e-3, -0.0], [-0.0, -1e-3],
+         [0.5, 1.2], [-0.0, 1.2], [1.3, -0.0], [0.2, -1e-3], [0.0, 0.3],
+         [1.0, 0.3], [0.4, 1.0], [0.85, 0.0], [0.0, 0.0], [1.0, 1.0],
+         [0.3, 0.0], [0.7, 0.0], [0.3, -0.0], [0.7, -0.0], [0.5, 0.2],
+         [np.nextafter(0.3, 0.0), 0.0], [np.nextafter(0.3, 1.0), 0.0],
+         [np.nextafter(0.7, 1.0), -0.0], [np.nextafter(0.7, 0.0), -0.0],
+         [0.3, 5e-324], [0.7, 5e-324], [0.3, -5e-324], [0.62, -0.0],
+         [np.nextafter(0.0, -1.0), 0.5], [np.nextafter(1.0, 2.0), 0.5],
+         [0.5 + 0.2 * np.cos(1.0), 0.2 * np.sin(1.0)],
+         [0.5 - 0.2 * np.cos(0.3), 0.2 * np.sin(0.3)]])
+    # 1e-170 beyond a face at 0 squares to 0, so these count as in the box
+    # and stay where they are; 1e-150 squares to 1e-300 and is projected
+    UNDERFLOW = np.array([[-1e-170, 0.5], [0.1, -1e-170], [-1e-170, -1e-170],
+                          [0.9, -1e-170], [-1e-170, 1.0], [-1e-150, 0.5],
+                          [0.1, -1e-150], [0.45, -1e-170]])
+
+    def test_project_rows_matches_scalar_reference(self):
+        Y = np.vstack([self._batch(31), self.CORNERS, self.UNDERFLOW])
+        X, N, dist = self._assert_matches_scalar_reference(Y)
+        under = dist[-len(self.UNDERFLOW):]
+        assert np.all(under[:5] == 0.0) and np.all(under[5:] > 0.0)
         # every case of the projection is exercised
         in_box = np.all((Y >= NOTCHED.low) & (Y <= NOTCHED.high), axis=1)
         below_gap = (np.abs(Y[:, 0] - NOTCHED.c[0]) < NOTCHED.rho) & (Y[:, 1] < 0)
         counts = [np.sum(in_box & (dist == 0)), np.sum(in_box & (dist > 0)),
                   np.sum(~in_box & ~below_gap), np.sum(below_gap)]
         assert min(counts) > 100, counts
+
+    def test_project_rows_all_in_box_all_outside_one_row(self):
+        Y = self._batch(33)
+        in_box = np.all((Y >= NOTCHED.low) & (Y <= NOTCHED.high), axis=1)
+        for rows in (Y[in_box], Y[~in_box], Y[:1], Y[~in_box][:1],
+                     self.CORNERS[:1], self.UNDERFLOW[-1:], Y[:0]):
+            self._assert_matches_scalar_reference(rows)
+        X, N, dist = NOTCHED.project_rows(Y[in_box & (Y[:, 1] > 0.5)])
+        assert np.all(dist == 0.0) and np.all(N == 0.0)
 
     @pytest.mark.parametrize("bad", [[0.5, 0.0], [0.5, -0.3]],
                              ids=["notch_center", "junction_tie"])

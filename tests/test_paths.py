@@ -11,6 +11,7 @@ from rsdekit import (Control, GridMismatch, SamplePath, TubeTooNarrow,
                      levy_functionals, levy_sup, linear_control,
                      refine_bridge, sample_brownian, sup_norm, tube_sample,
                      zero_control)
+from rsdekit import montecarlo as mc
 from rsdekit.montecarlo import brownian_batch
 from rsdekit import paths as pth
 from rsdekit.paths import (_sq_norm, dyadic_lags, holder_seminorm_batch,
@@ -405,21 +406,38 @@ class TestExactScanBits:
         assert np.array_equal(lag_scan_sq(t, v, alpha),
                               lag_scan_sq_reference(t, v, alpha))
 
-    @pytest.mark.parametrize("P, N", [(64, 4096), (1024, 257)])
+    @pytest.mark.parametrize("P, N", [(64, 4096), (1024, 257), (16, 4096),
+                                      (1, 4096)])
     def test_memory_within_twice_reference(self, P, N):
         rng = np.random.default_rng(P)
         t = np.linspace(0.0, 1.0, N)
         v = _walk(rng, P, N, 2)
-        peaks = []
+        peaks, got = [], []
         for scan in (lag_scan_sq_reference, lag_scan_sq):
             tracemalloc.start()
             try:
-                got = scan(t, v, 0.2)
+                got.append(scan(t, v, 0.2))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert got.shape == (P,)
+        assert np.array_equal(got[1], got[0])
         assert peaks[1] <= 2 * peaks[0]
+
+    @pytest.mark.parametrize("N", [65, 100, 257])
+    def test_bounds_in_strips(self, N, monkeypatch):
+        # a budget below one row's nb^2 bounds takes them in strips of
+        # LAG_SCAN_BLOCK block rows, the last one short
+        monkeypatch.setattr(pth, "LAG_SCAN_BUDGET", 64)
+        nb = -(-N // pth.LAG_SCAN_BLOCK)
+        plan = pth._BlockPlan(np.linspace(0.0, 1.0, N), N, 0.2)
+        assert plan.strip == pth.LAG_SCAN_BLOCK < nb
+        rng = np.random.default_rng(N)
+        t = _grid("nonuniform", N, rng)
+        for v in (_walk(rng, 3, N, 2), _walk(rng, 1, N, 1),
+                  np.stack([t, -t], axis=1)[None], np.zeros((2, N, 3))):
+            for alpha in (0.0, 0.2, 0.5):
+                assert np.array_equal(lag_scan_sq(t, v, alpha),
+                                      lag_scan_sq_reference(t, v, alpha))
 
 
 class TestSqNorm:
@@ -435,6 +453,26 @@ class TestSqNorm:
             for rows in (V, V[::3], np.repeat(V[:, None], 3, axis=1)[:, 1]):
                 assert np.array_equal(np.sqrt(_sq_norm(rows)),
                                       np.linalg.norm(rows, axis=1))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sup_distance_of_path_batches(self, d):
+        # (P, N, d) against (N, d) and (P, N, d), as _sup_dist takes them;
+        # one row holds a NaN, one path is all zeros
+        rng = np.random.default_rng(10 + d)
+        A = rng.standard_normal((37, 65, d)) * 10.0 ** rng.integers(
+            -8, 8, (37, 65, d))
+        A[3, 7, 0] = np.nan
+        A[5] = 0.0
+        A[6, ::5] = 1e-200
+        for B in (np.zeros((65, d)), rng.standard_normal((65, d)),
+                  rng.standard_normal((37, 65, d)), A[:, ::-1]):
+            norms = np.linalg.norm(A - B, axis=-1)
+            assert np.array_equal(np.sqrt(_sq_norm(A - B)), norms,
+                                  equal_nan=True)
+            want = np.max(norms, axis=-1)
+            got = mc._sup_dist(A, B)
+            assert np.isnan(got[3]) and np.isnan(want[3])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestLevy:

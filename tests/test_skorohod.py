@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rsdekit import (BV_COMPARISON_BOUND, Ball, HalfSpace, SamplePath,
-                     StartOutsideDomain, dyadic_grid, sample_brownian, solve,
-                     verify_bv_comparison, verify_tv_bound)
+from rsdekit import (BV_COMPARISON_BOUND, Ball, HalfSpace, NotchedDisc,
+                     SamplePath, StartOutsideDomain, dyadic_grid,
+                     sample_brownian, solve, verify_bv_comparison,
+                     verify_tv_bound)
 from rsdekit import paths as pth
 from rsdekit import skorohod
 from rsdekit.skorohod import solve_batch
 
-from oracles import lag_scan_sq_reference, reflect_half_line
+from oracles import (advance_reference, lag_scan_sq_reference,
+                     reflect_half_line)
 
 HALF_LINE = HalfSpace([1.0], 0.0)
 DISC = Ball([0.0, 0.0], 1.0)
@@ -128,6 +130,33 @@ class TestSolve:
             single = solve(DISC, w, x0=[0.0, 0.0])
             assert np.array_equal(batch.x[j], single.x.values)
             assert np.array_equal(batch.tv[j], single.tv)
+
+
+class TestAdvanceNonconvex:
+    """The nonconvex step against the step as first written, bit for bit."""
+
+    @pytest.mark.parametrize("scale", [0.05, 0.7, "mixed"])
+    def test_matches_reference_step(self, scale):
+        # r0/2 is 0.1: increments of norm 0.05 are never cut, norm 0.7 are
+        # cut into 8, and the mixed batch has rows of 1, 2, 4 and 8 sub-steps
+        rng = np.random.default_rng(61)
+        dom = NotchedDisc()
+        X = dom.interior_points(600, rng)
+        X[:100] = dom.boundary_points(100, rng)
+        angle = rng.uniform(0.0, 2.0 * np.pi, len(X))
+        if scale == "mixed":
+            norm = rng.choice([0.0, 0.05, 0.1, 0.15, 0.3, 0.7], len(X))
+        else:
+            norm = np.full(len(X), scale)
+        du = norm[:, None] * np.stack([np.cos(angle), np.sin(angle)], 1)
+        du_strided = np.repeat(du, 2, axis=0)[::2]
+        X0, du0 = X.copy(), du.copy()
+        for rows in (slice(None), slice(7, 8)):
+            got = skorohod._advance(dom, X[rows], du_strided[rows])
+            want = advance_reference(dom, X0[rows], du0[rows])
+            for g, w in zip(got, want):
+                assert np.array_equal(g.view(np.int64), w.view(np.int64))
+        assert np.array_equal(X, X0) and np.array_equal(du_strided, du0)
 
 
 class TestTVBound:
