@@ -1,8 +1,8 @@
 """Domain descriptors: membership, nearest-point projection, inward normal cones.
 
 Every domain kind supports a signed distance estimate (negative inside,
-positive outside), batched nearest-point projection returning the unit
-inward push direction, and sampled numerical verification of the boundary
+positive outside), batched nearest-point projection returning the push
+onto the closure, and sampled numerical verification of the boundary
 regularity conditions used by the reflected integrators:
 
   (A)  uniform exterior sphere of radius r0,
@@ -87,8 +87,8 @@ class Domain:
     def project_rows(self, Y):
         """Nearest points on the closure for each row of Y.
 
-        Returns (X, N, dist): projected points, unit inward normals
-        (zero rows for points already in the closure), distances.
+        Returns (X, K, dist): projected points, the pushes K = X - Y
+        (zero rows for finite points already in the closure), distances.
         """
         raise NotImplementedError
 
@@ -125,11 +125,13 @@ class Domain:
     def project(self, y):
         """Nearest point of the closure, unit inward normal, and distance.
 
-        Points already in the closure map to themselves with a zero normal.
+        Points already in the closure map to themselves with a zero normal;
+        otherwise the normal is the push divided by the distance.
         """
         y = np.asarray(y, dtype=float)
-        X, N, dist = self.project_rows(y[None, :])
-        return X[0], N[0], float(dist[0])
+        X, K, dist = self.project_rows(y[None, :])
+        dist = float(dist[0])
+        return X[0], K[0] / dist if dist > 0 else np.zeros_like(K[0]), dist
 
     def normal_at(self, x, hint=None):
         """A unit inward normal at a boundary point.
@@ -214,8 +216,7 @@ class HalfSpace(Domain):
         s = Y.dot(self.normal) - self.offset
         dist = np.maximum(-s, 0.0)
         X = Y + dist[:, None] * self.normal
-        N = np.where((dist > 0)[:, None], self.normal, 0.0)
-        return X, N, dist
+        return X, X - Y, dist
 
     def boundary_points(self, n, rng):
         d = self.dim
@@ -267,14 +268,12 @@ class Ball(Domain):
         r = np.sqrt(_sq_norm(v))
         out = (r > self.radius).nonzero()[0]
         X = Y.copy()
-        N = np.zeros(Y.shape)
         dist = np.zeros(len(Y))
         if len(out):
             vo, ro = v.take(out, axis=0), r[out]
             X[out] = self.center + vo * (self.radius / ro)[:, None]
-            N[out] = -vo / ro[:, None]
             dist[out] = ro - self.radius
-        return X, N, dist
+        return X, X - Y, dist
 
     def boundary_points(self, n, rng):
         v = rng.standard_normal((n, self.dim))
@@ -328,13 +327,8 @@ class AxisBox(Domain):
 
     def project_rows(self, Y):
         X = np.clip(Y, self.low, self.high)
-        diff = X - Y
-        dist = np.sqrt(_sq_norm(diff))
-        N = np.zeros(Y.shape)
-        out = (dist > 0).nonzero()[0]
-        if len(out):
-            N[out] = diff.take(out, axis=0) / dist[out, None]
-        return X, N, dist
+        K = X - Y
+        return X, K, np.sqrt(_sq_norm(K))
 
     def boundary_points(self, n, rng):
         d = self.dim
@@ -406,17 +400,13 @@ class ConvexPolytope(Domain):
 
     def project_rows(self, Y):
         X = Y.copy()
-        N = np.zeros_like(Y)
         dist = np.zeros(len(Y))
         slack = Y @ self.A.T - self.b
         out_idx = np.nonzero(np.max(slack, axis=1) > 0)[0]
         for i in out_idx:
             X[i] = self._project_one(Y[i])
-            d = np.linalg.norm(X[i] - Y[i])
-            dist[i] = d
-            if d > 0:
-                N[i] = (X[i] - Y[i]) / d
-        return X, N, dist
+            dist[i] = np.linalg.norm(X[i] - Y[i])
+        return X, X - Y, dist
 
     def _project_one(self, y):
         m, d = self.A.shape
@@ -573,7 +563,6 @@ class NotchedDisc(Domain):
     def project_rows(self, Y):
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         X = Y.copy()
-        N = np.zeros(Y.shape)
         dist = np.zeros(len(Y))
         # column by column: numpy runs 1-d operations several times faster
         # than a 2-vector broadcast against rows, or a gather or scatter of
@@ -584,14 +573,12 @@ class NotchedDisc(Domain):
         (l0, l1), (h0, h1), (c0, c1) = self.low, self.high, self.c
         y0, y1 = Y.T
         x0, x1 = X.T
-        n0, n1 = N.T
         e0 = np.maximum(np.maximum(l0 - y0, y0 - h0), 0.0)
         e1 = np.maximum(np.maximum(l1 - y1, y1 - h1), 0.0)
         excess = e0 * e0 + e1 * e1
         v0, v1 = y0 - c0, y1 - c1
         r = np.sqrt(v0 * v0 + v1 * v1)
-        # inside the box but in the notch: radial push onto the arc, whose
-        # inward normal points away from c
+        # inside the box but in the notch: radial push onto the arc
         notch = ((excess == 0.0) & (r < self.rho)).nonzero()[0]
         if len(notch):
             rn = r[notch]
@@ -600,11 +587,10 @@ class NotchedDisc(Domain):
                     "projection from the notch center is direction-free")
             a0, a1, s = v0[notch], v1[notch], self.rho / rn
             x0[notch], x1[notch] = c0 + a0 * s, c1 + a1 * s
-            n0[notch], n1[notch] = a0 / rn, a1 / rn
             dist[notch] = self.rho - rn
         out = excess.nonzero()[0]
         if not len(out):
-            return X, N, dist
+            return X, X - Y, dist
         # outside the box: clamp, unless that lands in the notch gap; the
         # distances go through _row_norms, as np.linalg.norm of one row
         y = Y.take(out, axis=0)
@@ -615,14 +601,10 @@ class NotchedDisc(Domain):
             rows, yf, clamp = out[face], y[face], clamp[face]
         else:
             rows, yf = out, y
-        push = clamp - yf
-        d = _row_norms(push)
-        push /= d[:, None]
         x0[rows], x1[rows] = clamp.T
-        n0[rows], n1[rows] = push.T
-        dist[rows] = d
+        dist[rows] = _row_norms(clamp - yf)
         if not gap:
-            return X, N, dist
+            return X, X - Y, dist
         # clamped point landed in the notch gap: junction corners compete
         rows, y = out[~face], y[~face]
         d0 = _row_norms(y - self.junctions[0])
@@ -632,8 +614,8 @@ class NotchedDisc(Domain):
             raise AmbiguousProjection(
                 "two junction corners are equidistant within tolerance")
         x = np.where((d0 < d1)[:, None], self.junctions[0], self.junctions[1])
-        X[rows], N[rows], dist[rows] = x, (x - y) / lo[:, None], lo
-        return X, N, dist
+        X[rows], dist[rows] = x, lo
+        return X, X - Y, dist
 
     def boundary_points(self, n, rng):
         widths = self.high - self.low

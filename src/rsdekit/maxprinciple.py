@@ -73,11 +73,10 @@ def reachable_sample(domain, coeffs, x, n_controls, horizon, seed,
     slopes, t0 = _random_controls(coeffs.d1, int(n_controls), float(horizon),
                                   int(segments), float(slope_max), int(seed))
     grid = np.linspace(0.0, float(horizon), int(segments) * 8 + 1)
-    batch, _ = rsde.skeleton_batch(domain, coeffs, grid,
-                                   rsde.expand_cell_slopes(slopes, grid,
-                                                           float(horizon)),
-                                   np.broadcast_to(x, (len(slopes), x.size)).copy(),
-                                   substeps)
+    batch = rsde.skeleton_batch(
+        domain, coeffs, grid,
+        rsde.expand_cell_slopes(slopes, grid, float(horizon)),
+        np.broadcast_to(x, (len(slopes), x.size)).copy(), substeps)
     # endpoint at the per-control horizon: nearest grid node at or before t0
     idx = np.minimum(np.searchsorted(grid, t0, side="right") - 1, len(grid) - 1)
     idx[0] = 0
@@ -88,7 +87,7 @@ def reachable_sample(domain, coeffs, x, n_controls, horizon, seed,
 
 def _submartingale_chunk(c):
     # marginals only: u is applied by the caller, which keeps u arbitrary
-    return {"marginals": c.euler().x[:, c.eval_idx, :]}
+    return {"marginals": c.euler().x.take(c.eval_idx, axis=1)}
 
 
 def submartingale_test(domain, coeffs, u, x, time_grid, paths, seed,

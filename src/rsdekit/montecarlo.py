@@ -243,7 +243,7 @@ class PathChunk:
     def euler(self):
         """Reflected-Euler solution of these paths: the reference solve."""
         return rsde.euler_reflected_batch(self.domain, self.coeffs, self.times,
-                                          np.diff(self.W, axis=1), self.x0)[0]
+                                          np.diff(self.W, axis=1), self.x0)
 
 
 def _path_chunk(lo, hi, payload):
@@ -295,8 +295,8 @@ def _wz_chunk(c):
         if mult == 2 and not c.check_substeps:
             continue
         # all levels in one batch, rows level-major
-        batch, _ = rsde.wong_zakai_batch(c.domain, c.coeffs, c.times, c.W,
-                                         c.levels, c.substeps * mult, c.x0)
+        batch = rsde.wong_zakai_batch(c.domain, c.coeffs, c.times, c.W,
+                                      c.levels, c.substeps * mult, c.x0)
         for n, x in zip(c.levels, np.split(batch.x, len(c.levels))):
             out[(tag, n)] = _sup_dist(ref.x, x)
             if mult == 1:
@@ -310,7 +310,7 @@ def _wz_chunk(c):
         p0 = pth.SamplePath(c.times, c.W[0])
         for n in c.levels:
             nodes = pth.dyadic_grid(c.times[-1], n)
-            idx = [p0.node_index(t) for t in nodes]
+            idx = pth.node_indices(c.times, nodes)
             crn_ok &= bool(np.array_equal(p0.restrict(nodes).values,
                                           c.W[0][idx]))
     out["crn_ok"] = np.array([crn_ok])
@@ -383,15 +383,15 @@ def wz_convergence(domain, coeffs, x0, T, levels, paths, seed, substeps=4,
 
 
 def _skeleton_chunk(c):
-    batch, _ = rsde.shifted_driver_batch(c.domain, c.coeffs, c.times, c.W,
-                                         c.levels, c.h, c.x0)
+    batch = rsde.shifted_driver_batch(c.domain, c.coeffs, c.times, c.W,
+                                      c.levels, c.h, c.x0)
     out = {}
     for n, x in zip(c.levels, np.split(batch.x, len(c.levels))):
         diff = x - c.Z[None]
         out[("supsq", n)] = np.max(np.sum(diff ** 2, axis=2), axis=1)
         # one row per chunk: the chunk's sum over its paths
         out[("nodesq_sum", n)] = np.sum(
-            np.sum(diff[:, c.node_idx[n]] ** 2, axis=2), axis=0)[None]
+            np.sum(diff[:, c.node_idx[n]] ** 2, axis=2), axis=0, keepdims=True)
     return out
 
 
@@ -406,8 +406,7 @@ def skeleton_convergence(domain, coeffs, x0, T, h, levels, paths, seed,
     times = pth.dyadic_grid(T, nf)
     Zsol = rsde.skeleton(domain, coeffs, h, substeps, np.atleast_1d(x0),
                          grid=times)
-    ref = pth.SamplePath(times, np.zeros((len(times), 1)))
-    node_idx = {n: [ref.node_index(t) for t in pth.dyadic_grid(T, n)]
+    node_idx = {n: pth.node_indices(times, pth.dyadic_grid(T, n))
                 for n in levels}
     res = run_paths(_skeleton_chunk, paths, workers, domain, coeffs, times, x0,
                     seed, h, levels=levels, Z=Zsol.x.values, node_idx=node_idx)
@@ -649,7 +648,8 @@ def moment_scaling(domain, coeffs, x0, windows, p, paths, seed, workers=1,
 
 
 def _tail_chunk(c):
-    return {"kT": c.euler().tv[:, -1]}
+    # a copy: a view would keep the chunk's whole tv alive
+    return {"kT": c.euler().tv[:, -1].copy()}
 
 
 def exp_tail(domain, coeffs, x0, T, paths, seed, grid_level=9, workers=1,
@@ -894,17 +894,16 @@ def regulator_conditional(domain, coeffs, x0, T, deltas, c3, paths, seed,
 
 
 def _holder_chunk(c):
-    batch, _ = rsde.wong_zakai_batch(c.domain, c.coeffs, c.times, c.W,
-                                     c.levels, c.substeps, c.x0)
-    hol = np.split(pth.holder_seminorm_batch(c.times, batch.x, c.theta),
-                   len(c.levels))
-    out = dict(zip(c.levels, hol))
+    batch = rsde.wong_zakai_batch(c.domain, c.coeffs, c.times, c.W,
+                                  c.levels, c.substeps, c.x0)
+    # one scan per level (rows scan alone), so no result is a view
+    out = {n: pth.holder_seminorm_batch(c.times, x, c.theta)
+           for n, x in zip(c.levels, np.split(batch.x, len(c.levels)))}
     if c.h is not None:
-        shifted, _ = rsde.shifted_driver_batch(c.domain, c.coeffs, c.times,
-                                               c.W, c.levels, c.h, c.x0)
-        hol = np.split(pth.holder_seminorm_batch(c.times, shifted.x, c.theta),
-                       len(c.levels))
-        out.update(zip((("shifted", n) for n in c.levels), hol))
+        shifted = rsde.shifted_driver_batch(c.domain, c.coeffs, c.times,
+                                            c.W, c.levels, c.h, c.x0)
+        for n, x in zip(c.levels, np.split(shifted.x, len(c.levels))):
+            out["shifted", n] = pth.holder_seminorm_batch(c.times, x, c.theta)
     return out
 
 
@@ -966,8 +965,8 @@ def holder_tightness(domain, coeffs, x0, T, theta, levels, paths, seed,
 def _forward_chunk(c):
     # the skeleton of a path's adapted control H_n is its level-n
     # Wong-Zakai solution
-    batch, _ = rsde.wong_zakai_batch(c.domain, c.coeffs, c.times, c.W, c.n,
-                                     c.substeps, c.x0)
+    batch = rsde.wong_zakai_batch(c.domain, c.coeffs, c.times, c.W, c.n,
+                                  c.substeps, c.x0)
     return {"dist": _sup_dist(c.euler().x, batch.x)}
 
 

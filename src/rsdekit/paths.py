@@ -19,11 +19,13 @@ from .errors import GridMismatch, TubeTooNarrow
 HOLDER_EXACT_LIMIT = 4096
 LAG_SCAN_TILE = 64
 # pruned exact lag scan: nodes per block, fewest blocks worth pruning,
-# block pairs evaluated first per row, elements per tile-sized array
+# block pairs evaluated first per row, elements per tile-sized array, and
+# the longest rows whose bounds a scan of few rows takes whole (_BlockPlan)
 LAG_SCAN_BLOCK = 8
 LAG_SCAN_MIN_BLOCKS = 4
 LAG_SCAN_TOP = 4
 LAG_SCAN_BUDGET = 1 << 16
+LAG_SCAN_WHOLE_NODES = 512
 TUBE_SLAB = 16
 TUBE_SAMPLE_BLOCK = 256
 
@@ -157,15 +159,11 @@ class SamplePath:
         return out[0] if scalar else out
 
     def node_index(self, t, tol=1e-12):
-        i = int(np.searchsorted(self.times, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(self.times) and abs(self.times[j] - t) <= tol:
-                return j
-        raise GridMismatch(f"t={t!r} is not a grid node")
+        return int(node_indices(self.times, [t], tol)[0])
 
     def restrict(self, times, tol=1e-12):
         """Restriction to a subset grid; every requested time must be a node."""
-        idx = [self.node_index(t, tol) for t in np.asarray(times, dtype=float)]
+        idx = node_indices(self.times, times, tol)
         return SamplePath(self.times[idx], self.values[idx], self.interpolation)
 
     def to_csv(self, fileobj):
@@ -174,6 +172,20 @@ class SamplePath:
         for t, row in zip(self.times, self.values):
             cells = [format(t, ".17g")] + [format(v, ".17g") for v in row]
             fileobj.write(",".join(cells) + "\n")
+
+
+def node_indices(grid, times, tol=1e-12):
+    """Index in `grid` of each of `times` (1-d): the first of the nodes
+    before, at and after its sorted position within tol, as node_index
+    finds it.  Raises GridMismatch for the first time that is no node."""
+    t = np.asarray(times, dtype=float)
+    around = np.clip(np.searchsorted(grid, t) + np.arange(-1, 2)[:, None], 0,
+                     len(grid) - 1)
+    near = np.abs(grid[around] - t) <= tol
+    bad = (~near.any(axis=0)).nonzero()[0]
+    if len(bad):
+        raise GridMismatch(f"t={t[bad[0]]!r} is not a grid node")
+    return around[near.argmax(axis=0), np.arange(len(t))]
 
 
 @dataclass(frozen=True)
@@ -308,7 +320,7 @@ def dyadic_grid(T, n):
 def _dyadic_indices(w, n, T):
     nodes = dyadic_grid(T, n)
     try:
-        return np.array([w.node_index(t) for t in nodes]), nodes
+        return node_indices(w.times, nodes), nodes
     except GridMismatch as exc:
         raise GridMismatch(
             f"driver grid lacks level-{n} dyadic nodes on [0, {T}]") from exc
@@ -362,9 +374,10 @@ def control_from_path(w, n, T):
 
 
 def _sq_norm(D):
-    """|D|^2 over the last axis, coordinates summed in order as
-    np.linalg.norm sums them, so np.sqrt of it has norm(D, axis=-1)'s bits
-    at a fraction of its cost on short rows (the step loop's row norms)."""
+    """|D|^2 over the last axis, coordinates summed left to right, so a
+    row's bits depend on that row alone.  Below 8 coordinates np.sqrt of it
+    has np.linalg.norm's bits at a fraction of its cost on short rows (the
+    step loop's row norms); from 8 numpy's order depends on the layout."""
     sq = D[..., 0] * D[..., 0]
     for k in range(1, D.shape[-1]):
         sq += D[..., k] * D[..., k]
@@ -441,7 +454,7 @@ def lag_scan_sq(times, values, alpha, lags=None):
         _scan_lags(np.moveaxis(values, 2, 0).astype(float, order="C"), times,
                    alpha, range(1, N) if lags is None else lags, best)
         return best
-    plan = _BlockPlan(times, N, alpha)
+    plan = _BlockPlan(times, P, N, alpha)
     for p0 in range(0, P, plan.tile_rows):
         tile = np.moveaxis(values[p0:p0 + plan.tile_rows], 2, 0)
         blocks = tile[:, :, plan.nodes].astype(float, copy=False)
@@ -480,22 +493,24 @@ def _scan_lags(axes, times, alpha, lags, best):
 
 
 class _BlockPlan:
-    """Row-independent layout of the pruned exact scan for N nodes.
+    """Layout of the pruned exact scan of P rows of N nodes.
 
     Block b holds nodes b*B .. b*B + B - 1, the last block padded by
     repeating node N - 1 (`nodes`, (nb, B)).  A tile of `tile_rows` rows
     takes its (nb, nb) block-pair bounds in strips of `strip` block rows:
-    all of them at once while one row's nb^2 fit LAG_SCAN_BUDGET, else
-    strips of B block rows, about as many bounds per row as it has nodes.
-    A tile's strip holds at most LAG_SCAN_BUDGET bounds whenever a strip of
-    one row does.
+    all at once while one row's nb^2 fit LAG_SCAN_BUDGET and the scan has
+    LAG_SCAN_TILE rows or rows of at most LAG_SCAN_WHOLE_NODES (below
+    LAG_SCAN_TILE rows the all-lags loop's buffers shrink, whole bounds do
+    not), else strips of B block rows, about as many bounds per row as it
+    has nodes.  Strips only order the work; each row's bits are its own.
     """
 
-    def __init__(self, times, N, alpha):
+    def __init__(self, times, P, N, alpha):
         B = LAG_SCAN_BLOCK
         self.nb = nb = -(-N // B)
         self.nodes = np.minimum(np.arange(nb * B).reshape(nb, B), N - 1)
-        self.strip = nb if nb * nb <= LAG_SCAN_BUDGET else B
+        whole = P >= LAG_SCAN_TILE or N <= LAG_SCAN_WHOLE_NODES
+        self.strip = nb if nb * nb <= LAG_SCAN_BUDGET and whole else B
         self.tile_rows = max(1, LAG_SCAN_BUDGET // (self.strip * nb))
         self.alpha = alpha
         if alpha != 0:

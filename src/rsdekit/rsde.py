@@ -128,11 +128,19 @@ def _sin_family(d, d1, params):
     amp = float(params.get("amp", 0.25))
     freq = float(params.get("freq", 1.0))
 
+    # in place on the one fresh array freq * X
     def sigma(X):
-        return _diagonal(base + amp * np.sin(freq * np.asarray(X, dtype=float)), 2)
+        v = freq * np.asarray(X, dtype=float)
+        np.sin(v, out=v)
+        v *= amp
+        v += base
+        return _diagonal(v, 2)
 
     def jac(X):
-        return _diagonal(amp * freq * np.cos(freq * np.asarray(X, dtype=float)), 3)
+        v = freq * np.asarray(X, dtype=float)
+        np.cos(v, out=v)
+        v *= amp * freq
+        return _diagonal(v, 3)
 
     return sigma, jac
 
@@ -235,7 +243,15 @@ def _broadcast_start(x0, P, d):
     return np.tile(x0, (P // len(x0), 1))
 
 
-def euler_reflected_batch(domain, coeffs, times, dW, x0):
+def _rows_dot(S, v):
+    """Per-row S v for S (P, d, d1), v (P, d1) with the einsum's bits; at
+    d1 = 1 one product, + 0.0 as the einsum's sum from zero adds it."""
+    if S.shape[-1] == 1:
+        return S[..., 0] * v + 0.0
+    return np.einsum("pik,pk->pi", S, v)
+
+
+def euler_reflected_batch(domain, coeffs, times, dW, x0, pushes=False):
     """Projected Euler for the reflected diffusion, P paths at once.
 
     Per step: y = X + sigma(X) dW + btilde(X) dt, then project.  dW has
@@ -248,30 +264,30 @@ def euler_reflected_batch(domain, coeffs, times, dW, x0):
 
     def inc(i, X):
         S = coeffs.sigma_at(X)
-        du = np.einsum("pik,pk->pi", S, dW[:, i])
-        return du + btilde(coeffs, X, S) * dt[i]
+        return _rows_dot(S, dW[:, i]) + btilde(coeffs, X, S) * dt[i]
 
-    x, k, tv, pushes = drive_batch(domain, times, x0, inc)
-    return BatchPaths(times, x, k, tv), pushes
+    return BatchPaths(times, *drive_batch(domain, times, x0, inc,
+                                          pushes=pushes))
 
 
 def euler_reflected(domain, coeffs, w, x0):
     """Reflected Ito-Euler solution (X, K, tv) driven by a sampled path."""
-    batch, pushes = euler_reflected_batch(
-        domain, coeffs, w.times, np.diff(w.values, axis=0)[None], x0)
-    return batch.single(0, pushes[0])
+    return euler_reflected_batch(domain, coeffs, w.times,
+                                 np.diff(w.values, axis=0)[None], x0,
+                                 pushes=True).single(0)
 
 
 def _refined_grid(grid, substeps):
+    """grid with each cell cut as np.linspace(endpoint=False) cuts it."""
     grid = np.asarray(grid, dtype=float)
     if substeps <= 1:
         return grid
-    pieces = [np.linspace(grid[i], grid[i + 1], substeps, endpoint=False)
-              for i in range(len(grid) - 1)]
-    return np.concatenate(pieces + [grid[-1:]])
+    cells = np.linspace(grid[:-1], grid[1:], substeps, endpoint=False, axis=1)
+    return np.concatenate([cells.ravel(), grid[-1:]])
 
 
-def _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps):
+def _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
+                        pushes=False):
     """Projected explicit Euler for dx = sigma(x) hdot dt + b(x) dt.
 
     slopes gives the piecewise-constant driver derivative per cell of the
@@ -293,14 +309,11 @@ def _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps):
     def inc(i, X):
         s = slopes[:, cell[i]] if per_path else slopes[cell[i]]
         S = coeffs.sigma_at(X)
-        if per_path:
-            du = np.einsum("pik,pk->pi", S, s)
-        else:
-            du = S @ s
+        du = _rows_dot(S, s) if per_path else S @ s
         return (du + coeffs.b_at(X)) * dt[i]
 
-    x, k, tv, pushes = drive_batch(domain, refined, x0, inc, stride=substeps)
-    return BatchPaths(grid, x, k, tv), pushes
+    return BatchPaths(grid, *drive_batch(domain, refined, x0, inc,
+                                         stride=substeps, pushes=pushes))
 
 
 def skeleton(domain, coeffs, h, substeps, x0, grid=None):
@@ -312,11 +325,9 @@ def skeleton(domain, coeffs, h, substeps, x0, grid=None):
     if grid is None:
         grid = h.times
     grid = np.asarray(grid, dtype=float)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    slopes = h.slope_at(mids)
-    batch, pushes = _bv_integrate_batch(domain, coeffs, grid, slopes, x0,
-                                        substeps)
-    return batch.single(0, pushes[0])
+    slopes = h.slope_at(0.5 * (grid[:-1] + grid[1:]))
+    return _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
+                               pushes=True).single(0)
 
 
 def skeleton_batch(domain, coeffs, grid, slopes, x0, substeps):
@@ -344,20 +355,18 @@ def _adapted_slopes(times, W, levels, T=None):
     times = np.asarray(times, dtype=float)
     T = float(times[-1]) if T is None else float(T)
     grid = times[times <= T + 1e-12]
-    ref = pth.SamplePath(times, np.zeros((len(times), 1)))
     out = []
     for n in np.atleast_1d(levels):
-        cells = 2 ** int(n)
-        delta = T / cells
-        idx = np.array([ref.node_index(t) for t in pth.dyadic_grid(T, n)])
-        w_nodes = W[:, idx]  # (P, cells+1, d1)
+        delta = T / 2 ** int(n)
+        w_nodes = W[:, pth.node_indices(times, pth.dyadic_grid(T, n))]
         slopes = np.zeros_like(w_nodes[:, :-1])
         slopes[:, 1:] = (w_nodes[:, 1:-1] - w_nodes[:, :-2]) / delta
         out.append(expand_cell_slopes(slopes, grid, T))
     return grid, np.concatenate(out)
 
 
-def wong_zakai_batch(domain, coeffs, times, W, n, substeps, x0, T=None):
+def wong_zakai_batch(domain, coeffs, times, W, n, substeps, x0, T=None,
+                     pushes=False):
     """Reflected ODE driven by the adapted interpolation, P paths at once.
 
     W holds driver node values (P, N, d1) on a grid containing the level-n
@@ -367,17 +376,18 @@ def wong_zakai_batch(domain, coeffs, times, W, n, substeps, x0, T=None):
     rows level-major, len(n) * P of them.
     """
     grid, slopes = _adapted_slopes(times, W, n, T)
-    return _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps)
+    return _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
+                               pushes)
 
 
 def wong_zakai(domain, coeffs, w, n, substeps, x0, T=None):
     """Adapted Wong-Zakai solution (X^n, K^n) on the driver's grid."""
-    batch, pushes = wong_zakai_batch(domain, coeffs, w.times, w.values[None],
-                                     n, substeps, x0, T)
-    return batch.single(0, pushes[0])
+    return wong_zakai_batch(domain, coeffs, w.times, w.values[None], n,
+                            substeps, x0, T, pushes=True).single(0)
 
 
-def shifted_driver_batch(domain, coeffs, times, W, n, h, x0, T=None):
+def shifted_driver_batch(domain, coeffs, times, W, n, h, x0, T=None,
+                         pushes=False):
     """Projected Euler for the shifted driver w - w^n + h, P paths at once.
 
     Ito increments with the corrected drift btilde; the interpolation
@@ -393,15 +403,12 @@ def shifted_driver_batch(domain, coeffs, times, W, n, h, x0, T=None):
 
     def inc(i, X):
         S = coeffs.sigma_at(X)
-        du = np.einsum("pik,pk->pi", S, du_total[:, i])
-        return du + btilde(coeffs, X, S) * dt[i]
+        return _rows_dot(S, du_total[:, i]) + btilde(coeffs, X, S) * dt[i]
 
-    x, k, tv, pushes = drive_batch(domain, grid, x0, inc)
-    return BatchPaths(grid, x, k, tv), pushes
+    return BatchPaths(grid, *drive_batch(domain, grid, x0, inc, pushes=pushes))
 
 
 def shifted_driver(domain, coeffs, w, n, h, x0, T=None):
     """Solution (Y^n, phi^n) of the diffusion driven by w - w^n + h."""
-    batch, pushes = shifted_driver_batch(domain, coeffs, w.times,
-                                         w.values[None], n, h, x0, T)
-    return batch.single(0, pushes[0])
+    return shifted_driver_batch(domain, coeffs, w.times, w.values[None], n, h,
+                                x0, T, pushes=True).single(0)

@@ -57,13 +57,13 @@ class BatchPaths:
     x: np.ndarray   # (P, N, d)
     k: np.ndarray   # (P, N, d)
     tv: np.ndarray  # (P, N)
+    pushes: np.ndarray = None  # (P, N, d), when the solve was asked for it
 
-    def single(self, p=0, pushes=None):
-        if pushes is None:
-            pushes = np.zeros_like(self.x[p])
+    def single(self, p=0):
+        """Path p as a solution; the solve must have recorded pushes."""
         return SkorohodSolution(SamplePath(self.times, self.x[p]),
                                 SamplePath(self.times, self.k[p]),
-                                self.tv[p].copy(), pushes)
+                                self.tv[p].copy(), self.pushes[p])
 
 
 def _advance(domain, X, du):
@@ -75,37 +75,36 @@ def _advance(domain, X, du):
     """
     Y = X + du
     if domain.convex:
-        X, _, tv_inc = domain.project_rows(Y)
-        return X, X - Y, tv_inc
+        return domain.project_rows(Y)
     half = 0.5 * domain.r0
     norms = np.sqrt(_sq_norm(du))
     big = (norms > half).nonzero()[0]
     if not len(big):
-        X, _, tv_inc = domain.project_rows(Y)
-        return X, X - Y, tv_inc
+        return domain.project_rows(Y)
     nsub = np.ldexp(1.0, np.ceil(np.log2(norms[big] / half)).astype(int))
     du = du.take(big, axis=0) / nsub[:, None]
     Y[big] = X.take(big, axis=0) + du
-    X, _, tv_inc = domain.project_rows(Y)
-    k_inc = X - Y
+    X, k_inc, tv_inc = domain.project_rows(Y)
     for s in range(1, int(nsub.max())):
         sub = (nsub > s).nonzero()[0]
         rows = big[sub]
-        Y = X.take(rows, axis=0) + du.take(sub, axis=0)
-        Xr, _, dist = domain.project_rows(Y)
+        Xr, Kr, dist = domain.project_rows(X.take(rows, axis=0)
+                                           + du.take(sub, axis=0))
         X[rows] = Xr
-        k_inc[rows] += Xr - Y
+        k_inc[rows] += Kr
         tv_inc[rows] += dist
     return X, k_inc, tv_inc
 
 
-def drive_batch(domain, times, x0, increment_fn, check_start=True, stride=1):
+def drive_batch(domain, times, x0, increment_fn, check_start=True, stride=1,
+                pushes=False):
     """Run the projection scheme for P paths at once.
 
     increment_fn(i, X) must return the full step increments (P, d) for the
     step from times[i] to times[i+1] given current states X.  Returns
     (x, k, tv, pushes) arrays recorded at every stride-th node only (node 0
-    included; pass a stride that divides the step count).
+    included; pass a stride that divides the step count); pushes is None
+    unless asked for.
     """
     times = np.asarray(times, dtype=float)
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
@@ -116,25 +115,23 @@ def drive_batch(domain, times, x0, increment_fn, check_start=True, stride=1):
     x = np.empty((P, N, d))
     k = np.zeros((P, N, d))
     tv = np.zeros((P, N))
-    pushes = np.zeros((P, N, d))
+    pushes = np.zeros((P, N, d)) if pushes else None
     X = x0.copy()
     K = np.zeros((P, d))
     TV = np.zeros(P)
     x[:, 0] = X
     for i in range(len(times) - 1):
-        du = increment_fn(i, X)
-        X, k_inc, tv_inc = _advance(domain, X, du)
+        X, k_inc, tv_inc = _advance(domain, X, increment_fn(i, X))
         K += k_inc
         TV += tv_inc
         j, off = divmod(i + 1, stride)
         if off:
             continue
-        x[:, j] = X
-        k[:, j] = K
-        tv[:, j] = TV
-        norms = np.sqrt(_sq_norm(k_inc))
-        hit = norms > 0
-        pushes[hit, j] = k_inc[hit] / norms[hit, None]
+        x[:, j], k[:, j], tv[:, j] = X, K, TV
+        if pushes is not None:
+            norms = np.sqrt(_sq_norm(k_inc))
+            hit = norms > 0
+            pushes[hit, j] = k_inc[hit] / norms[hit, None]
     return x, k, tv, pushes
 
 
@@ -156,9 +153,9 @@ def solve(domain, driver, x0):
     if driver.dim != x0.size:
         raise ValueError("driver dimension and start dimension disagree")
     dW = np.diff(driver.values, axis=0)[None, :, :]
-    x, k, tv, pushes = drive_batch(domain, driver.times, x0[None, :],
-                                   lambda i, X: dW[:, i])
-    return BatchPaths(driver.times, x, k, tv).single(0, pushes[0])
+    out = drive_batch(domain, driver.times, x0[None, :], lambda i, X: dW[:, i],
+                      pushes=True)
+    return BatchPaths(driver.times, *out).single(0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from rsdekit.errors import AmbiguousProjection, StartOutsideDomain
+from rsdekit.errors import (AmbiguousProjection, GridMismatch,
+                            StartOutsideDomain)
 from rsdekit.geometry import AMBIGUITY_RTOL, BOUNDARY_TOL
 from rsdekit.paths import _sq_norm, rng_for
 
@@ -328,7 +329,9 @@ def advance_reference(domain, X, du):
 
 
 def drive_batch_reference(domain, times, x0, increment_fn, check_start=True,
-                          stride=1):
+                          stride=1, pushes=None):
+    """The step loop as first written; it records pushes whether they are
+    asked for or not."""
     times = np.asarray(times, dtype=float)
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     P, d = x0.shape
@@ -358,3 +361,22 @@ def drive_batch_reference(domain, times, x0, increment_fn, check_start=True,
         hit = norms > 0
         pushes[hit, j] = k_inc[hit] / norms[hit, None]
     return x, k, tv, pushes
+
+
+def refined_grid_reference(grid, substeps):
+    """rsde._refined_grid as first written: one np.linspace per cell."""
+    grid = np.asarray(grid, dtype=float)
+    if substeps <= 1:
+        return grid
+    pieces = [np.linspace(grid[i], grid[i + 1], substeps, endpoint=False)
+              for i in range(len(grid) - 1)]
+    return np.concatenate(pieces + [grid[-1:]])
+
+
+def node_index_reference(times, t, tol=1e-12):
+    """SamplePath.node_index as first written, one time at a time."""
+    i = int(np.searchsorted(times, t))
+    for j in (i - 1, i, i + 1):
+        if 0 <= j < len(times) and abs(times[j] - t) <= tol:
+            return j
+    raise GridMismatch(f"t={t!r} is not a grid node")

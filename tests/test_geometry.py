@@ -142,16 +142,27 @@ class TestProject:
     def test_normals_unit_and_inward(self):
         rng = np.random.default_rng(13)
         for dom in (DISC, SQUARE, NOTCHED):
-            Y = rng.uniform(-2, 2, size=(300, 2))
-            X, N, dist = dom.project_rows(Y)
-            out = dist > 1e-9
-            norms = np.linalg.norm(N[out], axis=1)
-            assert np.allclose(norms, 1.0)
-            # smooth boundary points: a small inward step lands inside
-            for x, n in zip(X[out], N[out]):
+            for y in rng.uniform(-2, 2, size=(300, 2)):
+                x, n, dist = dom.project(y)
+                if dist <= 1e-9:
+                    assert np.all(n == 0.0)
+                    continue
+                assert np.linalg.norm(n) == pytest.approx(1.0)
+                # smooth boundary points: a small inward step lands inside
                 if len(dom.active_normals(x, tol=1e-9)) == 1:
                     m, _ = dom.contains(x + 1e-6 * n)
                     assert m is not Membership.EXTERIOR
+
+    @pytest.mark.parametrize("dom", CONVEX + [NOTCHED],
+                             ids=lambda dom: dom.kind)
+    def test_push_is_x_minus_y(self, dom):
+        # K is the push X - Y bit for bit, signed zeros included
+        rng = np.random.default_rng(19)
+        Y = _rows_with_corners(rng, 2, -0.5, 1.0)
+        Y = Y[np.abs(Y[:, 0] - 0.5) > 1e-3]  # off the notch's ambiguous rows
+        X, K, dist = dom.project_rows(Y)
+        assert np.array_equal(K.view(np.int64), (X - Y).view(np.int64))
+        assert np.all(K[dom.signed_distance(Y) < -1e-9] == 0.0)
 
 
 def _rows_with_corners(rng, d, lo, hi):
@@ -171,6 +182,13 @@ def _assert_rows_equal(got, want):
         np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
 
 
+def _with_push(Y, reference):
+    """A reference's (X, N, dist) as project_rows returns them now: the
+    normals give way to the push X - Y."""
+    X, _, dist = reference
+    return X, X - Y, dist
+
+
 class TestRowKernelsAsFirstWritten:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_box(self, d):
@@ -179,8 +197,8 @@ class TestRowKernelsAsFirstWritten:
         Y = _rows_with_corners(rng, d, 0.0, 1.0)
         for rows in (Y, Y[:1], Y[1500:1501], Y[:0],
                      np.clip(Y, box.low, box.high)):
-            _assert_rows_equal(box.project_rows(rows),
-                               box_project_rows_reference(box, rows))
+            _assert_rows_equal(box.project_rows(rows), _with_push(
+                rows, box_project_rows_reference(box, rows)))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_ball(self, d):
@@ -190,8 +208,8 @@ class TestRowKernelsAsFirstWritten:
         Y[1000:1100] = ball.boundary_points(100, rng)
         Y[1100] = ball.center
         for rows in (Y, Y[:1], Y[1050:1051], Y[:0], Y[1100:1101]):
-            _assert_rows_equal(ball.project_rows(rows),
-                               ball_project_rows_reference(ball, rows))
+            _assert_rows_equal(ball.project_rows(rows), _with_push(
+                rows, ball_project_rows_reference(ball, rows)))
 
 
 class TestNotched:
@@ -233,9 +251,9 @@ class TestNotched:
     def _assert_matches_scalar_reference(Y):
         got = NOTCHED.project_rows(Y)
         ref = [notched_project_one(NOTCHED, y) for y in Y]
-        for g, want in zip(got, zip(*ref)):
-            np.testing.assert_array_equal(g.view(np.int64),
-                                          np.array(want).view(np.int64))
+        X = np.array([x for x, _, _ in ref]).reshape(Y.shape)
+        dist = np.array([d for _, _, d in ref])
+        _assert_rows_equal(got, _with_push(Y, (X, None, dist)))
         return got
 
     # rows on the faces with a signed zero coordinate, exactly on the faces,
@@ -261,7 +279,7 @@ class TestNotched:
 
     def test_project_rows_matches_scalar_reference(self):
         Y = np.vstack([self._batch(31), self.CORNERS, self.UNDERFLOW])
-        X, N, dist = self._assert_matches_scalar_reference(Y)
+        X, K, dist = self._assert_matches_scalar_reference(Y)
         under = dist[-len(self.UNDERFLOW):]
         assert np.all(under[:5] == 0.0) and np.all(under[5:] > 0.0)
         # every case of the projection is exercised
@@ -277,8 +295,8 @@ class TestNotched:
         for rows in (Y[in_box], Y[~in_box], Y[:1], Y[~in_box][:1],
                      self.CORNERS[:1], self.UNDERFLOW[-1:], Y[:0]):
             self._assert_matches_scalar_reference(rows)
-        X, N, dist = NOTCHED.project_rows(Y[in_box & (Y[:, 1] > 0.5)])
-        assert np.all(dist == 0.0) and np.all(N == 0.0)
+        X, K, dist = NOTCHED.project_rows(Y[in_box & (Y[:, 1] > 0.5)])
+        assert np.all(dist == 0.0) and np.all(K == 0.0)
 
     @pytest.mark.parametrize("bad", [[0.5, 0.0], [0.5, -0.3]],
                              ids=["notch_center", "junction_tie"])

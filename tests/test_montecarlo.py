@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -417,6 +418,58 @@ class TestDeterminism:
     def test_experiment_workers_identical(self, name):
         run = self.EXPERIMENTS[name]
         assert run(1).to_json() == run(2).to_json()
+
+
+class TestOwnedChunkResults:
+    """Chunk results are arrays of their own: a view would keep its chunk's
+    whole base alive until the runner concatenates every chunk."""
+
+    RUNS = dict(TestDeterminism.EXPERIMENTS, moment_scaling=lambda w:
+                mc.moment_scaling(HALF_LINE, SIN_1D, [0.0],
+                                  [(0.0, 0.25), (0.0, 0.5)], 1.0, 300, seed=32,
+                                  workers=w))
+
+    @staticmethod
+    def _arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (list, tuple)):
+            for v in value:
+                yield from TestOwnedChunkResults._arrays(v)
+        elif isinstance(value, dict):
+            for v in value.values():
+                yield from TestOwnedChunkResults._arrays(v)
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_every_chunk_result_owns_its_data(self, name, monkeypatch):
+        seen = []
+        runner = mc.parallel_chunks
+
+        def checked(fn, *args, **kwargs):
+            results = runner(fn, *args, **kwargs)
+            for result in results:
+                for key, value in result.items():
+                    seen.extend((fn.__name__, key, a.base is None)
+                                for a in self._arrays(value))
+            return results
+
+        monkeypatch.setattr(mc, "parallel_chunks", checked)
+        self.RUNS[name](1)
+        assert seen
+        assert [s for s in seen if not s[2]] == []
+
+    def test_serial_exp_tail_holds_one_chunk(self):
+        # ten chunks of 256 paths on 513 nodes: one retained (256, 513)
+        # total-variation array per chunk would add 10.5 MB to the peak;
+        # holding one chunk's work at a time peaks near 5.3 MB
+        tracemalloc.start()
+        try:
+            mc.exp_tail(HALF_LINE, SIN_1D, [0.0], 1.0, 2560, seed=24,
+                        grid_level=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 def _tracing():

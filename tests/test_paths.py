@@ -17,7 +17,8 @@ from rsdekit import paths as pth
 from rsdekit.paths import (_sq_norm, dyadic_lags, holder_seminorm_batch,
                            lag_scan_sq, oscillation, stream_keys)
 
-from oracles import holder_pairs_brute, lag_scan_sq_reference, smallball_1d
+from oracles import (holder_pairs_brute, lag_scan_sq_reference,
+                     node_index_reference, smallball_1d)
 
 
 class TestSamplePath:
@@ -429,7 +430,7 @@ class TestExactScanBits:
         # LAG_SCAN_BLOCK block rows, the last one short
         monkeypatch.setattr(pth, "LAG_SCAN_BUDGET", 64)
         nb = -(-N // pth.LAG_SCAN_BLOCK)
-        plan = pth._BlockPlan(np.linspace(0.0, 1.0, N), N, 0.2)
+        plan = pth._BlockPlan(np.linspace(0.0, 1.0, N), 64, N, 0.2)
         assert plan.strip == pth.LAG_SCAN_BLOCK < nb
         rng = np.random.default_rng(N)
         t = _grid("nonuniform", N, rng)
@@ -438,6 +439,33 @@ class TestExactScanBits:
             for alpha in (0.0, 0.2, 0.5):
                 assert np.array_equal(lag_scan_sq(t, v, alpha),
                                       lag_scan_sq_reference(t, v, alpha))
+
+
+    @pytest.mark.parametrize("P, N, whole", [
+        (1024, 257, True), (1, 257, True), (256, 513, True), (1, 512, True),
+        (64, 1025, True), (3, 1025, False), (1, 513, False),
+        (63, 2048, False), (64, 4096, False)])
+    def test_few_long_rows_take_strips(self, P, N, whole):
+        # holder-disc's 257-node rows and criterion 09's 256 rows of 513
+        # nodes keep whole strips; fewer than LAG_SCAN_TILE rows of more
+        # than 512 nodes take strips of LAG_SCAN_BLOCK block rows
+        plan = pth._BlockPlan(np.linspace(0.0, 1.0, N), P, N, 0.2)
+        assert plan.strip == (plan.nb if whole else pth.LAG_SCAN_BLOCK)
+
+    def test_few_long_rows_bounded_memory(self):
+        # (3, 1025, 2) peaked at 1.54 MB with whole strips; in strips it
+        # peaks near 0.31 MB, where evaluating block pairs dominates
+        rng = np.random.default_rng(7)
+        t = np.linspace(0.0, 1.0, 1025)
+        v = _walk(rng, 3, 1025, 2)
+        tracemalloc.start()
+        try:
+            got = lag_scan_sq(t, v, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, lag_scan_sq_reference(t, v, 0.2))
+        assert peak < 0.5e6
 
 
 class TestSqNorm:
@@ -473,6 +501,67 @@ class TestSqNorm:
             got = mc._sup_dist(A, B)
             assert np.isnan(got[3]) and np.isnan(want[3])
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+    @pytest.mark.parametrize("d", [8, 9, 16])
+    def test_sums_left_to_right_from_eight_coordinates(self, d):
+        # from 8 coordinates np.linalg.norm's order depends on the layout
+        # and row count; _sq_norm keeps the left-to-right order, so each
+        # row has the bits of its own Python float sum in any batch
+        rng = np.random.default_rng(d)
+        V = rng.standard_normal((513, d)) * 10.0 ** rng.integers(-8, 8, (513, d))
+        V[::7, :3] = 0.0
+        V[1::11, -1] = 1e-200
+        want = np.empty(len(V))
+        for i, row in enumerate(V.tolist()):
+            acc = row[0] * row[0]
+            for v in row[1:]:
+                acc += v * v
+            want[i] = acc
+        for rows, w in ((V, want), (V[::3], want[::3]), (V[:8], want[:8]),
+                        (V[5:6], want[5:6]), (np.asfortranarray(V), want),
+                        (V[:, None].repeat(2, axis=1)[:, 1], want)):
+            assert np.array_equal(_sq_norm(rows).view(np.int64),
+                                  w.view(np.int64))
+
+
+class TestNodeIndices:
+    def test_matches_scalar_node_index(self):
+        grid = pth.dyadic_grid(1.0, 6)
+        rng = np.random.default_rng(3)
+        times = np.concatenate([
+            pth.dyadic_grid(1.0, 3), grid[rng.permutation(len(grid))],
+            grid[[0, 1, -2, -1]] + [-5e-13, 9e-13, -9e-13, 5e-13],
+            [0.5, 0.25 + 1e-13]])
+        want = [node_index_reference(grid, t) for t in times]
+        got = pth.node_indices(grid, times)
+        assert got.tolist() == want
+        assert SamplePath(grid, np.zeros((len(grid), 1))).node_index(
+            times[-1]) == want[-1]
+
+    def test_nearest_of_three_candidates_wins_in_order(self):
+        # with a tolerance wider than the mesh, the node before the sorted
+        # position comes first, as in the scalar lookup
+        grid = np.linspace(0.0, 1.0, 11)
+        times = np.linspace(0.0, 1.0, 41)
+        got = pth.node_indices(grid, times, tol=0.15)
+        assert got.tolist() == [node_index_reference(grid, t, 0.15)
+                                for t in times]
+
+    @pytest.mark.parametrize("bad", [[0.3], [0.25, 1.0 / 3.0, 0.7],
+                                     [1.0 + 1e-9], [-1e-9], [np.nan]])
+    def test_off_grid_times_raise_as_the_scalar_lookup(self, bad):
+        grid = pth.dyadic_grid(1.0, 6)
+        times = np.concatenate([[0.5], bad])
+        first = next(t for t in times
+                     if not np.any(np.abs(grid - t) <= 1e-12))
+        with pytest.raises(GridMismatch) as want:
+            node_index_reference(grid, first)
+        with pytest.raises(GridMismatch) as got:
+            pth.node_indices(grid, times)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(GridMismatch):
+            SamplePath(grid, np.zeros((len(grid), 1))).restrict(times)
 
 
 class TestLevy:

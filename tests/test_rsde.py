@@ -7,7 +7,10 @@ from rsdekit import (Ball, Coefficients, HalfSpace, SamplePath,
                      linear_control, make_coefficients, sample_brownian,
                      shifted_driver, skeleton, solve, wong_zakai,
                      zero_control)
+from rsdekit import rsde
 from rsdekit.rsde import euler_reflected_batch, shifted_driver_batch
+
+from oracles import refined_grid_reference
 
 HALF_LINE = HalfSpace([1.0], 0.0)
 DISC = Ball([0.0, 0.0], 1.0)
@@ -97,7 +100,7 @@ class TestEulerReflected:
         t = np.linspace(0, 1, 65)
         paths = [sample_brownian(2, t, seed=60 + j) for j in range(3)]
         dW = np.stack([np.diff(w.values, axis=0) for w in paths])
-        batch, _ = euler_reflected_batch(DISC, cf, t, dW, np.zeros((3, 2)))
+        batch = euler_reflected_batch(DISC, cf, t, dW, np.zeros((3, 2)))
         for j, w in enumerate(paths):
             single = euler_reflected(DISC, cf, w, x0=[0.0, 0.0])
             assert np.array_equal(batch.x[j], single.x.values)
@@ -260,7 +263,7 @@ class TestShiftedDriver:
         grid = dyadic_grid(1.0, 8)
         W = brownian_batch(1, grid, 99, 0, 3000)
         h = linear_control(1.0, [0.3], n_cells=256)
-        batch, _ = shifted_driver_batch(HALF_LINE, cf, grid, W, 5, h, [1.0])
+        batch = shifted_driver_batch(HALF_LINE, cf, grid, W, 5, h, [1.0])
         # diffusive regime: lags up to one dyadic cell (beyond that the
         # residual w - w^n saturates and the moment goes flat, far below
         # the |t - s| bound)
@@ -287,3 +290,55 @@ class TestShiftedDriver:
         assert np.all(radii <= 1.0 + 1e-12)
         interior = radii[1:] < 1.0 - 1e-12
         assert np.all(np.diff(sol.tv)[interior] == 0.0)
+
+
+# signed zeros, infinities, NaN, subnormals and ordinary values
+SPECIAL = np.array([0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan, 5e-324,
+                    -5e-324, 2.2e-308, 1e300, -1e-160])
+
+
+class TestIncrementKernels:
+    @pytest.mark.parametrize("d,d1", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)])
+    def test_rows_dot_has_the_einsum_bits(self, d, d1):
+        rng = np.random.default_rng(10 * d + d1)
+        S = rng.choice(SPECIAL, (400, d, d1))
+        S[200:] = rng.standard_normal((200, d, d1))
+        dW = rng.choice(SPECIAL, (400, 9, d1))
+        dW[::3] = rng.standard_normal((134, 9, d1))
+        M = rng.standard_normal((d, d1))
+        M[0] = -0.0
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            # contiguous rows, a column view of a driver array, and a
+            # read-only broadcast sigma as the constant family returns it
+            for S_, v in ((S, dW[:, 0]), (S, dW[:, 4]),
+                          (np.broadcast_to(M, S.shape), dW[:, 2]),
+                          (S[::2], dW[::2, 8])):
+                got = rsde._rows_dot(S_, v)
+                want = np.einsum("pik,pk->pi", S_, v)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("substeps", [1, 2, 3, 4, 7, 8])
+    def test_refined_grid_is_the_per_cell_linspace(self, substeps):
+        rng = np.random.default_rng(substeps)
+        grids = [dyadic_grid(1.0, 5), dyadic_grid(0.7, 3),
+                 np.cumsum(np.concatenate([[0.0], rng.uniform(1e-3, 1.0, 50)])),
+                 np.linspace(0.0, 1.0 / 3.0, 17), np.array([0.0, 1e-300]),
+                 np.array([0.0, 1e300, 3e300]), np.array([0.0, 1.0])]
+        for grid in grids:
+            got = rsde._refined_grid(grid, substeps)
+            want = refined_grid_reference(grid, substeps)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sin_family_in_place_has_the_first_written_bits(self, d):
+        from oracles import sin_family_reference
+        params = {"base": 0.3, "amp": -0.7, "freq": 2.5}
+        sigma, jac = rsde._sin_family(d, d, params)
+        ref_sigma, ref_jac = sin_family_reference(d, d, params)
+        rng = np.random.default_rng(d)
+        X = rng.choice(SPECIAL[np.isfinite(SPECIAL)], (300, d))
+        X[150:] = rng.uniform(-10.0, 10.0, (150, d))
+        for got, want in ((sigma(X), ref_sigma(X)), (jac(X), ref_jac(X)),
+                          (sigma(X[3]), ref_sigma(X[3]))):
+            assert np.array_equal(np.asarray(got).view(np.int64),
+                                  want.view(np.int64))

@@ -10,12 +10,13 @@ from scipy.optimize import nnls
 
 import oracles
 from rsdekit import (AxisBox, Ball, ConvexPolytope, HalfSpace, NotchedDisc,
-                     dyadic_grid, make_coefficients, sine_control)
+                     SamplePath, dyadic_grid, make_coefficients, sine_control)
 from rsdekit import rsde
 from rsdekit.geometry import BOUNDARY_TOL
 from rsdekit.montecarlo import brownian_batch
-from rsdekit.rsde import (euler_reflected_batch, shifted_driver_batch,
-                          skeleton, skeleton_batch, wong_zakai_batch)
+from rsdekit.rsde import (euler_reflected, euler_reflected_batch,
+                          shifted_driver, shifted_driver_batch, skeleton,
+                          skeleton_batch, wong_zakai, wong_zakai_batch)
 from rsdekit.skorohod import drive_batch
 
 # (domain, start) per kind; all two-dimensional so one model drives them all
@@ -31,12 +32,12 @@ KINDS = {
 SIN = make_coefficients(2, 2, sigma="sin", sigma_params={"base": 0.6, "amp": 0.3})
 
 
-def _rows_equal(batch, pushes, singles):
-    for p, (single, single_pushes) in enumerate(singles):
+def _rows_equal(batch, singles):
+    for p, single in enumerate(singles):
         assert np.array_equal(batch.x[p], single.x[0])
         assert np.array_equal(batch.k[p], single.k[0])
         assert np.array_equal(batch.tv[p], single.tv[0])
-        assert np.array_equal(pushes[p], single_pushes[0])
+        assert np.array_equal(batch.pushes[p], single.pushes[0])
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -47,10 +48,10 @@ def test_euler_rows_equal_single_path_solves(kind):
     # one row with large increments: on the nonconvex kind it is bisected
     # many times, which must leave the other rows alone
     dW[5] *= 6.0
-    batch, pushes = euler_reflected_batch(dom, SIN, times, dW, x0)
-    _rows_equal(batch, pushes, [euler_reflected_batch(dom, SIN, times,
-                                                      dW[p:p + 1], x0)
-                                for p in range(len(dW))])
+    batch = euler_reflected_batch(dom, SIN, times, dW, x0, pushes=True)
+    _rows_equal(batch, [euler_reflected_batch(dom, SIN, times, dW[p:p + 1],
+                                              x0, pushes=True)
+                        for p in range(len(dW))])
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -60,17 +61,21 @@ def test_stacked_levels_equal_per_level_solves(kind):
     times = dyadic_grid(1.0, 6)
     W = brownian_batch(2, times, 7, 0, 6)
     h = sine_control(1.0, amplitude=0.5, dim=2, n_cells=64)
-    stacked = [wong_zakai_batch(dom, SIN, times, W, levels, 2, x0),
-               shifted_driver_batch(dom, SIN, times, W, levels, h, x0)]
+    stacked = [wong_zakai_batch(dom, SIN, times, W, levels, 2, x0,
+                                pushes=True),
+               shifted_driver_batch(dom, SIN, times, W, levels, h, x0,
+                                    pushes=True)]
     for j, n in enumerate(levels):
         rows = slice(j * len(W), (j + 1) * len(W))
-        per_level = [wong_zakai_batch(dom, SIN, times, W, n, 2, x0),
-                     shifted_driver_batch(dom, SIN, times, W, n, h, x0)]
-        for (batch, pushes), (single, single_pushes) in zip(stacked, per_level):
+        per_level = [wong_zakai_batch(dom, SIN, times, W, n, 2, x0,
+                                      pushes=True),
+                     shifted_driver_batch(dom, SIN, times, W, n, h, x0,
+                                          pushes=True)]
+        for batch, single in zip(stacked, per_level):
             assert np.array_equal(batch.x[rows], single.x)
             assert np.array_equal(batch.k[rows], single.k)
             assert np.array_equal(batch.tv[rows], single.tv)
-            assert np.array_equal(pushes[rows], single_pushes)
+            assert np.array_equal(batch.pushes[rows], single.pushes)
 
 
 class _Recorder:
@@ -84,9 +89,9 @@ class _Recorder:
         return getattr(self.domain, name)
 
     def project_rows(self, Y):
-        X, N, dist = self.domain.project_rows(Y)
+        X, K, dist = self.domain.project_rows(Y)
         self.calls.append((Y.copy(), X.copy(), dist.copy()))
-        return X, N, dist
+        return X, K, dist
 
 
 def _in_normal_cone(domain, x, v):
@@ -106,7 +111,7 @@ def test_step_invariants(kind, seed, scale):
     times = dyadic_grid(1.0, 5)
     dW = scale * np.diff(brownian_batch(2, times, seed, 0, 4), axis=1)
     x, k, tv, pushes = drive_batch(rec, times, np.tile(x0, (4, 1)),
-                                   lambda i, X: dW[:, i])
+                                   lambda i, X: dW[:, i], pushes=True)
     # the state stays in the closure
     assert np.all(dom.signed_distance(x.reshape(-1, 2)) <= BOUNDARY_TOL)
     # total variation never decreases; pushes are unit vectors or zero
@@ -161,8 +166,9 @@ def _reference_coefficients(cf, sigma, sigma_params, drift, b_params):
 
 
 def _integrate_all(dom, cf, x0):
-    """Every integrator on one small driver batch; one row's increments are
-    large, so nonconvex kinds bisect it."""
+    """Every integrator on one small driver batch, as (x, k, tv), then every
+    single-path solver, as (x, k, tv, pushes); one row's increments are
+    large, so nonconvex kinds bisect it, and the single paths take it."""
     d = cf.d
     times = dyadic_grid(1.0, 5)
     W = brownian_batch(d, times, 11, 0, 6)
@@ -174,9 +180,13 @@ def _integrate_all(dom, cf, x0):
             wong_zakai_batch(dom, cf, times, W, [2, 3], 2, x0),
             shifted_driver_batch(dom, cf, times, W, [2, 3], h, x0),
             skeleton_batch(dom, cf, grid, slopes, x0, 4)]
-    sk = skeleton(dom, cf, h, 4, x0, grid=grid)
-    return [(b.x, b.k, b.tv, pushes) for b, pushes in runs] \
-        + [(sk.x.values, sk.k.values, sk.tv, sk.pushes)]
+    w = SamplePath(times, W[4])
+    singles = [euler_reflected(dom, cf, w, x0),
+               wong_zakai(dom, cf, w, 3, 2, x0),
+               shifted_driver(dom, cf, w, 3, h, x0),
+               skeleton(dom, cf, h, 4, x0, grid=grid)]
+    return [(b.x, b.k, b.tv) for b in runs] \
+        + [(s.x.values, s.k.values, s.tv, s.pushes) for s in singles]
 
 
 # the five kinds, plus a half-space whose normal has no zero coordinate, so
@@ -192,8 +202,9 @@ _CASES = [(kind, sigma, d, drift)
 @pytest.mark.parametrize("kind,sigma,d,drift", _CASES)
 def test_integrators_match_the_reference_step(kind, sigma, d, drift,
                                               monkeypatch):
-    # x, k, tv and pushes compared as int64 views, so a sign change of a
-    # zero shows as a difference
+    # x, k, tv and single-path pushes compared as int64 views, so a sign
+    # change of a zero shows as a difference; the reference step loop
+    # computes pushes whether asked or not
     dom, x0 = (KINDS_1D if d == 1 else KINDS_2D)[kind]
     b_name, b_params = DRIFTS[drift][0], DRIFTS[drift][1](d)
     cf = make_coefficients(d, d, sigma=sigma, sigma_params=SIGMAS[sigma, d],
