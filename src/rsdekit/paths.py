@@ -179,6 +179,7 @@ def node_indices(grid, times, tol=1e-12):
     before, at and after its sorted position within tol, as node_index
     finds it.  Raises GridMismatch for the first time that is no node."""
     t = np.asarray(times, dtype=float)
+    # clipping an end only repeats a neighbour that is tried as well
     around = np.clip(np.searchsorted(grid, t) + np.arange(-1, 2)[:, None], 0,
                      len(grid) - 1)
     near = np.abs(grid[around] - t) <= tol
