@@ -89,6 +89,7 @@ class Domain:
 
         Returns (X, K, dist): projected points, the pushes K = X - Y
         (zero rows for finite points already in the closure), distances.
+        X and K keep Y's memory layout; their bits do not depend on it.
         """
         raise NotImplementedError
 
@@ -212,10 +213,10 @@ class HalfSpace(Domain):
         return self.offset - X @ self.normal
 
     def project_rows(self, Y):
-        # ndarray.dot has matmul's bits here at a fraction of its call cost
-        s = Y.dot(self.normal) - self.offset
+        # ndarray.dot has matmul's bits at a fraction of its cost, on rows
+        s = np.ascontiguousarray(Y).dot(self.normal) - self.offset
         dist = np.maximum(-s, 0.0)
-        X = Y + dist[:, None] * self.normal
+        X = Y + (self.normal[:, None] * dist).T  # in Y's layout
         return X, X - Y, dist
 
     def boundary_points(self, n, rng):
@@ -267,10 +268,10 @@ class Ball(Domain):
         v = Y - self.center
         r = np.sqrt(_sq_norm(v))
         out = (r > self.radius).nonzero()[0]
-        X = Y.copy()
+        X = Y.copy(order="K")
         dist = np.zeros(len(Y))
         if len(out):
-            vo, ro = v.take(out, axis=0), r[out]
+            vo, ro = v[out], r[out]
             X[out] = self.center + vo * (self.radius / ro)[:, None]
             dist[out] = ro - self.radius
         return X, X - Y, dist
@@ -326,7 +327,9 @@ class AxisBox(Domain):
         return outside + inside
 
     def project_rows(self, Y):
-        X = np.clip(Y, self.low, self.high)
+        # on columns, maximum then minimum give np.clip's bits on rows
+        X = np.clip(Y, self.low, self.high) if Y.flags.c_contiguous else \
+            np.minimum(np.maximum(Y, self.low), self.high)
         K = X - Y
         return X, K, np.sqrt(_sq_norm(K))
 
@@ -399,13 +402,14 @@ class ConvexPolytope(Domain):
         return sd
 
     def project_rows(self, Y):
-        X = Y.copy()
+        X = Y.copy(order="K")
         dist = np.zeros(len(Y))
-        slack = Y @ self.A.T - self.b
+        rows = np.ascontiguousarray(Y)  # BLAS sums as it does on rows
+        slack = rows @ self.A.T - self.b
         out_idx = np.nonzero(np.max(slack, axis=1) > 0)[0]
         for i in out_idx:
-            X[i] = self._project_one(Y[i])
-            dist[i] = np.linalg.norm(X[i] - Y[i])
+            X[i] = self._project_one(rows[i])
+            dist[i] = np.linalg.norm(X[i] - rows[i])
         return X, X - Y, dist
 
     def _project_one(self, y):
@@ -562,22 +566,14 @@ class NotchedDisc(Domain):
 
     def project_rows(self, Y):
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        X = Y.copy()
+        X = Y.copy(order="K")
         dist = np.zeros(len(Y))
-        # column by column: numpy runs 1-d operations several times faster
-        # than a 2-vector broadcast against rows, or a gather or scatter of
-        # whole rows.  The sums of squares are _sq_norm's.  A row is in the
-        # box when its excess beyond the faces squares to 0, exactly when
-        # _box_sd <= 0: NaN is outside, an excess whose square underflows
-        # is inside.
-        (l0, l1), (h0, h1), (c0, c1) = self.low, self.high, self.c
-        y0, y1 = Y.T
-        x0, x1 = X.T
-        e0 = np.maximum(np.maximum(l0 - y0, y0 - h0), 0.0)
-        e1 = np.maximum(np.maximum(l1 - y1, y1 - h1), 0.0)
-        excess = e0 * e0 + e1 * e1
-        v0, v1 = y0 - c0, y1 - c1
-        r = np.sqrt(v0 * v0 + v1 * v1)
+        # a row is in the box when its excess beyond the faces squares to 0,
+        # exactly when _box_sd <= 0: NaN is outside, an excess whose square
+        # underflows is inside
+        excess = _sq_norm(np.maximum(self.low - Y, Y - self.high).clip(0.0))
+        v = Y - self.c
+        r = np.sqrt(_sq_norm(v))
         # inside the box but in the notch: radial push onto the arc
         notch = ((excess == 0.0) & (r < self.rho)).nonzero()[0]
         if len(notch):
@@ -585,15 +581,14 @@ class NotchedDisc(Domain):
             if rn.min() < 1e-12:
                 raise AmbiguousProjection(
                     "projection from the notch center is direction-free")
-            a0, a1, s = v0[notch], v1[notch], self.rho / rn
-            x0[notch], x1[notch] = c0 + a0 * s, c1 + a1 * s
+            X[notch] = self.c + v[notch] * (self.rho / rn)[:, None]
             dist[notch] = self.rho - rn
         out = excess.nonzero()[0]
         if not len(out):
             return X, X - Y, dist
         # outside the box: clamp, unless that lands in the notch gap; the
         # distances go through _row_norms, as np.linalg.norm of one row
-        y = Y.take(out, axis=0)
+        y = Y[out]
         clamp = y.clip(self.low, self.high)
         face = _row_norms(clamp - self.c) >= self.rho - 1e-15
         gap = not face.all()
@@ -601,7 +596,7 @@ class NotchedDisc(Domain):
             rows, yf, clamp = out[face], y[face], clamp[face]
         else:
             rows, yf = out, y
-        x0[rows], x1[rows] = clamp.T
+        X[rows] = clamp
         dist[rows] = _row_norms(clamp - yf)
         if not gap:
             return X, X - Y, dist

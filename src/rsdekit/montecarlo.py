@@ -16,7 +16,6 @@ choices (minimum slopes, CI coverage, stability factors).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -191,6 +190,8 @@ def parallel_chunks(fn, n_items, workers, payload, chunk=CHUNK, rows=()):
              for lo, hi in _chunks(n_items, chunk)]
     if workers is None or workers <= 1 or len(parts) <= 1:
         return [fn(*part) for part in parts]
+    # imported here: a serial run never pays for the pool module's import
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=int(workers)) as ex:
         futures = [ex.submit(fn, *part) for part in parts]
         return [f.result() for f in futures]

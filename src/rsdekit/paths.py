@@ -503,7 +503,10 @@ class _BlockPlan:
     LAG_SCAN_TILE rows or rows of at most LAG_SCAN_WHOLE_NODES (below
     LAG_SCAN_TILE rows the all-lags loop's buffers shrink, whole bounds do
     not), else strips of B block rows, about as many bounds per row as it
-    has nodes.  Strips only order the work; each row's bits are its own.
+    has nodes.  Block pairs go `batch` at a time: at most LAG_SCAN_BUDGET
+    node pairs, and B per bound of a tile's strip, so that a few-row scan's
+    memory follows its bounds.  Strips and batches only order the work;
+    each row's bits are its own.
     """
 
     def __init__(self, times, P, N, alpha):
@@ -513,6 +516,8 @@ class _BlockPlan:
         whole = P >= LAG_SCAN_TILE or N <= LAG_SCAN_WHOLE_NODES
         self.strip = nb if nb * nb <= LAG_SCAN_BUDGET and whole else B
         self.tile_rows = max(1, LAG_SCAN_BUDGET // (self.strip * nb))
+        rows = min(P, self.tile_rows)
+        self.batch = min(LAG_SCAN_BUDGET, rows * self.strip * nb * B) // B**2
         self.alpha = alpha
         if alpha != 0:
             tb = times[self.nodes]
@@ -598,8 +603,8 @@ def _strip_bounds(lo, hi, plan, i0):
 
 def _eval_block_pairs(blocks, times, alpha, plan, row_of, pair, out):
     """Raise out[row_of[q]] to the max pair value of block pair
-    pair[q] = I * nb + J, LAG_SCAN_BUDGET // B^2 block pairs at a time."""
-    step = LAG_SCAN_BUDGET // LAG_SCAN_BLOCK ** 2
+    pair[q] = I * nb + J, plan.batch block pairs at a time."""
+    step = plan.batch
     for q0 in range(0, len(pair), step):
         r = row_of[q0:q0 + step]
         I, J = np.divmod(pair[q0:q0 + step], plan.nb)

@@ -243,12 +243,26 @@ def _broadcast_start(x0, P, d):
     return np.tile(x0, (P // len(x0), 1))
 
 
+def _step_major(A):
+    """A (P, steps, d1) as (steps, d1, P), A[i].T being step i's rows as d1
+    columns: C-contiguous (no copy if stored so) unless d1 = 1, kept a view."""
+    A = np.moveaxis(A, 0, -1)
+    return A if A.shape[1] == 1 else np.ascontiguousarray(A)
+
+
 def _rows_dot(S, v):
-    """Per-row S v for S (P, d, d1), v (P, d1) with the einsum's bits; at
-    d1 = 1 one product, + 0.0 as the einsum's sum from zero adds it."""
-    if S.shape[-1] == 1:
+    """Per-row S v for S (P, d, d1), v (P, d1): the einsum's bits on rows of
+    v.  d1 = 1 is one product (+ 0.0 is the einsum's sum from zero); a
+    broadcast S at d1 = 2 reads v's columns, redoing NaN rows on rows."""
+    d1 = S.shape[-1]
+    if d1 == 1:
         return S[..., 0] * v + 0.0
-    return np.einsum("pik,pk->pi", S, v)
+    v = np.ascontiguousarray(v) if d1 > 2 or S.strides[0] else v
+    out = np.einsum("pik,pk->pi", S, v)
+    if not v.flags.c_contiguous and np.isnan(out).any():
+        rows = np.isnan(out).any(axis=1).nonzero()[0]
+        out[rows] = np.einsum("pik,pk->pi", S[rows], v[rows])
+    return out
 
 
 def euler_reflected_batch(domain, coeffs, times, dW, x0, pushes=False):
@@ -258,13 +272,13 @@ def euler_reflected_batch(domain, coeffs, times, dW, x0, pushes=False):
     shape (P, N-1, d1).
     """
     times = np.asarray(times, dtype=float)
-    dW = np.asarray(dW, dtype=float)
+    dW = _step_major(np.asarray(dW, dtype=float))
     dt = np.diff(times)
-    x0 = _broadcast_start(x0, dW.shape[0], coeffs.d)
+    x0 = _broadcast_start(x0, dW.shape[2], coeffs.d)
 
     def inc(i, X):
         S = coeffs.sigma_at(X)
-        return _rows_dot(S, dW[:, i]) + btilde(coeffs, X, S) * dt[i]
+        return _rows_dot(S, dW[i].T) + btilde(coeffs, X, S) * dt[i]
 
     return BatchPaths(times, *drive_batch(domain, times, x0, inc,
                                           pushes=pushes))
@@ -305,9 +319,10 @@ def _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
     per_path = slopes.ndim == 3
     P = slopes.shape[0] if per_path else int(np.atleast_2d(x0).shape[0])
     x0 = _broadcast_start(x0, P, coeffs.d)
+    slopes = _step_major(slopes) if per_path else slopes
 
     def inc(i, X):
-        s = slopes[:, cell[i]] if per_path else slopes[cell[i]]
+        s = slopes[cell[i]].T if per_path else slopes[cell[i]]
         S = coeffs.sigma_at(X)
         du = _rows_dot(S, s) if per_path else S @ s
         return (du + coeffs.b_at(X)) * dt[i]
@@ -338,10 +353,12 @@ def skeleton_batch(domain, coeffs, grid, slopes, x0, substeps):
 def expand_cell_slopes(slopes, grid, T):
     """Slopes (P, cells, d1) on the equal cells of [0, T], read off on the
     cells of grid: each grid cell takes the slope of the cell holding its
-    midpoint (grids here never put a midpoint on a cell boundary)."""
+    midpoint (grids here never put a midpoint on a cell boundary), stored
+    cell-major as _step_major leaves them."""
     cells = slopes.shape[1]
     mids = 0.5 * (grid[:-1] + grid[1:])
-    return slopes[:, np.minimum((mids / (T / cells)).astype(int), cells - 1)]
+    cell = np.minimum((mids / (T / cells)).astype(int), cells - 1)
+    return np.moveaxis(slopes, 0, -1).take(cell, axis=0).transpose(2, 0, 1)
 
 
 def _adapted_slopes(times, W, levels, T=None):
@@ -349,20 +366,21 @@ def _adapted_slopes(times, W, levels, T=None):
     interpolation's slope on each of its cells.
 
     W holds driver node values (P, N, d1) on a grid containing the dyadic
-    nodes of every level; levels is one level or a sequence.  The slopes
-    have shape (len(levels) * P, cells, d1), rows level-major.
+    nodes of every level; levels is one level or a sequence.  The slopes,
+    (len(levels) * P, cells, d1) rows level-major, are stored cell-major.
     """
     times = np.asarray(times, dtype=float)
     T = float(times[-1]) if T is None else float(T)
     grid = times[times <= T + 1e-12]
-    out = []
-    for n in np.atleast_1d(levels):
+    levels, (P, _, d1) = np.atleast_1d(levels), W.shape
+    out = np.empty((len(grid) - 1, d1, len(levels) * P)).transpose(2, 0, 1)
+    for j, n in enumerate(levels):
         delta = T / 2 ** int(n)
         w_nodes = W[:, pth.node_indices(times, pth.dyadic_grid(T, n))]
         slopes = np.zeros_like(w_nodes[:, :-1])
         slopes[:, 1:] = (w_nodes[:, 1:-1] - w_nodes[:, :-2]) / delta
-        out.append(expand_cell_slopes(slopes, grid, T))
-    return grid, np.concatenate(out)
+        out[j * P:(j + 1) * P] = expand_cell_slopes(slopes, grid, T)
+    return grid, out
 
 
 def wong_zakai_batch(domain, coeffs, times, W, n, substeps, x0, T=None,
@@ -396,14 +414,15 @@ def shifted_driver_batch(domain, coeffs, times, W, n, h, x0, T=None,
     """
     grid, slopes = _adapted_slopes(times, W, n, T)
     dt = np.diff(grid)
-    dW = np.tile(np.diff(W[:, :len(grid)], axis=1), (len(slopes) // len(W), 1, 1))
+    W = _step_major(W[:, :len(grid)])
+    dW = np.tile(W[1:] - W[:-1], len(slopes) // W.shape[2])
     dh = np.diff(np.atleast_2d(h(grid)), axis=0)
-    du_total = dW - slopes * dt[None, :, None] + dh[None]
+    du_total = dW - _step_major(slopes) * dt[:, None, None] + dh[:, :, None]
     x0 = _broadcast_start(x0, len(slopes), coeffs.d)
 
     def inc(i, X):
         S = coeffs.sigma_at(X)
-        return _rows_dot(S, du_total[:, i]) + btilde(coeffs, X, S) * dt[i]
+        return _rows_dot(S, du_total[i].T) + btilde(coeffs, X, S) * dt[i]
 
     return BatchPaths(grid, *drive_batch(domain, grid, x0, inc, pushes=pushes))
 

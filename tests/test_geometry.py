@@ -212,6 +212,34 @@ class TestRowKernelsAsFirstWritten:
                 rows, ball_project_rows_reference(ball, rows)))
 
 
+class TestProjectRowsLayout:
+    # the step loop keeps its state column-major; each kind projects the
+    # same rows to the same bits in either layout and answers in its input's
+    @pytest.mark.parametrize("dom", CONVEX + [NOTCHED],
+                             ids=lambda dom: dom.kind)
+    def test_row_and_column_major_bit_equal(self, dom):
+        rng = np.random.default_rng(23)
+        Y = _rows_with_corners(rng, 2, -0.5, 1.0)
+        Y = Y[np.abs(Y[:, 0] - 0.5) > 1e-3]  # off the notch's ambiguous rows
+        Y[:7] = [[np.inf, 0.2], [0.3, -np.inf], [np.nan, 0.4], [0.6, np.nan],
+                 [5e-324, -5e-324], [-0.0, 2.2e-308], [1e300, -1e300]]
+        if dom is DIAMOND:  # the per-row solve takes finite rows only
+            Y = Y[7:]
+        subsets = [np.arange(len(Y))] + [
+            np.sort(rng.choice(len(Y), n, replace=False)) for n in (1, 5, 21)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for rows in subsets:
+                C = Y[rows]
+                F = np.asfortranarray(C)
+                assert F.flags.f_contiguous and not F.flags.c_contiguous \
+                    or len(rows) == 1
+                got_c, got_f = dom.project_rows(C), dom.project_rows(F)
+                _assert_rows_equal(got_f, got_c)
+                for (X, K, _), order in ((got_c, "C"), (got_f, "F")):
+                    assert X.flags[order + "_CONTIGUOUS"]
+                    assert K.flags[order + "_CONTIGUOUS"]
+
+
 class TestNotched:
     def test_membership(self):
         assert NOTCHED.contains([0.5, 0.1])[0] is Membership.EXTERIOR

@@ -468,6 +468,33 @@ class TestExactScanBits:
         assert peak < 0.5e6
 
 
+    @pytest.mark.parametrize("P, N, rows, batch", [
+        (1024, 257, 60, 1024), (256, 513, 15, 1024), (1, 1025, 1, 129),
+        (3, 1025, 3, 387)])
+    def test_block_pair_batch_follows_the_tile(self, P, N, rows, batch):
+        # holder-disc's and criterion 09's tiles keep batches of 1024 block
+        # pairs; a few long rows take B node pairs per bound of a strip
+        plan = pth._BlockPlan(np.linspace(0.0, 1.0, N), P, N, 0.2)
+        assert min(P, plan.tile_rows) == rows
+        assert plan.batch == batch
+
+    def test_few_rows_block_pairs_bounded_memory(self):
+        # alpha 0 on uniform noise: every block pair of a strip beats the
+        # row's best, so the batch fills; in batches of 1024 block pairs
+        # this (1, 1025, 2) scan peaked at 0.864 MB, now near 0.34 MB
+        rng = np.random.default_rng(0)
+        t = np.linspace(0.0, 1.0, 1025)
+        v = rng.uniform(0.0, 1.0, (1, 1025, 2))
+        tracemalloc.start()
+        try:
+            got = lag_scan_sq(t, v, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, lag_scan_sq_reference(t, v, 0.0))
+        assert peak < 0.45e6
+
+
 class TestSqNorm:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_sqrt_has_linalg_norm_bits(self, d):

@@ -298,7 +298,8 @@ SPECIAL = np.array([0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan, 5e-324,
 
 
 class TestIncrementKernels:
-    @pytest.mark.parametrize("d,d1", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("d,d1", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2),
+                                      (1, 3), (2, 3)])
     def test_rows_dot_has_the_einsum_bits(self, d, d1):
         rng = np.random.default_rng(10 * d + d1)
         S = rng.choice(SPECIAL, (400, d, d1))
@@ -307,15 +308,21 @@ class TestIncrementKernels:
         dW[::3] = rng.standard_normal((134, 9, d1))
         M = rng.standard_normal((d, d1))
         M[0] = -0.0
+        M_special = rng.choice(SPECIAL, (d, d1))
         with np.errstate(invalid="ignore", over="ignore", under="ignore"):
             # contiguous rows, a column view of a driver array, and a
-            # read-only broadcast sigma as the constant family returns it
+            # read-only broadcast sigma as the constant family returns it;
+            # each v also as the step loop reads it, column-major, where the
+            # result must still be the einsum's on rows, NaN signs included
             for S_, v in ((S, dW[:, 0]), (S, dW[:, 4]),
                           (np.broadcast_to(M, S.shape), dW[:, 2]),
+                          (np.broadcast_to(M_special, S.shape), dW[:, 5]),
                           (S[::2], dW[::2, 8])):
-                got = rsde._rows_dot(S_, v)
                 want = np.einsum("pik,pk->pi", S_, v)
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                for v_ in (v, np.asfortranarray(v)):
+                    got = rsde._rows_dot(S_, v_)
+                    assert np.array_equal(got.view(np.int64),
+                                          want.view(np.int64))
 
     @pytest.mark.parametrize("substeps", [1, 2, 3, 4, 7, 8])
     def test_refined_grid_is_the_per_cell_linspace(self, substeps):

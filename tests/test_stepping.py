@@ -2,6 +2,7 @@
 projection stepping kernel, on every shipped domain kind."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,3 +220,51 @@ def test_integrators_match_the_reference_step(kind, sigma, d, drift,
             assert a.shape == b.shape, (run, name)
             assert np.array_equal(a.view(np.int64), b.view(np.int64)), \
                 (run, name)
+
+
+@pytest.mark.parametrize("kind", ["ball", "notched_disc", "half_space"])
+@pytest.mark.parametrize("sigma", ["const", "sin", "affine"])
+def test_step_state_is_column_major(kind, sigma, monkeypatch):
+    # every integrator steps a column-major state, whatever layout its
+    # increments come in; the reference step loop stays row-major
+    dom, x0 = KINDS[kind]
+    cf = make_coefficients(2, 2, sigma=sigma, sigma_params=SIGMAS[sigma, 2])
+    for drive, layout in ((drive_batch, "F"),
+                          (oracles.drive_batch_reference, "C")):
+        monkeypatch.setattr(rsde, "drive_batch", drive)
+        seen = set()
+
+        def recorded(X, sigma=cf.sigma):
+            if len(X) > 1:
+                seen.add("F" if X.flags.f_contiguous else
+                         "C" if X.flags.c_contiguous else "strided")
+            return sigma(X)
+
+        _integrate_all(dom, dataclasses.replace(cf, sigma=recorded), x0)
+        assert seen == {layout}
+
+
+def test_adapted_slopes_need_no_second_copy():
+    # the slopes are built cell-major, so the step loop reads them in place
+    times = dyadic_grid(1.0, 6)
+    W = brownian_batch(2, times, 3, 0, 5)
+    grid, slopes = rsde._adapted_slopes(times, W, [2, 3, 4])
+    assert slopes.shape == (15, 64, 2)
+    assert np.shares_memory(rsde._step_major(slopes), slopes)
+
+
+def test_wong_zakai_memory_at_holder_disc_shape():
+    # holder-disc's batch: 4 levels x 256 paths on 256 cells, d1 = 2.  The
+    # row-major step loop peaked at 14,937,992 B; a second copy of the
+    # (1024, 256, 2) slopes would add 4.2 MB
+    times = dyadic_grid(1.0, 8)
+    W = brownian_batch(2, times, 7, 0, 256)
+    cf = make_coefficients(2, 2, sigma="const", sigma_params={"value": 0.5})
+    tracemalloc.start()
+    try:
+        wong_zakai_batch(Ball([0.0, 0.0], 1.0), cf, times, W, [4, 5, 6, 7],
+                         4, [0.0, 0.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14.94e6
