@@ -216,7 +216,7 @@ class HalfSpace(Domain):
         # ndarray.dot has matmul's bits at a fraction of its cost, on rows
         s = np.ascontiguousarray(Y).dot(self.normal) - self.offset
         dist = np.maximum(-s, 0.0)
-        X = Y + (self.normal[:, None] * dist).T  # in Y's layout
+        X = Y + np.multiply.outer(self.normal, dist).T  # in Y's layout
         return X, X - Y, dist
 
     def boundary_points(self, n, rng):

@@ -244,10 +244,9 @@ def _broadcast_start(x0, P, d):
 
 
 def _step_major(A):
-    """A (P, steps, d1) as (steps, d1, P), A[i].T being step i's rows as d1
-    columns: C-contiguous (no copy if stored so) unless d1 = 1, kept a view."""
-    A = np.moveaxis(A, 0, -1)
-    return A if A.shape[1] == 1 else np.ascontiguousarray(A)
+    """A (P, steps, d1) as a C-contiguous (steps, d1, P) array, whose A[i].T
+    are step i's rows as d1 columns; no copy if A is stored so already."""
+    return np.ascontiguousarray(np.moveaxis(A, 0, -1))
 
 
 def _rows_dot(S, v):

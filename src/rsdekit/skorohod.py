@@ -73,7 +73,7 @@ def _advance(domain, X, du):
     once.  Otherwise each row over r0/2 is bisected by its own increment
     norm; sub-step s projects only the rows with more than s sub-steps.
     """
-    Y = X + du if du.flags.f_contiguous else np.add(X, du, order="F")
+    Y = np.add(X, du, order="F")
     if domain.convex:
         return domain.project_rows(Y)
     half = 0.5 * domain.r0
