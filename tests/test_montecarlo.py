@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -584,3 +586,13 @@ class TestReportShape:
         assert lines[0] == "label,value,ci_halfwidth,n,kind"
         assert len(lines) == len(rep.estimates) + 1
 
+
+def test_serial_run_imports_no_process_pool():
+    # the pool module is imported only when a pool starts, so a serial run
+    # (the CLI included) does not pay for importing it
+    code = ("import sys, rsdekit.cli, rsdekit.montecarlo as mc; "
+            "mc.parallel_chunks(slice, 600, 1, {}); "
+            "print('concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["False"]
