@@ -235,11 +235,11 @@ def coefficients_from_pointwise(d, d1, sigma, b, sigma_jac=None):
 
 
 def _broadcast_start(x0, P, d):
-    """Starts for P rows: one shared start, or per-path starts repeated
-    across the levels stacked into the batch."""
+    """Starts for P rows: one shared start as a view (drive_batch copies
+    it), or per-path starts repeated across the levels stacked in a batch."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.ndim == 1:
-        x0 = np.broadcast_to(x0, (P, d))
+        return np.broadcast_to(x0, (P, d))
     return np.tile(x0, (P // len(x0), 1))
 
 
@@ -260,7 +260,8 @@ def _rows_dot(S, v):
     out = np.einsum("pik,pk->pi", S, v)
     if not v.flags.c_contiguous and np.isnan(out).any():
         rows = np.isnan(out).any(axis=1).nonzero()[0]
-        out[rows] = np.einsum("pik,pk->pi", S[rows], v[rows])
+        out[rows] = np.einsum("pik,pk->pi", S[rows],
+                              np.ascontiguousarray(v[rows]))
     return out
 
 
