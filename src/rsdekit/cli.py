@@ -7,8 +7,9 @@ to the report so every run is self-describing.
 
 Exit codes: 0 all verdicts pass (informational verdicts such as
 "degenerate", "near-critical" and "premise not met" count as non-failures),
-1 a verdict failed, 2 configuration error, 3 tube sampling infeasible,
-4 numerical error.
+1 a verdict failed, 2 configuration error (a section value that its
+builder rejects included), 3 tube sampling infeasible, 4 numerical error,
+5 internal error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 
 from . import maxprinciple, montecarlo
 from .errors import (AmbiguousProjection, ConfigError, GridMismatch,
-                     RsdekitError, StartOutsideDomain, TubeTooNarrow)
+                     RsdekitError, StartOutsideDomain, TubeTooNarrow,
+                     UnsupportedKind)
 from .geometry import make_domain
 from .paths import (HOLDER_EXACT_LIMIT, linear_control, sine_control,
                     zero_control)
@@ -327,6 +329,7 @@ def parse_config(path, overrides=()):
                               f"{nodes} nodes, above the exact Holder scan's "
                               f"limit of {HOLDER_EXACT_LIMIT}")
     resolved["experiment"] = params
+    _build_sections(resolved)  # a value no builder takes is a config error
     return resolved
 
 
@@ -377,6 +380,24 @@ def _build_u(cfg):
     return u
 
 
+def _build_sections(resolved):
+    """The [domain], [coefficients], [control] and [u] sections present,
+    built; a value a builder rejects is a ConfigError naming its section."""
+    builders = {"domain": _build_domain, "coefficients": _build_coeffs,
+                "control": lambda cfg: _build_control(
+                    cfg, resolved["experiment"].get("T", 1.0),
+                    resolved["coefficients"]["d1"]),
+                "u": _build_u}
+    built = {}
+    for sec, build in builders.items():
+        if sec in resolved:
+            try:
+                built[sec] = build(resolved[sec])
+            except (TypeError, ValueError, UnsupportedKind) as exc:
+                raise ConfigError(f"section [{sec}]: {exc}") from exc
+    return built
+
+
 def run_experiment(resolved):
     """Dispatch a resolved config to its experiment; returns (report, extras)."""
     name = resolved["run"]["experiment"]
@@ -385,28 +406,24 @@ def run_experiment(resolved):
     params = dict(resolved["experiment"])
     kwargs = {"seed": seed, "workers": workers}
     extras = {}
-    domain = _build_domain(resolved["domain"]) if "domain" in resolved else None
-    coeffs = _build_coeffs(resolved["coefficients"]) \
-        if "coefficients" in resolved else None
+    built = _build_sections(resolved)
+    domain, coeffs = built.get("domain"), built.get("coefficients")
     if name == "smallball_and_levy":
         report = montecarlo.smallball_and_levy(**params, **kwargs)
     elif name == "submartingale_test":
-        u = _build_u(resolved["u"])
         report = maxprinciple.submartingale_test(
-            domain, coeffs, u, params.pop("x"), params.pop("time_grid"),
-            params.pop("paths"), **params, **kwargs)
+            domain, coeffs, built["u"], params.pop("x"),
+            params.pop("time_grid"), params.pop("paths"), **params, **kwargs)
     elif name == "max_principle":
-        u = _build_u(resolved["u"])
         report, cloud = maxprinciple.max_principle_report(
-            domain, coeffs, u, params.pop("x"), params.pop("n_controls"),
-            params.pop("horizon"), seed=seed, **params)
+            domain, coeffs, built["u"], params.pop("x"),
+            params.pop("n_controls"), params.pop("horizon"), seed=seed,
+            **params)
         extras["cloud"] = cloud
     else:
-        fn = getattr(montecarlo, name)
-        if "control" in resolved:
-            T = params.get("T", 1.0)
-            params["h"] = _build_control(resolved["control"], T, coeffs.d1)
-        report = fn(domain, coeffs, **params, **kwargs)
+        if "control" in built:
+            params["h"] = built["control"]
+        report = getattr(montecarlo, name)(domain, coeffs, **params, **kwargs)
     return report, extras
 
 

@@ -327,9 +327,8 @@ class AxisBox(Domain):
         return outside + inside
 
     def project_rows(self, Y):
-        # on columns, maximum then minimum give np.clip's bits on rows
-        X = np.clip(Y, self.low, self.high) if Y.flags.c_contiguous else \
-            np.minimum(np.maximum(Y, self.low), self.high)
+        # not np.clip, whose sign for a -0.0 on a face follows d and position
+        X = np.minimum(np.maximum(Y, self.low), self.high)
         K = X - Y
         return X, K, np.sqrt(_sq_norm(K))
 

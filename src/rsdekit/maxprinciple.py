@@ -24,8 +24,9 @@ from . import rsde
 from .geometry import Membership
 # brownian_batch and parallel_chunks are not called here, but stay bound:
 # perfbench/tracing.py wraps them in this namespace too
-from .montecarlo import (Estimate, ExperimentReport, Threshold,  # noqa: F401
-                         brownian_batch, mean_ci, parallel_chunks, run_paths)
+from .montecarlo import (ExperimentReport, Threshold,  # noqa: F401
+                         brownian_batch, nondecreasing_within_ci,
+                         parallel_chunks, run_paths)
 
 
 @dataclass
@@ -109,16 +110,9 @@ def submartingale_test(domain, coeffs, u, x, time_grid, paths, seed,
                     "x": np.atleast_1d(x).tolist()},
         seeds={"seed": int(seed), "streams": "path index", "rng": "philox"},
         thresholds=[Threshold("nondecreasing_within_ci", 0.0, "theory")])
-    means, halfs = [], []
-    for j, t in enumerate(time_grid):
-        vals = np.array([float(u(p)) for p in marg[:, j]])
-        m, ci = mean_ci(vals)
-        means.append(m)
-        halfs.append(ci)
-        report.estimates.append(Estimate(f"E_u_at_t_{t}", m, ci, len(vals)))
-    ok = all(means[j + 1] >= means[j] - (halfs[j] + halfs[j + 1])
-             for j in range(len(means) - 1))
-    report.verdict = "pass" if ok else "fail"
+    stats = [report.add_mean(f"E_u_at_t_{t}", [float(u(p)) for p in marg[:, j]])
+             for j, t in enumerate(time_grid)]
+    report.verdict = "pass" if nondecreasing_within_ci(stats) else "fail"
     return report
 
 
@@ -156,13 +150,9 @@ def max_principle_report(domain, coeffs, u, x, n_controls, horizon, seed,
                     "tolerance": tolerance, "x": np.atleast_1d(x).tolist()},
         seeds={"seed": int(seed), "streams": "control index", "rng": "philox"},
         thresholds=[Threshold("oscillation_limit", 2.0 * tolerance, "theory")])
-    report.estimates.append(Estimate("u_at_base", float(u(np.asarray(x))), 0.0,
-                                     1, kind="statistic"))
-    report.estimates.append(Estimate("cloud_max", float(np.max(vals)), 0.0,
-                                     len(vals), kind="statistic"))
-    report.estimates.append(Estimate("cloud_min", float(np.min(vals)), 0.0,
-                                     len(vals), kind="statistic"))
-    report.estimates.append(Estimate("cloud_size", float(len(vals)), 0.0,
-                                     len(vals), kind="statistic"))
+    report.add("u_at_base", float(u(np.asarray(x))), n=1)
+    report.add("cloud_max", float(np.max(vals)), n=len(vals))
+    report.add("cloud_min", float(np.min(vals)), n=len(vals))
+    report.add("cloud_size", float(len(vals)), n=len(vals))
     report.verdict = verdict
     return report, cloud

@@ -72,9 +72,22 @@ class ExperimentReport:
     thresholds: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
-    @property
-    def failed(self):
-        return self.verdict == "fail"
+    def add(self, label, value, ci=0.0, n=0, kind="statistic"):
+        self.estimates.append(Estimate(label, value, ci, n, kind))
+
+    def add_mean(self, label, samples, kind="mean"):
+        """Record the sample mean with its CI halfwidth; returns (mean, ci)."""
+        m, ci = mean_ci(samples)
+        self.add(label, m, ci, len(samples), kind)
+        return m, ci
+
+    def add_proportion(self, label, hits):
+        """Record the share k/n of true `hits` with its Wilson halfwidth;
+        returns (k/n, halfwidth)."""
+        k, n = int(np.sum(hits)), len(hits)
+        _, half = wilson(k, n)
+        self.add(label, k / n, half, n, "proportion")
+        return k / n, half
 
     def estimate(self, label):
         for e in self.estimates:
@@ -160,14 +173,14 @@ def _rate_levels(levels):
     return levels
 
 
-def _nondecreasing_within_ci(values, halfwidths):
-    return all(values[i + 1] >= values[i] - (halfwidths[i] + halfwidths[i + 1])
-               for i in range(len(values) - 1))
+def nondecreasing_within_ci(stats):
+    """Whether each of the (value, CI halfwidth) pairs `stats` is at least
+    its predecessor less both halfwidths."""
+    return all(b >= a - (ha + hb) for (a, ha), (b, hb) in zip(stats, stats[1:]))
 
 
-def _nonincreasing_within_ci(values, halfwidths):
-    return all(values[i + 1] <= values[i] + (halfwidths[i] + halfwidths[i + 1])
-               for i in range(len(values) - 1))
+def nonincreasing_within_ci(stats):
+    return all(b <= a + (ha + hb) for (a, ha), (b, hb) in zip(stats, stats[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -347,19 +360,13 @@ def wz_convergence(domain, coeffs, x0, T, levels, paths, seed, substeps=4,
     means = []
     ok_substeps = True
     for n in levels:
-        errs = res[("err", n)]
-        m, ci = mean_ci(errs)
+        m, ci = report.add_mean(f"E_sup_err_level_{n}", res[("err", n)])
         means.append(m)
-        report.estimates.append(Estimate(f"E_sup_err_level_{n}", m, ci, len(errs)))
-        hol = res[("holder", n)]
-        mh, cih = mean_ci(hol)
-        report.estimates.append(Estimate(f"E_holder_err_level_{n}", mh, cih,
-                                         len(hol), kind="statistic"))
+        report.add_mean(f"E_holder_err_level_{n}", res[("holder", n)],
+                        kind="statistic")
         if check_substeps:
-            errs2 = res[("err2x", n)]
-            m2, ci2 = mean_ci(errs2)
-            report.estimates.append(Estimate(f"E_sup_err_level_{n}_substeps2x",
-                                             m2, ci2, len(errs2)))
+            m2, _ = report.add_mean(f"E_sup_err_level_{n}_substeps2x",
+                                    res[("err2x", n)])
             ok_substeps &= abs(m2 - m) < max(ci, 1e-15)
     if max(means) < 1e-300:
         report.verdict = "degenerate"
@@ -423,9 +430,7 @@ def skeleton_convergence(domain, coeffs, x0, T, h, levels, paths, seed,
     sup_means, constants = [], []
     for n in levels:
         vals = res[("supsq", n)]
-        m, ci = mean_ci(vals)
-        sup_means.append(m)
-        report.estimates.append(Estimate(f"E_supsq_level_{n}", m, ci, len(vals)))
+        sup_means.append(report.add_mean(f"E_supsq_level_{n}", vals)[0])
         node_mean = np.sum(res[("nodesq_sum", n)], axis=0) / len(vals)
         node_stat = float(np.max(node_mean))
         nodes = pth.dyadic_grid(T, n)
@@ -433,13 +438,9 @@ def skeleton_convergence(domain, coeffs, x0, T, h, levels, paths, seed,
                       for k in range(2, len(nodes)))
         bound = (T * 2.0 ** (-n)) ** (theta / 2.0) + modulus
         constants.append(node_stat / bound)
-        report.estimates.append(Estimate(f"node_supmeansq_level_{n}", node_stat,
-                                         0.0, len(vals), kind="statistic"))
-        report.estimates.append(Estimate(f"control_modulus_level_{n}", modulus,
-                                         0.0, 0, kind="statistic"))
-        report.estimates.append(Estimate(f"node_constant_level_{n}",
-                                         constants[-1], 0.0, len(vals),
-                                         kind="statistic"))
+        report.add(f"node_supmeansq_level_{n}", node_stat, n=len(vals))
+        report.add(f"control_modulus_level_{n}", modulus)
+        report.add(f"node_constant_level_{n}", constants[-1], n=len(vals))
     decay_ok = sup_means[-1] <= decay_factor * sup_means[0]
     # stability per refinement: the constant must move by less than the
     # factor from one level to the next (a growing sequence would falsify
@@ -529,7 +530,6 @@ def approx_continuity(domain, coeffs, x0, T, h, epsilon, deltas,
         thresholds=[Threshold("final_state_min", final_min, "policy"),
                     Threshold("limit_probability", 1.0, "theory")])
     stats = {"joint": [], "state": [], "regulator": []}
-    cis = {"joint": [], "state": [], "regulator": []}
     for di, delta in enumerate(deltas):
         W, attempts, acc = _collect_tube_samples(
             coeffs.d1, times, href, delta, di, int(target_accepted), seed,
@@ -537,22 +537,17 @@ def approx_continuity(domain, coeffs, x0, T, h, epsilon, deltas,
         dist = run_paths(_tracking_chunk, W, workers, domain, coeffs, times,
                          x0, seed, Y=Ysol.x.values, L=Ysol.k.values)
         dist_state, dist_reg = dist["state"], dist["regulator"]
-        n = len(W)
         for label, hits in (("state", dist_state < epsilon),
                             ("regulator", dist_reg < epsilon),
                             ("joint", dist_state + dist_reg < epsilon)):
-            k = int(np.sum(hits))
-            _, half = wilson(k, n)
-            stats[label].append(k / n)
-            cis[label].append(half)
-            report.estimates.append(Estimate(
-                f"P_{label}_delta_{delta}", k / n, half, n, kind="proportion"))
+            stats[label].append(
+                report.add_proportion(f"P_{label}_delta_{delta}", hits))
         report.notes.append(
-            f"delta={delta}: accepted={n} attempts={attempts} "
+            f"delta={delta}: accepted={len(W)} attempts={attempts} "
             f"acceptance={acc:.3e}")
-    mono = all(_nondecreasing_within_ci(stats[ch], cis[ch])
+    mono = all(nondecreasing_within_ci(stats[ch])
                for ch in ("state", "regulator"))
-    final_ok = stats["state"][-1] >= final_min
+    final_ok = stats["state"][-1][0] >= final_min
     report.verdict = "pass" if (mono and final_ok) else "fail"
     return report
 
@@ -618,18 +613,14 @@ def moment_scaling(domain, coeffs, x0, windows, p, paths, seed, workers=1,
     for tag, label in (("x", "osc_moment"), ("k", "regulator_moment")):
         means = []
         for j in range(len(windows)):
-            vals = res[(tag, j)]
-            m, ci = mean_ci(vals)
-            means.append(m)
-            report.estimates.append(Estimate(f"{label}_window_{j}", m, ci,
-                                             len(vals)))
+            means.append(report.add_mean(f"{label}_window_{j}",
+                                         res[(tag, j)])[0])
         if max(means) < 1e-300:
             degenerate = True
             continue
         fit = loglog_fit(spans, means)
         slopes[label] = fit
-        report.estimates.append(Estimate(f"{label}_slope", fit.slope, 0.0,
-                                         int(paths), kind="statistic"))
+        report.add(f"{label}_slope", fit.slope, n=int(paths))
         report.notes.append(f"{label}: slope={fit.slope:.3f} r2={fit.r2:.3f}")
     if degenerate:
         report.verdict = "degenerate"
@@ -668,8 +659,7 @@ def exp_tail(domain, coeffs, x0, T, paths, seed, grid_level=9, workers=1,
                     "x0": np.atleast_1d(x0).tolist()},
         seeds={"seed": int(seed), "streams": "path index", "rng": "philox"},
         thresholds=[Threshold("quadratic_coefficient_positive", 0.0, "theory")])
-    m, ci = mean_ci(kT)
-    report.estimates.append(Estimate("mean_KT", m, ci, len(kT)))
+    report.add_mean("mean_KT", kT)
     if float(np.std(kT)) < 1e-12:
         report.verdict = "degenerate"
         report.notes.append("|K|_T is constant; tail fit skipped")
@@ -694,8 +684,7 @@ def exp_tail(domain, coeffs, x0, T, paths, seed, grid_level=9, workers=1,
     report.rate_fit = RateFit(slope, intercept, r2,
                               [[float(a), float(b)] for a, b in zip(xs, ys)],
                               kind="neglog_survival_vs_k_sq")
-    report.estimates.append(Estimate("quadratic_coefficient", slope, half,
-                                     len(kT), kind="statistic"))
+    report.add("quadratic_coefficient", slope, half, len(kT))
     ok = slope > 0 and slope - half > 0
     if oracle_coefficient is not None:
         report.thresholds.append(Threshold("oracle_coefficient",
@@ -760,13 +749,9 @@ def smallball_and_levy(T, deltas, M_values, paths, seed, workers=1,
                     Threshold("min_r2", min_r2, "policy")])
     probs, invsq = [], []
     for d in deltas:
-        k = int(np.sum(sups < d))
-        _, half = wilson(k, len(sups))
-        report.estimates.append(Estimate(f"P_smallball_delta_{d}",
-                                         k / len(sups), half, len(sups),
-                                         kind="proportion"))
-        if k > 0:
-            probs.append(k / len(sups))
+        p, _ = report.add_proportion(f"P_smallball_delta_{d}", sups < d)
+        if p > 0:
+            probs.append(p)
             invsq.append(1.0 / d ** 2)
     if len(set(invsq)) < 2:
         slope_ok = False
@@ -809,23 +794,15 @@ def smallball_and_levy(T, deltas, M_values, paths, seed, workers=1,
             levy_ok = False
             report.notes.append(f"levy delta={delta}: too few hits")
             continue
-        series = []
-        for M in M_values:
-            k = int(np.sum(zsups > M * delta))
-            _, half = wilson(k, n)
-            series.append(k / n)
-            report.estimates.append(Estimate(
-                f"P_zeta_gt_{M}delta_delta_{delta}", k / n, half, n,
-                kind="proportion"))
+        series = [report.add_proportion(f"P_zeta_gt_{M}delta_delta_{delta}",
+                                        zsups > M * delta)[0]
+                  for M in M_values]
         levy_ok &= all(series[i + 1] <= series[i]
                        for i in range(len(series) - 1)) \
             and series[-1] < series[0]
-        k = int(np.sum(zsups > epsilon * np.sqrt(delta)))
-        _, half = wilson(k, n)
-        prop_eps.append(k / n)
-        report.estimates.append(Estimate(
-            f"P_zeta_gt_eps_sqrtdelta_delta_{delta}", k / n, half, n,
-            kind="proportion"))
+        prop_eps.append(report.add_proportion(
+            f"P_zeta_gt_eps_sqrtdelta_delta_{delta}",
+            zsups > epsilon * np.sqrt(delta))[0])
     if len(prop_eps) >= 2:
         levy_ok &= all(prop_eps[i + 1] <= prop_eps[i]
                        for i in range(len(prop_eps) - 1))
@@ -854,7 +831,6 @@ def regulator_conditional(domain, coeffs, x0, T, deltas, c3, paths, seed,
                "rng": "philox"},
         thresholds=[Threshold("limit_probability", 0.0, "theory")])
     props = {"scaled": [], "fixed": []}
-    cis = {"scaled": [], "fixed": []}
     # one candidate pool at the widest delta, integrated once; each
     # narrower delta takes the hits that deviate less than it
     max_blocks = max(1, int(np.ceil(paths / TUBE_BLOCK)))
@@ -875,16 +851,10 @@ def regulator_conditional(domain, coeffs, x0, T, deltas, c3, paths, seed,
             continue
         for label, exceed in (("scaled", kT >= epsilon * delta ** -0.5),
                               ("fixed", kT > c3)):
-            k = int(np.sum(exceed))
-            _, half = wilson(k, n)
-            props[label].append(k / n)
-            cis[label].append(half)
-            report.estimates.append(Estimate(
-                f"P_K_{label}_delta_{delta}", k / n, half, n,
-                kind="proportion"))
+            props[label].append(
+                report.add_proportion(f"P_K_{label}_delta_{delta}", exceed))
         report.notes.append(f"delta={delta}: conditioned samples={n}")
-    ok = all(_nonincreasing_within_ci(props[ch], cis[ch]) for ch in props
-             if len(props[ch]) >= 2)
+    ok = all(nonincreasing_within_ci(p) for p in props.values())
     report.verdict = "pass" if ok else "fail"
     return report
 
@@ -934,21 +904,14 @@ def holder_tightness(domain, coeffs, x0, T, theta, levels, paths, seed,
     means = []
     for n in levels:
         vals = res[n]
-        m, ci = mean_ci(vals)
-        means.append(m)
-        report.estimates.append(Estimate(f"holder_mean_level_{n}", m, ci,
-                                         len(vals)))
-        report.estimates.append(Estimate(f"holder_q95_level_{n}",
-                                         float(np.quantile(vals, 0.95)), 0.0,
-                                         len(vals), kind="quantile"))
+        means.append(report.add_mean(f"holder_mean_level_{n}", vals)[0])
+        report.add(f"holder_q95_level_{n}", float(np.quantile(vals, 0.95)),
+                   n=len(vals), kind="quantile")
         if h is not None:
-            svals = res[("shifted", n)]
-            ms, cs = mean_ci(svals)
-            report.estimates.append(Estimate(f"holder_shifted_mean_level_{n}",
-                                             ms, cs, len(svals)))
+            report.add_mean(f"holder_shifted_mean_level_{n}",
+                            res[("shifted", n)])
     spread = max(means) / max(min(means), 1e-300)
-    report.estimates.append(Estimate("level_mean_spread", spread, 0.0,
-                                     int(paths), kind="statistic"))
+    report.add("level_mean_spread", spread, n=int(paths))
     if theta >= critical_theta:
         report.verdict = "near-critical"
         report.notes.append(f"theta={theta} is outside the tight window "
@@ -992,11 +955,9 @@ def support_inclusions(domain, coeffs, x0, T, h, n, epsilon, paths, seed,
                     "x0": np.atleast_1d(x0).tolist()},
         seeds={"seed": int(seed), "streams": "path index", "rng": "philox"},
         thresholds=[Threshold("reverse_hits_min", 1.0, "theory")])
-    m, ci = mean_ci(dist)
     p95 = float(np.quantile(dist, 0.95))
-    report.estimates.append(Estimate("forward_mean", m, ci, len(dist)))
-    report.estimates.append(Estimate("forward_p95", p95, 0.0, len(dist),
-                                     kind="quantile"))
+    report.add_mean("forward_mean", dist)
+    report.add("forward_p95", p95, n=len(dist), kind="quantile")
     ok = True
     if forward_p95_limit is not None:
         report.thresholds.append(Threshold("forward_p95_limit",
@@ -1008,13 +969,10 @@ def support_inclusions(domain, coeffs, x0, T, h, n, epsilon, paths, seed,
                       grid=rtimes)
     rdist = run_paths(_reverse_chunk, reverse_paths or paths, workers, domain,
                       coeffs, rtimes, x0, int(seed) + 1, Z=Z.x.values)["dist"]
-    hits = int(np.sum(rdist < epsilon))
-    _, half = wilson(hits, len(rdist))
-    report.estimates.append(Estimate("reverse_hit_count", float(hits), 0.0,
-                                     len(rdist), kind="statistic"))
-    report.estimates.append(Estimate("reverse_hit_proportion",
-                                     hits / len(rdist), half, len(rdist),
-                                     kind="proportion"))
+    hit = rdist < epsilon
+    hits = int(np.sum(hit))
+    report.add("reverse_hit_count", float(hits), n=len(rdist))
+    report.add_proportion("reverse_hit_proportion", hit)
     ok &= hits >= 1
     report.notes.append("tube-conditioned counterpart of the reverse "
                         "inclusion: approx_continuity")

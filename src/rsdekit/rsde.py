@@ -418,13 +418,9 @@ def shifted_driver_batch(domain, coeffs, times, W, n, h, x0, T=None,
     dW = np.tile(W[1:] - W[:-1], len(slopes) // W.shape[2])
     dh = np.diff(np.atleast_2d(h(grid)), axis=0)
     du_total = dW - _step_major(slopes) * dt[:, None, None] + dh[:, :, None]
-    x0 = _broadcast_start(x0, len(slopes), coeffs.d)
-
-    def inc(i, X):
-        S = coeffs.sigma_at(X)
-        return _rows_dot(S, du_total[i].T) + btilde(coeffs, X, S) * dt[i]
-
-    return BatchPaths(grid, *drive_batch(domain, grid, x0, inc, pushes=pushes))
+    # (P, steps, d1) view of the step-major increments: nothing is copied
+    return euler_reflected_batch(domain, coeffs, grid,
+                                 np.moveaxis(du_total, -1, 0), x0, pushes)
 
 
 def shifted_driver(domain, coeffs, w, n, h, x0, T=None):

@@ -96,8 +96,7 @@ def _advance(domain, X, du):
     return X, k_inc, tv_inc
 
 
-def drive_batch(domain, times, x0, increment_fn, check_start=True, stride=1,
-                pushes=False):
+def drive_batch(domain, times, x0, increment_fn, stride=1, pushes=False):
     """Run the projection scheme for P paths at once.
 
     increment_fn(i, X) must return the full step increments (P, d) for the
@@ -109,7 +108,7 @@ def drive_batch(domain, times, x0, increment_fn, check_start=True, stride=1,
     times = np.asarray(times, dtype=float)
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     P, d = x0.shape
-    if check_start and np.any(domain.signed_distance(x0) > BOUNDARY_TOL):
+    if np.any(domain.signed_distance(x0) > BOUNDARY_TOL):
         raise StartOutsideDomain("initial state outside the closure")
     N = (len(times) - 1) // stride + 1
     x = np.empty((P, N, d))

@@ -103,8 +103,13 @@ def ball_project_rows_reference(dom, Y):
 
 def box_project_rows_reference(dom, Y):
     """AxisBox.project_rows as first written, distances by
-    np.linalg.norm."""
+    np.linalg.norm, except that a row with a zero coordinate takes its own
+    maximum-then-minimum bits: np.clip gives a -0.0 on a face at 0 a sign
+    that follows the dimension and, on some CPUs, the row's place in its
+    batch, while maximum then minimum give +0.0 at every d and position."""
     X = np.clip(Y, dom.low, dom.high)
+    for p in np.flatnonzero(np.any(Y == 0, axis=1)):
+        X[p] = np.minimum(np.maximum(Y[p], dom.low), dom.high)
     diff = X - Y
     dist = np.linalg.norm(diff, axis=1)
     N = np.zeros_like(Y)

@@ -1,10 +1,11 @@
+import inspect
 import json
 import os
 import textwrap
 
 import pytest
 
-from rsdekit import cli
+from rsdekit import cli, maxprinciple, montecarlo
 from rsdekit.errors import ConfigError
 
 
@@ -85,6 +86,28 @@ WZ_CONFIG = """
     x0 = [1.0]
     levels = [3, 4]
     paths = 8
+"""
+
+
+EXP_TAIL_CONFIG = """
+    [run]
+    experiment = exp_tail
+    seed = 1
+    output = {out}
+
+    [domain]
+    kind = half_space
+    params = {{"normal": [1.0], "offset": 0.0}}
+
+    [coefficients]
+    d = 1
+    d1 = 1
+    sigma = sin
+
+    [experiment]
+    T = 1.0
+    x0 = [1.0]
+    paths = 64
 """
 
 
@@ -235,6 +258,25 @@ class TestRun:
                             + "    stability_factor = 1.0000001\n")
         assert cli.main(["run", path]) == 1
 
+    @pytest.mark.parametrize("section, override", [
+        ("coefficients", "coefficients.sigma=sinx"),
+        ("coefficients", "coefficients.d1=2"),  # sin needs d == d1
+        ("domain", "domain.kind=half_spac"),
+        ("domain", 'domain.params={"normal": [1.0], "offst": 0.0}'),
+    ])
+    def test_invalid_section_value_exit_2(self, tmp_path, capsys, section,
+                                          override):
+        out = tmp_path / "o8"
+        path = write_config(tmp_path, EXP_TAIL_CONFIG.format(out=out))
+        assert cli.main(["run", path, "--dry-run"]) == 0
+        with pytest.raises(ConfigError, match=rf"section \[{section}\]"):
+            cli.parse_config(path, [override])
+        capsys.readouterr()
+        assert cli.main(["run", path, "--set", override]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"config error: section [{section}]")
+        assert not out.exists()
+
     def test_unexpected_exception_exit_5(self, tmp_path, monkeypatch, capsys):
         def broken(resolved):
             raise ValueError("boom")
@@ -366,6 +408,19 @@ class TestRun:
 
 
 class TestCatalog:
+    def test_defaults_match_experiment_signatures(self):
+        # each optional key's catalog default is its experiment's default
+        for name, spec in cli.CATALOG.items():
+            for key, (default, _) in spec.optional.items():
+                if name == "max_principle":
+                    fn = maxprinciple.max_principle_report \
+                        if key == "tolerance" else maxprinciple.reachable_sample
+                else:
+                    fn = getattr(montecarlo, name, None) \
+                        or getattr(maxprinciple, name)
+                assert inspect.signature(fn).parameters[key].default \
+                    == default, (name, key)
+
     def test_at_least_nine_experiments(self, capsys):
         assert cli.main(["list-experiments"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")

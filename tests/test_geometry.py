@@ -200,6 +200,20 @@ class TestRowKernelsAsFirstWritten:
             _assert_rows_equal(box.project_rows(rows), _with_push(
                 rows, box_project_rows_reference(box, rows)))
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("P", [33, 5000])
+    def test_box_signed_zero_rows_are_row_independent(self, d, P):
+        # a -0.0 on the face at 0 lands on +0.0 at every batch position, as
+        # the row does alone, at d = 1 as at d >= 2
+        box = AxisBox(np.zeros(d), np.ones(d))
+        Y = np.full((P, d), -0.0)
+        X, K, dist = box.project_rows(Y)
+        alone = [box.project_rows(Y[p:p + 1]) for p in range(P)]
+        for got, want in zip((X, K, dist), zip(*alone)):
+            assert np.array_equal(got.view(np.int64),
+                                  np.concatenate(want).view(np.int64))
+        assert not np.any(np.signbit(X))
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_ball(self, d):
         rng = np.random.default_rng(50 + d)
