@@ -116,6 +116,25 @@ def submartingale_test(domain, coeffs, u, x, time_grid, paths, seed,
     return report
 
 
+def _u_values(domain, u, x, cloud):
+    """u on every cloud point and at x, once each, after checking that the
+    cloud was sampled from x and lies in the closure."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.allclose(cloud.base, x):
+        raise ValueError("cloud was sampled from a different base point")
+    for p in cloud.points:
+        if domain.contains(p)[0] == Membership.EXTERIOR:
+            raise ValueError("cloud contains a point outside the closure")
+    return np.array([float(u(p)) for p in cloud.points]), float(u(x))
+
+
+def _verdict(vals, ux, tolerance):
+    if ux < float(np.max(vals)) - tolerance:
+        return "premise not met"
+    osc = float(np.max(vals) - np.min(vals))
+    return "pass" if osc <= 2.0 * tolerance else "fail"
+
+
 def max_principle_check(domain, u, x, cloud, tolerance):
     """If u attains its cloud maximum at the base point, u must be constant
     on the cloud (oscillation at most twice the tolerance).
@@ -123,18 +142,7 @@ def max_principle_check(domain, u, x, cloud, tolerance):
     Returns a verdict string: "pass", "fail", or "premise not met" (which is
     an outcome, not a failure).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.allclose(cloud.base, x):
-        raise ValueError("cloud was sampled from a different base point")
-    for p in cloud.points:
-        if domain.contains(p)[0] == Membership.EXTERIOR:
-            raise ValueError("cloud contains a point outside the closure")
-    vals = np.array([float(u(p)) for p in cloud.points])
-    ux = float(u(x))
-    if ux < float(np.max(vals)) - tolerance:
-        return "premise not met"
-    osc = float(np.max(vals) - np.min(vals))
-    return "pass" if osc <= 2.0 * tolerance else "fail"
+    return _verdict(*_u_values(domain, u, x, cloud), tolerance)
 
 
 def max_principle_report(domain, coeffs, u, x, n_controls, horizon, seed,
@@ -142,17 +150,16 @@ def max_principle_report(domain, coeffs, u, x, n_controls, horizon, seed,
     """Convenience wrapper: sample a cloud, run the check, emit a report."""
     cloud = reachable_sample(domain, coeffs, x, n_controls, horizon, seed,
                              **cloud_kwargs)
-    verdict = max_principle_check(domain, u, x, cloud, tolerance)
-    vals = np.array([float(u(p)) for p in cloud.points])
+    vals, ux = _u_values(domain, u, x, cloud)
     report = ExperimentReport(
         name="max_principle",
         parameters={"n_controls": int(n_controls), "horizon": horizon,
                     "tolerance": tolerance, "x": np.atleast_1d(x).tolist()},
         seeds={"seed": int(seed), "streams": "control index", "rng": "philox"},
         thresholds=[Threshold("oscillation_limit", 2.0 * tolerance, "theory")])
-    report.add("u_at_base", float(u(np.asarray(x))), n=1)
+    report.add("u_at_base", ux, n=1)
     report.add("cloud_max", float(np.max(vals)), n=len(vals))
     report.add("cloud_min", float(np.min(vals)), n=len(vals))
     report.add("cloud_size", float(len(vals)), n=len(vals))
-    report.verdict = verdict
+    report.verdict = _verdict(vals, ux, tolerance)
     return report, cloud

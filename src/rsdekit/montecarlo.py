@@ -254,10 +254,12 @@ class PathChunk:
         self.W = payload["W"] if payload["W"] is not None else brownian_batch(
             self.coeffs.d1, self.times, payload["seed"], lo, hi)
 
-    def euler(self):
-        """Reflected-Euler solution of these paths: the reference solve."""
+    def euler(self, record=("x",)):
+        """Reflected-Euler solution of these paths, the reference solve,
+        keeping the arrays named in `record`."""
         return rsde.euler_reflected_batch(self.domain, self.coeffs, self.times,
-                                          np.diff(self.W, axis=1), self.x0)
+                                          np.diff(self.W, axis=1), self.x0,
+                                          record)
 
 
 def _path_chunk(lo, hi, payload):
@@ -303,20 +305,22 @@ def _sup_dist(A, B):
 
 
 def _wz_chunk(c):
-    ref = c.euler()
+    ref = c.euler().x
     out = {}
     for mult, tag in ((1, "err"), (2, "err2x")):
         if mult == 2 and not c.check_substeps:
             continue
-        # all levels in one batch, rows level-major
-        batch = rsde.wong_zakai_batch(c.domain, c.coeffs, c.times, c.W,
-                                      c.levels, c.substeps * mult, c.x0)
-        for n, x in zip(c.levels, np.split(batch.x, len(c.levels))):
-            out[(tag, n)] = _sup_dist(ref.x, x)
+        # all levels in one batch, rows level-major; each level's rows are
+        # reduced, and the batch dropped, before the next solve
+        x = rsde.wong_zakai_batch(c.domain, c.coeffs, c.times, c.W, c.levels,
+                                  c.substeps * mult, c.x0).x
+        for n, xn in zip(c.levels, np.split(x, len(c.levels))):
+            out[(tag, n)] = _sup_dist(ref, xn)
             if mult == 1:
                 out[("holder", n)] = out[(tag, n)] + np.sqrt(pth.lag_scan_sq(
-                    c.times, ref.x - x, c.theta,
+                    c.times, ref - xn, c.theta,
                     pth.dyadic_lags(len(c.times))))
+        del x, xn
     crn_ok = True
     if c.lo == 0:
         # CRN discipline: the level-n driver must be a restriction of the
@@ -502,7 +506,7 @@ def _collect_tube_samples(d1, times, href, delta, delta_idx, target, seed,
 
 def _tracking_chunk(c):
     # sup distances of the state and the regulator from the pair (Y, L)
-    batch = c.euler()
+    batch = c.euler(("x", "k"))
     return {"state": _sup_dist(batch.x, c.Y),
             "regulator": _sup_dist(batch.k, c.L)}
 
@@ -567,7 +571,7 @@ def _window_osc_sq(x, lo, hi):
 
 
 def _moment_chunk(c):
-    batch = c.euler()
+    batch = c.euler(("x", "tv"))
     out = {}
     for j, (ilo, ihi) in enumerate(c.windows_idx):
         out[("x", j)] = _window_osc_sq(batch.x, ilo, ihi) ** c.p
@@ -641,7 +645,7 @@ def moment_scaling(domain, coeffs, x0, windows, p, paths, seed, workers=1,
 
 def _tail_chunk(c):
     # a copy: a view would keep the chunk's whole tv alive
-    return {"kT": c.euler().tv[:, -1].copy()}
+    return {"kT": c.euler(("tv",)).tv[:, -1].copy()}
 
 
 def exp_tail(domain, coeffs, x0, T, paths, seed, grid_level=9, workers=1,
@@ -707,18 +711,26 @@ def _smallball_chunk(lo, hi, payload):
     return {"sup": np.max(np.abs(W[..., 0]), axis=1)}
 
 
+def _levy_block(block, payload):
+    """One block's tube hits reduced, in place, to their iterated-integral
+    sups, with each hit's node deviation from zero."""
+    tube = pth.tube_block(block, block + 1, payload)
+    Wh = tube["accepted"][0]
+    # running integral of the midpoint of w1 against the increments of w2
+    running = np.add(Wh[:, :-1, 0], Wh[:, 1:, 0])
+    running *= 0.5
+    running *= np.diff(Wh[:, :, 1], axis=1)
+    np.cumsum(running, axis=1, out=running)
+    return np.max(np.abs(running, out=running), axis=1), tube["dev"][0]
+
+
 def _levy_blocks(lo, hi, payload):
     """Tube-conditioned iterated-integral sups for blocks [lo, hi), with
-    each hit's node deviation from zero."""
-    tube = pth.tube_block(lo, hi, payload)
-    zeta_sups = [np.zeros(0)]
-    for Wh in tube["accepted"]:
-        mid = 0.5 * (Wh[:, :-1, 0] + Wh[:, 1:, 0])
-        dv = np.diff(Wh[:, :, 1], axis=1)
-        running = np.cumsum(mid * dv, axis=1)
-        zeta_sups.append(np.max(np.abs(running), axis=1))
+    each hit's node deviation from zero; a block's hits are dropped before
+    the next block is drawn."""
+    zeta_sups, devs = zip(*(_levy_block(b, payload) for b in range(lo, hi)))
     return {"zeta_sup": np.concatenate(zeta_sups),
-            "dev": np.concatenate([np.zeros(0)] + tube["dev"])}
+            "dev": np.concatenate(devs)}
 
 
 def smallball_and_levy(T, deltas, M_values, paths, seed, workers=1,

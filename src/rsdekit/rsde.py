@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import paths as pth
-from .skorohod import BatchPaths, drive_batch
+from .skorohod import RECORD_ALL, BatchPaths, drive_batch
 
 FD_STEP_SCALE = 1e-6
 
@@ -265,14 +265,18 @@ def _rows_dot(S, v):
     return out
 
 
-def euler_reflected_batch(domain, coeffs, times, dW, x0, pushes=False):
+def euler_reflected_batch(domain, coeffs, times, dW, x0, record=("x",)):
     """Projected Euler for the reflected diffusion, P paths at once.
 
     Per step: y = X + sigma(X) dW + btilde(X) dt, then project.  dW has
-    shape (P, N-1, d1).
+    shape (P, N-1, d1).  `record` names the arrays to keep, as in
+    drive_batch.
     """
     times = np.asarray(times, dtype=float)
-    dW = _step_major(np.asarray(dW, dtype=float))
+    dW = np.asarray(dW, dtype=float)
+    # a one-column driver's step slice is one column whether copied or
+    # not, so it is read in place, strided
+    dW = np.moveaxis(dW, 0, -1) if dW.shape[2] == 1 else _step_major(dW)
     dt = np.diff(times)
     x0 = _broadcast_start(x0, dW.shape[2], coeffs.d)
 
@@ -281,14 +285,14 @@ def euler_reflected_batch(domain, coeffs, times, dW, x0, pushes=False):
         return _rows_dot(S, dW[i].T) + btilde(coeffs, X, S) * dt[i]
 
     return BatchPaths(times, *drive_batch(domain, times, x0, inc,
-                                          pushes=pushes))
+                                          record=record))
 
 
 def euler_reflected(domain, coeffs, w, x0):
     """Reflected Ito-Euler solution (X, K, tv) driven by a sampled path."""
     return euler_reflected_batch(domain, coeffs, w.times,
                                  np.diff(w.values, axis=0)[None], x0,
-                                 pushes=True).single(0)
+                                 RECORD_ALL).single(0)
 
 
 def _refined_grid(grid, substeps):
@@ -301,7 +305,7 @@ def _refined_grid(grid, substeps):
 
 
 def _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
-                        pushes=False):
+                        record=("x",)):
     """Projected explicit Euler for dx = sigma(x) hdot dt + b(x) dt.
 
     slopes gives the piecewise-constant driver derivative per cell of the
@@ -328,7 +332,7 @@ def _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
         return (du + coeffs.b_at(X)) * dt[i]
 
     return BatchPaths(grid, *drive_batch(domain, refined, x0, inc,
-                                         stride=substeps, pushes=pushes))
+                                         stride=substeps, record=record))
 
 
 def skeleton(domain, coeffs, h, substeps, x0, grid=None):
@@ -342,12 +346,13 @@ def skeleton(domain, coeffs, h, substeps, x0, grid=None):
     grid = np.asarray(grid, dtype=float)
     slopes = h.slope_at(0.5 * (grid[:-1] + grid[1:]))
     return _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
-                               pushes=True).single(0)
+                               RECORD_ALL).single(0)
 
 
-def skeleton_batch(domain, coeffs, grid, slopes, x0, substeps):
+def skeleton_batch(domain, coeffs, grid, slopes, x0, substeps, record=("x",)):
     """Skeletons for a batch of controls sharing breakpoints (slopes (P, cells, d1))."""
-    return _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps)
+    return _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
+                               record)
 
 
 def expand_cell_slopes(slopes, grid, T):
@@ -384,7 +389,7 @@ def _adapted_slopes(times, W, levels, T=None):
 
 
 def wong_zakai_batch(domain, coeffs, times, W, n, substeps, x0, T=None,
-                     pushes=False):
+                     record=("x",)):
     """Reflected ODE driven by the adapted interpolation, P paths at once.
 
     W holds driver node values (P, N, d1) on a grid containing the level-n
@@ -395,17 +400,17 @@ def wong_zakai_batch(domain, coeffs, times, W, n, substeps, x0, T=None,
     """
     grid, slopes = _adapted_slopes(times, W, n, T)
     return _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
-                               pushes)
+                               record)
 
 
 def wong_zakai(domain, coeffs, w, n, substeps, x0, T=None):
     """Adapted Wong-Zakai solution (X^n, K^n) on the driver's grid."""
     return wong_zakai_batch(domain, coeffs, w.times, w.values[None], n,
-                            substeps, x0, T, pushes=True).single(0)
+                            substeps, x0, T, RECORD_ALL).single(0)
 
 
 def shifted_driver_batch(domain, coeffs, times, W, n, h, x0, T=None,
-                         pushes=False):
+                         record=("x",)):
     """Projected Euler for the shifted driver w - w^n + h, P paths at once.
 
     Ito increments with the corrected drift btilde; the interpolation
@@ -420,10 +425,10 @@ def shifted_driver_batch(domain, coeffs, times, W, n, h, x0, T=None,
     du_total = dW - _step_major(slopes) * dt[:, None, None] + dh[:, :, None]
     # (P, steps, d1) view of the step-major increments: nothing is copied
     return euler_reflected_batch(domain, coeffs, grid,
-                                 np.moveaxis(du_total, -1, 0), x0, pushes)
+                                 np.moveaxis(du_total, -1, 0), x0, record)
 
 
 def shifted_driver(domain, coeffs, w, n, h, x0, T=None):
     """Solution (Y^n, phi^n) of the diffusion driven by w - w^n + h."""
     return shifted_driver_batch(domain, coeffs, w.times, w.values[None], n, h,
-                                x0, T, pushes=True).single(0)
+                                x0, T, RECORD_ALL).single(0)

@@ -49,29 +49,35 @@ class SkorohodSolution:
             fileobj.write(",".join(cells) + "\n")
 
 
+RECORD_ALL = ("x", "k", "tv", "pushes")
+
+
 @dataclass(frozen=True)
 class BatchPaths:
-    """Vectorized trajectories: one row per path, used by the harness."""
+    """Vectorized trajectories: one row per path, used by the harness.  An
+    array the solve was not asked to record is None."""
 
     times: np.ndarray
     x: np.ndarray   # (P, N, d)
     k: np.ndarray   # (P, N, d)
     tv: np.ndarray  # (P, N)
-    pushes: np.ndarray = None  # (P, N, d), when the solve was asked for it
+    pushes: np.ndarray = None  # (P, N, d)
 
     def single(self, p=0):
-        """Path p as a solution; the solve must have recorded pushes."""
+        """Path p as a solution; the solve must have recorded RECORD_ALL."""
         return SkorohodSolution(SamplePath(self.times, self.x[p]),
                                 SamplePath(self.times, self.k[p]),
                                 self.tv[p].copy(), self.pushes[p])
 
 
-def _advance(domain, X, du):
+def _advance(domain, X, du, sum_k=True, sum_tv=True):
     """One constrained step from states X (P, d) by increments du (P, d).
 
     Convex kinds, and nonconvex steps with no increment over r0/2, project
     once.  Otherwise each row over r0/2 is bisected by its own increment
-    norm; sub-step s projects only the rows with more than s sub-steps.
+    norm; sub-step s projects only the rows with more than s sub-steps, and
+    adds its regulator and distance to the step's only where sum_k and
+    sum_tv ask (a sum not asked for comes back as None).
     """
     Y = np.add(X, du, order="F")
     if domain.convex:
@@ -91,42 +97,59 @@ def _advance(domain, X, du):
         rows = big[sub]
         Xr, Kr, dist = domain.project_rows(X[rows] + du.take(sub, axis=0))
         X[rows] = Xr
-        k_inc[rows] += Kr
-        tv_inc[rows] += dist
-    return X, k_inc, tv_inc
+        if sum_k:
+            k_inc[rows] += Kr
+        if sum_tv:
+            tv_inc[rows] += dist
+    return X, k_inc if sum_k else None, tv_inc if sum_tv else None
 
 
-def drive_batch(domain, times, x0, increment_fn, stride=1, pushes=False):
+def drive_batch(domain, times, x0, increment_fn, stride=1, record=("x",)):
     """Run the projection scheme for P paths at once.
 
     increment_fn(i, X) must return the full step increments (P, d) for the
     step from times[i] to times[i+1] given the column-major states X.  Returns
-    (x, k, tv, pushes) arrays recorded at every stride-th node only (node 0
-    included; pass a stride that divides the step count); pushes is None
-    unless asked for.
+    the (x, k, tv, pushes) arrays named in `record` (any of RECORD_ALL),
+    each recorded at every stride-th node only (node 0 included; pass a
+    stride that divides the step count), and None for each of the others.
+    The regulator and total-variation sums run only if a recorded array
+    reads them.
     """
+    unknown = set(record) - set(RECORD_ALL)
+    if unknown:
+        raise ValueError(f"cannot record {sorted(unknown)}")
     times = np.asarray(times, dtype=float)
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     P, d = x0.shape
     if np.any(domain.signed_distance(x0) > BOUNDARY_TOL):
         raise StartOutsideDomain("initial state outside the closure")
     N = (len(times) - 1) // stride + 1
-    x = np.empty((P, N, d))
-    k = np.zeros((P, N, d))
-    tv = np.zeros((P, N))
-    pushes = np.zeros((P, N, d)) if pushes else None
+    x = np.empty((P, N, d)) if "x" in record else None
+    k = np.zeros((P, N, d)) if "k" in record else None
+    tv = np.zeros((P, N)) if "tv" in record else None
+    pushes = np.zeros((P, N, d)) if "pushes" in record else None
+    sum_k = k is not None or pushes is not None
     X = np.array(x0, order="F")
     K = np.zeros((P, d), order="F")
     TV = np.zeros(P)
-    x[:, 0] = X
+    if x is not None:
+        x[:, 0] = X
     for i in range(len(times) - 1):
-        X, k_inc, tv_inc = _advance(domain, X, increment_fn(i, X))
-        K += k_inc
-        TV += tv_inc
+        X, k_inc, tv_inc = _advance(domain, X, increment_fn(i, X), sum_k,
+                                    tv is not None)
+        if k is not None:
+            K += k_inc
+        if tv is not None:
+            TV += tv_inc
         j, off = divmod(i + 1, stride)
         if off:
             continue
-        x[:, j], k[:, j], tv[:, j] = X, K, TV
+        if x is not None:
+            x[:, j] = X
+        if k is not None:
+            k[:, j] = K
+        if tv is not None:
+            tv[:, j] = TV
         if pushes is not None:
             norms = np.sqrt(_sq_norm(k_inc))
             hit = norms > 0
@@ -137,7 +160,8 @@ def drive_batch(domain, times, x0, increment_fn, stride=1, pushes=False):
 def solve_batch(domain, times, dW, x0):
     """Skorohod map of P drivers given as increments dW (P, N-1, d)."""
     dW = np.asarray(dW, dtype=float)
-    x, k, tv, _ = drive_batch(domain, times, x0, lambda i, X: dW[:, i])
+    x, k, tv, _ = drive_batch(domain, times, x0, lambda i, X: dW[:, i],
+                              record=("x", "k", "tv"))
     return BatchPaths(np.asarray(times, dtype=float), x, k, tv)
 
 
@@ -153,7 +177,7 @@ def solve(domain, driver, x0):
         raise ValueError("driver dimension and start dimension disagree")
     dW = np.diff(driver.values, axis=0)[None, :, :]
     out = drive_batch(domain, driver.times, x0[None, :], lambda i, X: dW[:, i],
-                      pushes=True)
+                      record=RECORD_ALL)
     return BatchPaths(driver.times, *out).single(0)
 
 

@@ -334,9 +334,9 @@ def advance_reference(domain, X, du):
 
 
 def drive_batch_reference(domain, times, x0, increment_fn, check_start=True,
-                          stride=1, pushes=None):
-    """The step loop as first written; it records pushes whether they are
-    asked for or not."""
+                          stride=1, record=("x",)):
+    """The step loop as first written; it records every array and returns
+    those named in `record`, None for the others."""
     times = np.asarray(times, dtype=float)
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     P, d = x0.shape
@@ -365,7 +365,8 @@ def drive_batch_reference(domain, times, x0, increment_fn, check_start=True,
         norms = np.linalg.norm(k_inc, axis=1)
         hit = norms > 0
         pushes[hit, j] = k_inc[hit] / norms[hit, None]
-    return x, k, tv, pushes
+    return tuple(a if name in record else None for name, a in
+                 zip(("x", "k", "tv", "pushes"), (x, k, tv, pushes)))
 
 
 def refined_grid_reference(grid, substeps):

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -434,3 +435,67 @@ class TestCatalog:
         for row in doc:
             assert row["claim"]
             assert isinstance(row["required_keys"], list)
+
+
+# The four benchmark workloads' configs, copied so that this gate does not
+# depend on the benchmark's files, and the first eight hex digits of the
+# SHA-256 of each report.json at seeds 1 and 11.  A change that keeps the
+# bits must leave this table alone; one that changes the streams or the
+# estimates on purpose updates it and says why.
+BENCHMARK_SHAPED = {
+    "wz-halfline": {
+        "run": {"experiment": "wz_convergence", "workers": 1},
+        "domain": {"kind": "half_space",
+                   "params": {"normal": [1.0], "offset": 0.0}},
+        "coefficients": {"d": 1, "d1": 1, "sigma": "sin",
+                         "sigma_params": {"base": 0.5, "amp": 0.25}},
+        "experiment": {"T": 1.0, "x0": [1.0], "levels": [4, 5, 6, 7],
+                       "paths": 256, "check_substeps": True},
+    },
+    "holder-disc": {
+        "run": {"experiment": "holder_tightness", "workers": 1},
+        "domain": {"kind": "ball",
+                   "params": {"center": [0.0, 0.0], "radius": 1.0}},
+        "coefficients": {"d": 2, "d1": 2, "sigma": "const",
+                         "sigma_params": {"value": 0.5}},
+        "experiment": {"T": 1.0, "x0": [0.0, 0.0], "theta": 0.2,
+                       "levels": [4, 5, 6, 7], "paths": 256},
+    },
+    "tube-levy": {
+        "run": {"experiment": "smallball_and_levy", "workers": 1},
+        "experiment": {"T": 0.5,
+                       "deltas": [0.5, 0.55, 0.6, 0.65, 0.7, 0.8, 0.9, 1.0],
+                       "M_values": [0.25, 0.5, 1.0], "paths": 4000,
+                       "levy_deltas": [0.8, 0.5], "levy_attempts": 32768},
+    },
+    "wz-notch-w2": {
+        "run": {"experiment": "wz_convergence", "workers": 2},
+        "domain": {"kind": "notched_disc", "params": {}},
+        "coefficients": {"d": 2, "d1": 2, "sigma": "const",
+                         "sigma_params": {"value": 1.0}},
+        "experiment": {"T": 1.0, "x0": [0.5, 0.4], "levels": [4, 5, 6],
+                       "paths": 512, "check_substeps": False},
+    },
+}
+REPORT_DIGESTS = {
+    1: {"holder-disc": "fcc38fac", "tube-levy": "3d681139",
+        "wz-halfline": "bfe7178a", "wz-notch-w2": "b0aadb5e"},
+    11: {"holder-disc": "422b12cb", "tube-levy": "8fe59174",
+         "wz-halfline": "d0a4053a", "wz-notch-w2": "62fb99c4"},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REPORT_DIGESTS))
+@pytest.mark.parametrize("name", sorted(BENCHMARK_SHAPED))
+def test_benchmark_shaped_reports_keep_their_bytes(tmp_path, name, seed):
+    out = tmp_path / "out"
+    lines = []
+    for section, values in BENCHMARK_SHAPED[name].items():
+        if section == "run":
+            values = dict(values, seed=seed, output=str(out))
+        lines += [f"[{section}]"] + [f"{k} = {v!r}" for k, v in values.items()]
+    path = tmp_path / "run.ini"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["run", str(path)]) in (0, cli.EXIT_FAIL)
+    digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+    assert digest[:8] == REPORT_DIGESTS[seed][name]

@@ -126,3 +126,19 @@ class TestMaxPrinciple:
         assert rep.verdict == "pass"
         assert rep.estimate("cloud_size").value == 100.0
         assert len(cloud) == 100
+
+    def test_report_evaluates_u_once_per_point(self):
+        calls = []
+
+        def u(x):
+            calls.append(1)
+            return u_quad(x)
+
+        rep, cloud = mp.max_principle_report(DISC, SIGMA_I, u, [1.0, 0.0],
+                                             200, 1.0, seed=17)
+        # one call per cloud point and one at the base, which was 402
+        assert len(calls) == len(cloud.points) + 1 == 201
+        assert rep.verdict == mp.max_principle_check(DISC, u_quad, [1.0, 0.0],
+                                                     cloud, 1e-6) == "fail"
+        assert rep.estimate("u_at_base").value == 1.0
+        assert rep.estimate("cloud_max").value == max(map(u_quad, cloud.points))

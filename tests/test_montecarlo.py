@@ -463,15 +463,39 @@ class TestOwnedChunkResults:
     def test_serial_exp_tail_holds_one_chunk(self):
         # ten chunks of 256 paths on 513 nodes: one retained (256, 513)
         # total-variation array per chunk would add 10.5 MB to the peak;
-        # holding one chunk's work at a time peaks near 5.3 MB
+        # holding one chunk's work at a time peaked near 5.3 MB, and near
+        # 3.2 MB since a chunk records tv alone
+        peak = self._peak(lambda: mc.exp_tail(HALF_LINE, SIN_1D, [0.0], 1.0,
+                                              2560, seed=24, grid_level=9))
+        assert peak < 8e6
+
+    @staticmethod
+    def _peak(run):
         tracemalloc.start()
         try:
-            mc.exp_tail(HALF_LINE, SIN_1D, [0.0], 1.0, 2560, seed=24,
-                        grid_level=9)
-            peak = tracemalloc.get_traced_memory()[1]
+            run()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+
+    def test_serial_wz_convergence_keeps_only_x(self):
+        # wz-halfline's call: 4 levels x 256 paths on 257 nodes, two level
+        # stacks.  Recording x, k and tv of each solve, with the first
+        # stack's batch alive through the second solve, peaked at
+        # 17.0-17.8 MB; x alone, one stack at a time, peaks at 5.4-6.2 MB
+        peak = self._peak(lambda: mc.wz_convergence(
+            HALF_LINE, SIN_1D, [1.0], 1.0, [4, 5, 6, 7], 256, seed=1))
+        assert peak < 7e6
+
+    def test_levy_blocks_reduce_block_by_block(self):
+        # tube-levy's Levy pool, 4 blocks of 8192 candidates on 129 nodes
+        # at delta 0.8: holding every block's hits until all were drawn
+        # peaked at 31.8-32.5 MB; reducing each block before the next peaks
+        # at 21.5-22.3 MB, 16.8 MB of it the tube kernel's slab buffer
+        payload = {"d1": 2, "size": mc.TUBE_BLOCK,
+                   "times": dyadic_grid(0.5, 7), "href": None, "delta": 0.8,
+                   "delta_idx": 0, "seed": 1, "tag": 0x1E}
+        assert self._peak(lambda: mc._levy_blocks(0, 4, payload)) < 24e6
 
 
 def _tracing():

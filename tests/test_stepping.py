@@ -2,6 +2,7 @@
 projection stepping kernel, on every shipped domain kind."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from rsdekit.montecarlo import brownian_batch
 from rsdekit.rsde import (euler_reflected, euler_reflected_batch,
                           shifted_driver, shifted_driver_batch, skeleton,
                           skeleton_batch, wong_zakai, wong_zakai_batch)
-from rsdekit.skorohod import drive_batch
+from rsdekit.skorohod import RECORD_ALL, drive_batch
 
 # (domain, start) per kind; all two-dimensional so one model drives them all
 KINDS = {
@@ -49,9 +50,9 @@ def test_euler_rows_equal_single_path_solves(kind):
     # one row with large increments: on the nonconvex kind it is bisected
     # many times, which must leave the other rows alone
     dW[5] *= 6.0
-    batch = euler_reflected_batch(dom, SIN, times, dW, x0, pushes=True)
+    batch = euler_reflected_batch(dom, SIN, times, dW, x0, RECORD_ALL)
     _rows_equal(batch, [euler_reflected_batch(dom, SIN, times, dW[p:p + 1],
-                                              x0, pushes=True)
+                                              x0, RECORD_ALL)
                         for p in range(len(dW))])
 
 
@@ -63,20 +64,67 @@ def test_stacked_levels_equal_per_level_solves(kind):
     W = brownian_batch(2, times, 7, 0, 6)
     h = sine_control(1.0, amplitude=0.5, dim=2, n_cells=64)
     stacked = [wong_zakai_batch(dom, SIN, times, W, levels, 2, x0,
-                                pushes=True),
+                                record=RECORD_ALL),
                shifted_driver_batch(dom, SIN, times, W, levels, h, x0,
-                                    pushes=True)]
+                                    record=RECORD_ALL)]
     for j, n in enumerate(levels):
         rows = slice(j * len(W), (j + 1) * len(W))
         per_level = [wong_zakai_batch(dom, SIN, times, W, n, 2, x0,
-                                      pushes=True),
+                                      record=RECORD_ALL),
                      shifted_driver_batch(dom, SIN, times, W, n, h, x0,
-                                          pushes=True)]
+                                          record=RECORD_ALL)]
         for batch, single in zip(stacked, per_level):
             assert np.array_equal(batch.x[rows], single.x)
             assert np.array_equal(batch.k[rows], single.k)
             assert np.array_equal(batch.tv[rows], single.tv)
             assert np.array_equal(batch.pushes[rows], single.pushes)
+
+
+def _batch_runs(kind, record):
+    """Every batch integrator on one small driver batch, recording `record`;
+    one row's increments are large, so the nonconvex kind bisects it."""
+    dom, x0 = KINDS[kind]
+    times = dyadic_grid(1.0, 5)
+    W = brownian_batch(2, times, 13, 0, 5)
+    W[2] *= 6.0
+    h = sine_control(1.0, amplitude=0.5, dim=2, n_cells=64)
+    grid = dyadic_grid(1.0, 3)
+    slopes = np.random.default_rng(8).uniform(-2.0, 2.0, size=(5, 8, 2))
+    return [euler_reflected_batch(dom, SIN, times, np.diff(W, axis=1), x0,
+                                  record),
+            wong_zakai_batch(dom, SIN, times, W, [2, 3], 2, x0, record=record),
+            shifted_driver_batch(dom, SIN, times, W, [2, 3], h, x0,
+                                 record=record),
+            skeleton_batch(dom, SIN, grid, slopes, x0, 4, record)]
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_batches_record_only_what_is_asked(kind):
+    # each requested array has the full recording's bits (a sign change of a
+    # zero included); each array not requested is None
+    full = _batch_runs(kind, RECORD_ALL)
+    for r in range(1, len(RECORD_ALL) + 1):
+        for record in itertools.combinations(RECORD_ALL, r):
+            for got, want in zip(_batch_runs(kind, record), full):
+                for name in RECORD_ALL:
+                    a = getattr(got, name)
+                    if name not in record:
+                        assert a is None, (record, name)
+                        continue
+                    b = getattr(want, name)
+                    assert a.shape == b.shape, (record, name)
+                    assert np.array_equal(a.view(np.int64),
+                                          b.view(np.int64)), (record, name)
+
+
+def test_default_records_x_only_and_names_are_checked():
+    batch = euler_reflected_batch(Ball([0.0, 0.0], 1.0), SIN, [0.0, 0.5, 1.0],
+                                  np.zeros((3, 2, 2)), [0.0, 0.0])
+    assert batch.x.shape == (3, 3, 2)
+    assert (batch.k, batch.tv, batch.pushes) == (None, None, None)
+    with pytest.raises(ValueError, match="cannot record"):
+        drive_batch(Ball([0.0, 0.0], 1.0), [0.0, 1.0], [[0.0, 0.0]],
+                    lambda i, X: np.zeros((1, 2)), record=("x", "K"))
 
 
 class _Recorder:
@@ -112,7 +160,7 @@ def test_step_invariants(kind, seed, scale):
     times = dyadic_grid(1.0, 5)
     dW = scale * np.diff(brownian_batch(2, times, seed, 0, 4), axis=1)
     x, k, tv, pushes = drive_batch(rec, times, np.tile(x0, (4, 1)),
-                                   lambda i, X: dW[:, i], pushes=True)
+                                   lambda i, X: dW[:, i], record=RECORD_ALL)
     # the state stays in the closure
     assert np.all(dom.signed_distance(x.reshape(-1, 2)) <= BOUNDARY_TOL)
     # total variation never decreases; pushes are unit vectors or zero
@@ -167,9 +215,10 @@ def _reference_coefficients(cf, sigma, sigma_params, drift, b_params):
 
 
 def _integrate_all(dom, cf, x0):
-    """Every integrator on one small driver batch, as (x, k, tv), then every
-    single-path solver, as (x, k, tv, pushes); one row's increments are
-    large, so nonconvex kinds bisect it, and the single paths take it."""
+    """Every integrator on one small driver batch, recording (x, k, tv),
+    then every single-path solver, as (x, k, tv, pushes); one row's
+    increments are large, so nonconvex kinds bisect it, and the single
+    paths take it."""
     d = cf.d
     times = dyadic_grid(1.0, 5)
     W = brownian_batch(d, times, 11, 0, 6)
@@ -177,10 +226,11 @@ def _integrate_all(dom, cf, x0):
     h = sine_control(1.0, amplitude=0.5, dim=d, n_cells=64)
     grid = dyadic_grid(1.0, 3)
     slopes = np.random.default_rng(5).uniform(-1.0, 1.0, size=(6, 8, d))
-    runs = [euler_reflected_batch(dom, cf, times, np.diff(W, axis=1), x0),
-            wong_zakai_batch(dom, cf, times, W, [2, 3], 2, x0),
-            shifted_driver_batch(dom, cf, times, W, [2, 3], h, x0),
-            skeleton_batch(dom, cf, grid, slopes, x0, 4)]
+    rec = ("x", "k", "tv")
+    runs = [euler_reflected_batch(dom, cf, times, np.diff(W, axis=1), x0, rec),
+            wong_zakai_batch(dom, cf, times, W, [2, 3], 2, x0, record=rec),
+            shifted_driver_batch(dom, cf, times, W, [2, 3], h, x0, record=rec),
+            skeleton_batch(dom, cf, grid, slopes, x0, 4, rec)]
     w = SamplePath(times, W[4])
     singles = [euler_reflected(dom, cf, w, x0),
                wong_zakai(dom, cf, w, 3, 2, x0),
@@ -205,7 +255,7 @@ def test_integrators_match_the_reference_step(kind, sigma, d, drift,
                                               monkeypatch):
     # x, k, tv and single-path pushes compared as int64 views, so a sign
     # change of a zero shows as a difference; the reference step loop
-    # computes pushes whether asked or not
+    # computes every array and sums whether asked or not
     dom, x0 = (KINDS_1D if d == 1 else KINDS_2D)[kind]
     b_name, b_params = DRIFTS[drift][0], DRIFTS[drift][1](d)
     cf = make_coefficients(d, d, sigma=sigma, sigma_params=SIGMAS[sigma, d],
@@ -258,8 +308,10 @@ def test_wong_zakai_memory_at_holder_disc_shape():
     # alone, this test measured 14,939,717-14,939,877 B on the row-major step
     # loop (14,935,648 B after the other tests of this file) and
     # 14,923,855-14,924,213 B on the column-major one, which no longer
-    # copies a shared start (14,920,080 B).  A second copy of the
-    # (1024, 256, 2) slopes would add 4.2 MB
+    # copies a shared start (14,920,080 B).  Recording x alone, with no k
+    # or tv, it measured 8,607,815-8,608,031 B run alone and 8,603,624 B
+    # in the whole suite; the bound is the highest, rounded up.  A second
+    # copy of the (1024, 256, 2) slopes would add 4.2 MB
     times = dyadic_grid(1.0, 8)
     W = brownian_batch(2, times, 7, 0, 256)
     cf = make_coefficients(2, 2, sigma="const", sigma_params={"value": 0.5})
@@ -270,4 +322,4 @@ def test_wong_zakai_memory_at_holder_disc_shape():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 14_939_717
+    assert peak <= 8_610_000
