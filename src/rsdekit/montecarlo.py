@@ -712,16 +712,14 @@ def _smallball_chunk(lo, hi, payload):
 
 
 def _levy_block(block, payload):
-    """One block's tube hits reduced, in place, to their iterated-integral
-    sups, with each hit's node deviation from zero."""
+    """One block's tube hits reduced to their iterated-integral sups, with
+    each hit's node deviation from zero."""
     tube = pth.tube_block(block, block + 1, payload)
     Wh = tube["accepted"][0]
-    # running integral of the midpoint of w1 against the increments of w2
-    running = np.add(Wh[:, :-1, 0], Wh[:, 1:, 0])
-    running *= 0.5
-    running *= np.diff(Wh[:, :, 1], axis=1)
-    np.cumsum(running, axis=1, out=running)
-    return np.max(np.abs(running, out=running), axis=1), tube["dev"][0]
+    mid = 0.5 * (Wh[:, :-1, 0] + Wh[:, 1:, 0])
+    dv = np.diff(Wh[:, :, 1], axis=1)
+    running = np.cumsum(mid * dv, axis=1)
+    return np.max(np.abs(running), axis=1), tube["dev"][0]
 
 
 def _levy_blocks(lo, hi, payload):

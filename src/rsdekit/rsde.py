@@ -273,10 +273,7 @@ def euler_reflected_batch(domain, coeffs, times, dW, x0, record=("x",)):
     drive_batch.
     """
     times = np.asarray(times, dtype=float)
-    dW = np.asarray(dW, dtype=float)
-    # a one-column driver's step slice is one column whether copied or
-    # not, so it is read in place, strided
-    dW = np.moveaxis(dW, 0, -1) if dW.shape[2] == 1 else _step_major(dW)
+    dW = _step_major(np.asarray(dW, dtype=float))
     dt = np.diff(times)
     x0 = _broadcast_start(x0, dW.shape[2], coeffs.d)
 

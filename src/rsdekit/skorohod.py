@@ -70,14 +70,12 @@ class BatchPaths:
                                 self.tv[p].copy(), self.pushes[p])
 
 
-def _advance(domain, X, du, sum_k=True, sum_tv=True):
+def _advance(domain, X, du):
     """One constrained step from states X (P, d) by increments du (P, d).
 
     Convex kinds, and nonconvex steps with no increment over r0/2, project
     once.  Otherwise each row over r0/2 is bisected by its own increment
-    norm; sub-step s projects only the rows with more than s sub-steps, and
-    adds its regulator and distance to the step's only where sum_k and
-    sum_tv ask (a sum not asked for comes back as None).
+    norm; sub-step s projects only the rows with more than s sub-steps.
     """
     Y = np.add(X, du, order="F")
     if domain.convex:
@@ -97,11 +95,9 @@ def _advance(domain, X, du, sum_k=True, sum_tv=True):
         rows = big[sub]
         Xr, Kr, dist = domain.project_rows(X[rows] + du.take(sub, axis=0))
         X[rows] = Xr
-        if sum_k:
-            k_inc[rows] += Kr
-        if sum_tv:
-            tv_inc[rows] += dist
-    return X, k_inc if sum_k else None, tv_inc if sum_tv else None
+        k_inc[rows] += Kr
+        tv_inc[rows] += dist
+    return X, k_inc, tv_inc
 
 
 def drive_batch(domain, times, x0, increment_fn, stride=1, record=("x",)):
@@ -112,8 +108,8 @@ def drive_batch(domain, times, x0, increment_fn, stride=1, record=("x",)):
     the (x, k, tv, pushes) arrays named in `record` (any of RECORD_ALL),
     each recorded at every stride-th node only (node 0 included; pass a
     stride that divides the step count), and None for each of the others.
-    The regulator and total-variation sums run only if a recorded array
-    reads them.
+    The running regulator and total-variation sums are kept only if `k` or
+    `tv` is recorded.
     """
     unknown = set(record) - set(RECORD_ALL)
     if unknown:
@@ -128,15 +124,13 @@ def drive_batch(domain, times, x0, increment_fn, stride=1, record=("x",)):
     k = np.zeros((P, N, d)) if "k" in record else None
     tv = np.zeros((P, N)) if "tv" in record else None
     pushes = np.zeros((P, N, d)) if "pushes" in record else None
-    sum_k = k is not None or pushes is not None
     X = np.array(x0, order="F")
     K = np.zeros((P, d), order="F")
     TV = np.zeros(P)
     if x is not None:
         x[:, 0] = X
     for i in range(len(times) - 1):
-        X, k_inc, tv_inc = _advance(domain, X, increment_fn(i, X), sum_k,
-                                    tv is not None)
+        X, k_inc, tv_inc = _advance(domain, X, increment_fn(i, X))
         if k is not None:
             K += k_inc
         if tv is not None:

@@ -310,8 +310,10 @@ def test_wong_zakai_memory_at_holder_disc_shape():
     # 14,923,855-14,924,213 B on the column-major one, which no longer
     # copies a shared start (14,920,080 B).  Recording x alone, with no k
     # or tv, it measured 8,607,815-8,608,031 B run alone and 8,603,624 B
-    # in the whole suite; the bound is the highest, rounded up.  A second
-    # copy of the (1024, 256, 2) slopes would add 4.2 MB
+    # in the whole suite.  The bound leaves about 90 KB over that, room for
+    # numpy's caches or the test order to move the peak by a few KB, and is
+    # still 6.2 MB under the full recording; a recorded (1024, 257, 2) k
+    # alone would add 4.2 MB, as would a second copy of the slopes
     times = dyadic_grid(1.0, 8)
     W = brownian_batch(2, times, 7, 0, 256)
     cf = make_coefficients(2, 2, sigma="const", sigma_params={"value": 0.5})
@@ -322,4 +324,4 @@ def test_wong_zakai_memory_at_holder_disc_shape():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8_610_000
+    assert peak <= 8_700_000
