@@ -254,12 +254,16 @@ class PathChunk:
         self.W = payload["W"] if payload["W"] is not None else brownian_batch(
             self.coeffs.d1, self.times, payload["seed"], lo, hi)
 
-    def euler(self, record=("x",)):
+    def euler(self, record=("x",), stride=1):
         """Reflected-Euler solution of these paths, the reference solve,
-        keeping the arrays named in `record`."""
+        keeping the arrays named in `record` at every stride-th node."""
+        # increments differenced straight into the step-major layout the
+        # solver reads, so it makes no second copy
+        V = np.moveaxis(self.W, 0, -1)
+        dW = np.subtract(V[1:], V[:-1], order="C")
         return rsde.euler_reflected_batch(self.domain, self.coeffs, self.times,
-                                          np.diff(self.W, axis=1), self.x0,
-                                          record)
+                                          np.moveaxis(dW, -1, 0), self.x0,
+                                          record, stride)
 
 
 def _path_chunk(lo, hi, payload):
@@ -644,8 +648,9 @@ def moment_scaling(domain, coeffs, x0, windows, p, paths, seed, workers=1,
 
 
 def _tail_chunk(c):
-    # a copy: a view would keep the chunk's whole tv alive
-    return {"kT": c.euler(("tv",)).tv[:, -1].copy()}
+    # tv recorded at the first and last node only, and copied, so no
+    # result is a view
+    return {"kT": c.euler(("tv",), len(c.times) - 1).tv[:, -1].copy()}
 
 
 def exp_tail(domain, coeffs, x0, T, paths, seed, grid_level=9, workers=1,
@@ -875,16 +880,20 @@ def regulator_conditional(domain, coeffs, x0, T, deltas, c3, paths, seed,
 
 
 def _holder_chunk(c):
-    batch = rsde.wong_zakai_batch(c.domain, c.coeffs, c.times, c.W,
-                                  c.levels, c.substeps, c.x0)
-    # one scan per level (rows scan alone), so no result is a view
-    out = {n: pth.holder_seminorm_batch(c.times, x, c.theta)
-           for n, x in zip(c.levels, np.split(batch.x, len(c.levels)))}
+    def scan(x):
+        # every stacked level in one scan (rows scan alone); each level's
+        # slice copied, so no result is a view
+        return [s.copy() for s in np.split(
+            pth.holder_seminorm_batch(c.times, x, c.theta), len(c.levels))]
+
+    # each batch is dropped once scanned, before the next solve
+    out = dict(zip(c.levels, scan(rsde.wong_zakai_batch(
+        c.domain, c.coeffs, c.times, c.W, c.levels, c.substeps, c.x0).x)))
     if c.h is not None:
-        shifted = rsde.shifted_driver_batch(c.domain, c.coeffs, c.times,
-                                            c.W, c.levels, c.h, c.x0)
-        for n, x in zip(c.levels, np.split(shifted.x, len(c.levels))):
-            out["shifted", n] = pth.holder_seminorm_batch(c.times, x, c.theta)
+        out.update(zip([("shifted", n) for n in c.levels],
+                       scan(rsde.shifted_driver_batch(
+                           c.domain, c.coeffs, c.times, c.W, c.levels, c.h,
+                           c.x0).x)))
     return out
 
 

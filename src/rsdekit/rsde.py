@@ -39,6 +39,11 @@ class Coefficients:
     All shipped families are vectorized over leading axes.  The constant
     families return read-only views of one array at every call, so callers
     must not write into what sigma_at, b_at or jacobian_at return.
+
+    A model is `constant` when sigma comes from the const family (whose
+    Jacobian is a _ZeroJacobian) and b from the const drift family; the
+    integrators then form its increments once per cell or per block of
+    steps, with the per-step bits.
     """
 
     d: int
@@ -48,6 +53,11 @@ class Coefficients:
     sigma_jac: object = None
     name: str = "custom"
     meta: dict = None
+
+    @property
+    def constant(self):
+        return isinstance(self.sigma_jac, _ZeroJacobian) \
+            and isinstance(self.b, _ConstDrift)
 
     def sigma_at(self, X):
         return np.asarray(self.sigma(np.asarray(X, dtype=float)), dtype=float)
@@ -177,11 +187,16 @@ _SIGMA_FAMILIES = {"const": _const_family, "sin": _sin_family,
                    "affine": _affine_family}
 
 
-def _const_drift(d, params):
-    v = np.asarray(params.get("value", np.zeros(d)), dtype=float)
-    v = np.broadcast_to(np.atleast_1d(v), (d,)).astype(float)
-    v.flags.writeable = False
-    return lambda X: v
+class _ConstDrift:
+    """The const drift family: one read-only vector at every state."""
+
+    def __init__(self, d, params):
+        v = np.asarray(params.get("value", np.zeros(d)), dtype=float)
+        self.v = np.broadcast_to(np.atleast_1d(v), (d,)).astype(float)
+        self.v.flags.writeable = False
+
+    def __call__(self, X):
+        return self.v
 
 
 def _linear_drift(d, params):
@@ -195,7 +210,7 @@ def _linear_drift(d, params):
     return b
 
 
-_DRIFT_FAMILIES = {"const": _const_drift, "linear": _linear_drift}
+_DRIFT_FAMILIES = {"const": _ConstDrift, "linear": _linear_drift}
 
 
 def make_coefficients(d, d1, sigma="const", sigma_params=None, b="const",
@@ -265,24 +280,55 @@ def _rows_dot(S, v):
     return out
 
 
-def euler_reflected_batch(domain, coeffs, times, dW, x0, record=("x",)):
+EULER_BLOCK = 16  # steps whose constant-model increments are formed at once
+
+
+def _block_increments(coeffs, dW, dt):
+    """increment_fn of a constant model: S dW_i + b dt_i formed for
+    EULER_BLOCK steps at a time, the block's driver gathered column-major
+    into one reused buffer, with the per-step rows' bits."""
+    steps, d1, P = dW.shape
+    rows = np.broadcast_to(0.0, (EULER_BLOCK * P, coeffs.d))
+    S, b = coeffs.sigma_at(rows), coeffs.b_at(rows)
+    buf = np.empty((d1, EULER_BLOCK, P))
+    block = [-1, None]
+
+    def inc(i, X):
+        lo = i - i % EULER_BLOCK
+        if lo != block[0]:
+            n = min(EULER_BLOCK, steps - lo)
+            v = buf[:, :n]
+            np.copyto(v, dW[lo:lo + n].transpose(1, 0, 2))
+            U = _rows_dot(S[:n * P], v.reshape(d1, n * P).T).reshape(n, P, -1)
+            U += (b * dt[lo:lo + n, None])[:, None]
+            block[:] = lo, U
+        return block[1][i - lo]
+
+    return inc
+
+
+def euler_reflected_batch(domain, coeffs, times, dW, x0, record=("x",),
+                          stride=1):
     """Projected Euler for the reflected diffusion, P paths at once.
 
     Per step: y = X + sigma(X) dW + btilde(X) dt, then project.  dW has
-    shape (P, N-1, d1).  `record` names the arrays to keep, as in
-    drive_batch.
+    shape (P, N-1, d1).  `record` names the arrays to keep, at every
+    stride-th node, as in drive_batch.
     """
     times = np.asarray(times, dtype=float)
     dW = _step_major(np.asarray(dW, dtype=float))
     dt = np.diff(times)
     x0 = _broadcast_start(x0, dW.shape[2], coeffs.d)
 
-    def inc(i, X):
-        S = coeffs.sigma_at(X)
-        return _rows_dot(S, dW[i].T) + btilde(coeffs, X, S) * dt[i]
+    if coeffs.constant:
+        inc = _block_increments(coeffs, dW, dt)
+    else:
+        def inc(i, X):
+            S = coeffs.sigma_at(X)
+            return _rows_dot(S, dW[i].T) + btilde(coeffs, X, S) * dt[i]
 
-    return BatchPaths(times, *drive_batch(domain, times, x0, inc,
-                                          record=record))
+    return BatchPaths(times[::stride], *drive_batch(
+        domain, times, x0, inc, stride=stride, record=record))
 
 
 def euler_reflected(domain, coeffs, w, x0):
@@ -307,8 +353,8 @@ def _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
 
     slopes gives the piecewise-constant driver derivative per cell of the
     grid: shape (cells, d1) shared across paths or (P, cells, d1) per path.
-    Coefficients are re-evaluated at every substep state; only the grid
-    nodes are recorded.
+    Coefficients are re-evaluated at every substep state, or once per
+    coarse cell for a constant model; only the grid nodes are recorded.
     """
     grid = np.asarray(grid, dtype=float)
     substeps = max(int(substeps), 1)
@@ -322,11 +368,18 @@ def _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
     x0 = _broadcast_start(x0, P, coeffs.d)
     slopes = _step_major(slopes) if per_path else slopes
 
+    # a constant model's coefficients do not read the state, so its rate
+    # sigma s + b is formed once per coarse cell
+    const = coeffs.constant and (coeffs.sigma_at(x0), coeffs.b_at(x0))
+    last = [-1, None]
+
     def inc(i, X):
-        s = slopes[cell[i]].T if per_path else slopes[cell[i]]
-        S = coeffs.sigma_at(X)
-        du = _rows_dot(S, s) if per_path else S @ s
-        return (du + coeffs.b_at(X)) * dt[i]
+        c = cell[i]
+        if not const or c != last[0]:
+            S, b = const or (coeffs.sigma_at(X), coeffs.b_at(X))
+            s = slopes[c].T if per_path else slopes[c]
+            last[:] = c, (_rows_dot(S, s) if per_path else S @ s) + b
+        return last[1] * dt[i]
 
     return BatchPaths(grid, *drive_batch(domain, refined, x0, inc,
                                          stride=substeps, record=record))

@@ -487,6 +487,25 @@ class TestOwnedChunkResults:
             HALF_LINE, SIN_1D, [1.0], 1.0, [4, 5, 6, 7], 256, seed=1))
         assert peak < 7e6
 
+    def test_serial_holder_tightness_drops_each_batch(self):
+        # holder-disc's call with a control: 4 levels x 256 paths on 257
+        # nodes, a Wong-Zakai and a shifted-driver stack.  Keeping the
+        # Wong-Zakai batch alive through the shifted solve peaked at
+        # 23.3-24.1 MB; dropping it once scanned peaks at 20.0-20.7 MB
+        peak = self._peak(lambda: mc.holder_tightness(
+            DISC, HALF_2D, [0.0, 0.0], 1.0, 0.2, [4, 5, 6, 7], 256, seed=31,
+            h=SINE_2D))
+        assert peak < 21.5e6
+
+    def test_serial_exp_tail_records_tv_at_the_ends(self):
+        # the exp_tail run above: recording tv at all 513 nodes, with the
+        # drivers differenced before a step-major copy, peaked at 3.2 MB;
+        # tv at the first and last node, differenced step-major, peaks at
+        # 2.27 MB
+        peak = self._peak(lambda: mc.exp_tail(HALF_LINE, SIN_1D, [0.0], 1.0,
+                                              2560, seed=24, grid_level=9))
+        assert peak < 2.5e6
+
     def test_levy_blocks_reduce_block_by_block(self):
         # tube-levy's Levy pool, 4 blocks of 8192 candidates on 129 nodes
         # at delta 0.8: holding every block's hits until all were drawn
@@ -537,6 +556,19 @@ def test_benchmark_tracer_sees_the_projection():
         check_substeps=False))
     assert tracer.counters["geometry.rows_in"] > 0
     assert tracer.counters["geometry.rows_moved"] > 0
+
+
+def test_benchmark_tracer_sees_the_holder_scan():
+    # holder_tightness scans every stacked level in one call of
+    # paths.holder_seminorm_batch, through the binding the tracer wraps,
+    # which counts levels * P * N (N - 1) / 2 pairs
+    levels, P = [3, 4, 5], 40
+    tracer = _traced(lambda: mc.holder_tightness(
+        DISC, HALF_2D, [0.0, 0.0], 1.0, 0.2, levels, P, seed=33))
+    N = len(dyadic_grid(1.0, max(levels) + 1))
+    assert tracer.counters["paths.holder_pairs"] == \
+        len(levels) * P * N * (N - 1) // 2
+    assert _tracing().self_times(tracer.spans)["paths.holder"] > 0
 
 
 def test_benchmark_tracer_counts_one_levy_pool():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -135,16 +137,18 @@ class TestEvaluationCounts:
         counts = self._count(monkeypatch)
         euler_reflected_batch(DISC, cf, times, np.diff(W, axis=1),
                               np.zeros(2))
-        # the constant family's Jacobian is zero and never evaluated
+        # the constant family's Jacobian is zero and never evaluated; a
+        # constant model is evaluated once per solve, not once per step
+        evals = steps if sigma == "sin" else 1
         jac = steps if sigma == "sin" else 0
-        assert counts == {"sigma_at": steps, "b_at": steps,
+        assert counts == {"sigma_at": evals, "b_at": evals,
                           "jacobian_at": jac}
         for name in counts:
             counts[name] = 0
         # stacked levels share one batch, so one evaluation per step
         shifted_driver_batch(DISC, cf, times, W, [2, 3], zero_control(1.0, 2),
                              np.zeros(2))
-        assert counts == {"sigma_at": steps, "b_at": steps,
+        assert counts == {"sigma_at": evals, "b_at": evals,
                           "jacobian_at": jac}
 
     def test_constant_coefficients_are_read_only(self):
@@ -323,6 +327,49 @@ class TestIncrementKernels:
                     got = rsde._rows_dot(S_, v_)
                     assert np.array_equal(got.view(np.int64),
                                           want.view(np.int64))
+
+    @pytest.mark.parametrize("d,d1", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2),
+                                      (1, 3), (2, 3)])
+    def test_constant_increments_have_the_per_step_bits(self, d, d1,
+                                                        monkeypatch):
+        # a constant model forms its increments per block of Euler steps and
+        # per coarse cell of a bounded-variation driver; the same model with
+        # a drift that is not the const family's takes the per-step path.
+        # A stand-in step loop records every increment, unprojected
+        rng = np.random.default_rng(100 + 10 * d + d1)
+        cf = make_coefficients(
+            d, d1, sigma="const",
+            sigma_params={"matrix": rng.choice(SPECIAL, (d, d1)).tolist()},
+            b="const", b_params={"value": rng.choice(SPECIAL, d).tolist()})
+        per_step = dataclasses.replace(cf, b=lambda X, b=cf.b: b(X))
+        assert cf.constant and not per_step.constant
+        P, steps = 40, 2 * rsde.EULER_BLOCK + 5
+        times = np.cumsum(np.concatenate(
+            [[0.0], rng.choice([1e-3, 0.25, 5e-324, 3.0], steps)]))
+        dW = rng.choice(SPECIAL, (P, steps, d1))
+        dW[::3] = rng.standard_normal((len(dW[::3]), steps, d1))
+        grid = np.linspace(0.0, 1.0, 9)
+        slopes = rng.choice(SPECIAL, (P, 8, d1))
+        incs = []
+
+        def stand_in(domain, times, x0, increment_fn, stride=1,
+                     record=("x",)):
+            X = np.array(x0, order="F")
+            incs.append(np.stack([increment_fn(i, X)
+                                  for i in range(len(times) - 1)]))
+            return None, None, None, None
+
+        monkeypatch.setattr(rsde, "drive_batch", stand_in)
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            for model in (cf, per_step):
+                euler_reflected_batch(None, model, times, dW, np.zeros(d))
+                rsde._bv_integrate_batch(None, model, grid, slopes,
+                                         np.zeros(d), 3)
+                rsde._bv_integrate_batch(None, model, grid, slopes[0],
+                                         np.zeros((P, d)), 3)
+        assert len(incs) == 6
+        for got, want in zip(incs[:3], incs[3:]):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("substeps", [1, 2, 3, 4, 7, 8])
     def test_refined_grid_is_the_per_cell_linspace(self, substeps):

@@ -12,7 +12,8 @@ from scipy.optimize import nnls
 
 import oracles
 from rsdekit import (AxisBox, Ball, ConvexPolytope, HalfSpace, NotchedDisc,
-                     SamplePath, dyadic_grid, make_coefficients, sine_control)
+                     SamplePath, coefficients_from_pointwise, dyadic_grid,
+                     make_coefficients, sine_control)
 from rsdekit import rsde
 from rsdekit.geometry import BOUNDARY_TOL
 from rsdekit.montecarlo import brownian_batch
@@ -276,22 +277,75 @@ def test_integrators_match_the_reference_step(kind, sigma, d, drift,
 @pytest.mark.parametrize("sigma", ["const", "sin", "affine"])
 def test_step_state_is_column_major(kind, sigma, monkeypatch):
     # every integrator steps a column-major state, whatever layout its
-    # increments come in; the reference step loop stays row-major
+    # increments come in; the reference step loop stays row-major.  The
+    # state is observed where the step loop hands it to the increment
+    # function, which every model receives (a constant model's increments
+    # do not read it, so sigma never sees the state)
     dom, x0 = KINDS[kind]
     cf = make_coefficients(2, 2, sigma=sigma, sigma_params=SIGMAS[sigma, 2])
     for drive, layout in ((drive_batch, "F"),
                           (oracles.drive_batch_reference, "C")):
-        monkeypatch.setattr(rsde, "drive_batch", drive)
         seen = set()
 
-        def recorded(X, sigma=cf.sigma):
-            if len(X) > 1:
-                seen.add("F" if X.flags.f_contiguous else
-                         "C" if X.flags.c_contiguous else "strided")
-            return sigma(X)
+        def observed(domain, times, x0, increment_fn, *args, drive=drive,
+                     **kwargs):
+            def inc(i, X):
+                if len(X) > 1:
+                    seen.add("F" if X.flags.f_contiguous else
+                             "C" if X.flags.c_contiguous else "strided")
+                return increment_fn(i, X)
 
-        _integrate_all(dom, dataclasses.replace(cf, sigma=recorded), x0)
+            return drive(domain, times, x0, inc, *args, **kwargs)
+
+        monkeypatch.setattr(rsde, "drive_batch", observed)
+        _integrate_all(dom, cf, x0)
         assert seen == {layout}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("d1", [1, 2, 3])
+def test_constant_models_match_the_per_step_path(kind, d1):
+    # a constant model's increments are formed per coarse cell or per block
+    # of Euler steps; the same constants wrapped pointwise (a zero Jacobian
+    # and no meta) take the per-step path.  A nonzero drift, three stacked
+    # levels, and 35 Euler steps, no multiple of the block length
+    dom, x0 = KINDS[kind]
+    M = np.random.default_rng(d1).uniform(-0.8, 0.8, (2, d1))
+    v = np.array([0.3, -0.2])
+    cf = make_coefficients(2, d1, sigma="const",
+                           sigma_params={"matrix": M.tolist()}, b="const",
+                           b_params={"value": v.tolist()})
+    pointwise = coefficients_from_pointwise(
+        2, d1, lambda x: M, lambda x: v, lambda x: np.zeros((2, d1, 2)))
+    assert cf.constant and not pointwise.constant
+    times = np.union1d(dyadic_grid(1.0, 5), [0.1, 0.3, 0.77])
+    assert (len(times) - 1) % rsde.EULER_BLOCK
+    W = brownian_batch(d1, times, 17, 0, 6)
+    W[4] *= 6.0
+    h = sine_control(1.0, amplitude=0.5, dim=d1, n_cells=64)
+    grid = dyadic_grid(1.0, 3)
+    slopes = np.random.default_rng(9).uniform(-2.0, 2.0, size=(6, 8, d1))
+    w = SamplePath(times, W[4])
+
+    def runs(c):
+        return [euler_reflected_batch(dom, c, times, np.diff(W, axis=1), x0,
+                                      RECORD_ALL),
+                wong_zakai_batch(dom, c, times, W, [2, 3, 4], 3, x0,
+                                 record=RECORD_ALL),
+                shifted_driver_batch(dom, c, times, W, [2, 3, 4], h, x0,
+                                     record=RECORD_ALL),
+                skeleton_batch(dom, c, grid, slopes, x0, 4, RECORD_ALL),
+                euler_reflected(dom, c, w, x0), skeleton(dom, c, h, 4, x0)]
+
+    def arrays(r):
+        if isinstance(r, rsde.BatchPaths):
+            return r.x, r.k, r.tv, r.pushes
+        return r.x.values, r.k.values, r.tv, r.pushes
+
+    for run, (got, want) in enumerate(zip(runs(cf), runs(pointwise))):
+        for name, a, b in zip(RECORD_ALL, arrays(got), arrays(want)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), \
+                (run, name)
 
 
 def test_adapted_slopes_need_no_second_copy():
