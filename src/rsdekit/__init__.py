@@ -8,7 +8,7 @@ from .geometry import (AxisBox, Ball, ConvexPolytope, Domain, HalfSpace,
                        Membership, NotchedDisc, check_conditions, make_domain)
 from .paths import (Control, SamplePath, adapted_interpolation,
                     control_from_path, control_from_values, dyadic_grid,
-                    holder_norm, holder_seminorm, levy_functionals, levy_sup,
+                    holder_seminorm, levy_functionals, levy_sup,
                     linear_control, refine_bridge, sample_brownian,
                     sine_control, sup_norm, tube_sample, zero_control)
 from .rsde import (Coefficients, btilde, coefficients_from_pointwise,

@@ -570,7 +570,8 @@ class NotchedDisc(Domain):
         # a row is in the box when its excess beyond the faces squares to 0,
         # exactly when _box_sd <= 0: NaN is outside, an excess whose square
         # underflows is inside
-        excess = _sq_norm(np.maximum(self.low - Y, Y - self.high).clip(0.0))
+        q = np.maximum(self.low - Y, Y - self.high)
+        excess = _sq_norm(np.maximum(q, 0.0, out=q))
         v = Y - self.c
         r = np.sqrt(_sq_norm(v))
         # inside the box but in the notch: radial push onto the arc
@@ -585,22 +586,17 @@ class NotchedDisc(Domain):
         out = excess.nonzero()[0]
         if not len(out):
             return X, X - Y, dist
-        # outside the box: clamp, unless that lands in the notch gap; the
-        # distances go through _row_norms, as np.linalg.norm of one row
+        # outside the box: clamp; the distances go through _row_norms, as
+        # np.linalg.norm of one row
         y = Y[out]
         clamp = y.clip(self.low, self.high)
-        face = _row_norms(clamp - self.c) >= self.rho - 1e-15
-        gap = not face.all()
-        if gap:
-            rows, yf, clamp = out[face], y[face], clamp[face]
-        else:
-            rows, yf = out, y
-        X[rows] = clamp
-        dist[rows] = _row_norms(clamp - yf)
-        if not gap:
+        X[out] = clamp
+        dist[out] = _row_norms(clamp - y)
+        gap = ~(_row_norms(clamp - self.c) >= self.rho - 1e-15)
+        if not gap.any():
             return X, X - Y, dist
         # clamped point landed in the notch gap: junction corners compete
-        rows, y = out[~face], y[~face]
+        rows, y = out[gap], y[gap]
         d0 = _row_norms(y - self.junctions[0])
         d1 = _row_norms(y - self.junctions[1])
         lo, hi = np.minimum(d0, d1), np.maximum(d0, d1)

@@ -377,8 +377,10 @@ def control_from_path(w, n, T):
 def _sq_norm(D):
     """|D|^2 over the last axis, coordinates summed left to right, so a
     row's bits depend on that row alone.  Below 8 coordinates np.sqrt of it
-    has np.linalg.norm's bits at a fraction of its cost on short rows (the
-    step loop's row norms); from 8 numpy's order depends on the layout."""
+    has the bits of np.linalg.norm(D, axis=-1) at a fraction of its cost on
+    short rows (the step loop's row norms); from 8 numpy's order depends on
+    the layout.  It is not np.linalg.norm of one row, which takes sqrt of a
+    dot product: geometry._row_norms has those bits."""
     sq = D[..., 0] * D[..., 0]
     for k in range(1, D.shape[-1]):
         sq += D[..., k] * D[..., k]
@@ -419,10 +421,6 @@ def holder_seminorm(x, T=None, alpha=0.5, method="auto"):
                                      alpha, lags)[0]))
 
 
-def holder_norm(x, T=None, alpha=0.5, method="auto"):
-    return sup_norm(x, T) + holder_seminorm(x, T, alpha, method)
-
-
 def dyadic_lags(n_nodes):
     """The lags 1, 2, 4, ... below n_nodes."""
     return [1 << k for k in range(max(int(n_nodes) - 1, 0).bit_length())]
@@ -461,7 +459,7 @@ def lag_scan_sq(times, values, alpha, lags=None):
         blocks = tile[:, :, plan.nodes].astype(float, copy=False)
         out = best[p0:p0 + plan.tile_rows]
         if np.isfinite(blocks).all():
-            _scan_pruned(blocks, times, alpha, plan, out)
+            _scan_pruned(blocks, plan, out)
         else:
             _scan_lags(tile.astype(float, order="C"), times, alpha,
                        range(1, N), out)
@@ -497,16 +495,22 @@ class _BlockPlan:
     """Layout of the pruned exact scan of P rows of N nodes.
 
     Block b holds nodes b*B .. b*B + B - 1, the last block padded by
-    repeating node N - 1 (`nodes`, (nb, B)).  A tile of `tile_rows` rows
-    takes its (nb, nb) block-pair bounds in strips of `strip` block rows:
-    all at once while one row's nb^2 fit LAG_SCAN_BUDGET and the scan has
-    LAG_SCAN_TILE rows or rows of at most LAG_SCAN_WHOLE_NODES (below
-    LAG_SCAN_TILE rows the all-lags loop's buffers shrink, whole bounds do
-    not), else strips of B block rows, about as many bounds per row as it
-    has nodes.  Block pairs go `batch` at a time: at most LAG_SCAN_BUDGET
-    node pairs, and B per bound of a tile's strip, so that a few-row scan's
-    memory follows its bounds.  Strips and batches only order the work;
-    each row's bits are its own.
+    repeating node N - 1 (`nodes`, (nb, B)).  Only the block pairs I <= J
+    are bounded, in strips of `strip` block rows (`pairs`): all at once
+    while nb^2 fit LAG_SCAN_BUDGET and the scan has LAG_SCAN_TILE rows or
+    rows of at most LAG_SCAN_WHOLE_NODES (below LAG_SCAN_TILE rows the
+    all-lags loop's buffers shrink, whole bounds do not), else strips of B
+    block rows, about as many bounds per row as it has nodes.  A tile has
+    `tile_rows` rows, as many as the widest strip's bounds fit
+    LAG_SCAN_BUDGET.  Block pairs go `batch` at a time: at most
+    LAG_SCAN_BUDGET / 2 node pairs, as a batch holds two arrays of their
+    values, and B per block pair of a tile's strip rows, so that a few-row
+    scan's memory follows its bounds.  A scan of more than one tile raises
+    the node spans of the whole triangle to 2 alpha once (`spans`) while
+    its nb (nb + 1) / 2 B^2 spans fit LAG_SCAN_BUDGET; otherwise each batch
+    raises those of its distinct block pairs, which keeps a one-tile scan
+    within its memory.  Strips and batches only order the work; each row's
+    bits are its own.
     """
 
     def __init__(self, times, P, N, alpha):
@@ -514,39 +518,62 @@ class _BlockPlan:
         self.nb = nb = -(-N // B)
         self.nodes = np.minimum(np.arange(nb * B).reshape(nb, B), N - 1)
         whole = P >= LAG_SCAN_TILE or N <= LAG_SCAN_WHOLE_NODES
-        self.strip = nb if nb * nb <= LAG_SCAN_BUDGET and whole else B
-        self.tile_rows = max(1, LAG_SCAN_BUDGET // (self.strip * nb))
+        self.strip = s = nb if nb * nb <= LAG_SCAN_BUDGET and whole else B
+        self.tile_rows = max(1, LAG_SCAN_BUDGET // (s * nb - s * (s - 1) // 2))
         rows = min(P, self.tile_rows)
-        self.batch = min(LAG_SCAN_BUDGET, rows * self.strip * nb * B) // B**2
-        self.alpha = alpha
+        self.batch = max(1, min(LAG_SCAN_BUDGET // 2, rows * s * nb * B) // B**2)
+        self.times, self.alpha = times, alpha
         if alpha != 0:
             tb = times[self.nodes]
             real = self.nodes[:, 1:] != self.nodes[:, :-1]
             self.first, self.last = tb[:, 0].copy(), tb[:, -1].copy()
             self.inner = np.where(real, np.diff(tb, axis=1), np.inf).min(axis=1)
-        self._whole = None
-        if self.strip == nb:
-            self._whole = self.den(0)
+        self._whole = self._spans = None
+        if s == nb:
+            self._whole = self.pairs(0)
+        if (alpha != 0 and P > self.tile_rows
+                and nb * (nb + 1) // 2 * B * B <= LAG_SCAN_BUDGET):
+            self._spans = self._span_pow(*np.triu_indices(nb))
 
-    def den(self, i0):
-        """(strip, nb) divisors of the strip of block rows from i0: for
-        I <= J the smallest span between blocks I and J raised to 2 alpha
-        (1 when alpha is 0), and inf below the diagonal, so that dividing by
-        it zeroes the bounds of the pairs I > J; a one-node diagonal block
-        has no pair and an infinite span.  One strip is made once."""
+    def pairs(self, i0):
+        """The block pairs (I, J), J >= I, of the strip of block rows from
+        i0, row by row, and the divisors of their bounds: the smallest span
+        between blocks I and J raised to 2 alpha (None when alpha is 0); a
+        one-node diagonal block has no pair and an infinite span.  One
+        strip is made once."""
         if self._whole is not None:
             return self._whole
-        I = np.arange(i0, min(i0 + self.strip, self.nb))
-        lower = np.arange(self.nb)[None, :] < I[:, None]
+        i1 = min(i0 + self.strip, self.nb)
+        I, J = np.triu_indices(i1 - i0, i0, self.nb)
+        I += i0
         if self.alpha == 0:
-            return np.where(lower, np.inf, 1.0)
-        span = self.first[None, :] - self.last[I, None]
-        span[np.arange(len(I)), I] = self.inner[I]
-        span[lower] = np.inf
-        return np.power(span, 2.0 * self.alpha, out=span)
+            return I, J, None
+        span = self.first[J] - self.last[I]
+        diag = I == J
+        span[diag] = self.inner[I[diag]]
+        return I, J, np.power(span, 2.0 * self.alpha, out=span)
+
+    def spans(self, I, J):
+        """(n, B, B) node spans of the block pairs (I, J) raised to 2 alpha,
+        from the triangle's table when it is made."""
+        if self._spans is not None:
+            return self._spans[I * (2 * self.nb - I - 1) // 2 + J]
+        _, at, inv = np.unique(I * self.nb + J, return_index=True,
+                               return_inverse=True)
+        return self._span_pow(I[at], J[at])[inv]
+
+    def _span_pow(self, I, J):
+        # a node paired with itself (diagonal or padding) has value 0 and
+        # span set to 1
+        ni, nj = self.nodes[I], self.nodes[J]
+        span = self.times[nj][:, None, :] - self.times[ni][:, :, None]
+        np.abs(span, out=span)
+        span[ni[:, :, None] == nj[:, None, :]] = 1.0
+        span **= 2.0 * self.alpha
+        return span
 
 
-def _scan_pruned(blocks, times, alpha, plan, out):
+def _scan_pruned(blocks, plan, out):
     """Raise out (rows,) to each row's max over all node pairs, evaluating
     only the block pairs that can still reach it, for the padded blocks
     (d, rows, nb, B) of a tile.
@@ -560,70 +587,69 @@ def _scan_pruned(blocks, times, alpha, plan, out):
     strictly above a value the row already attains cannot raise its max.
 
     Strip by strip, each row's LAG_SCAN_TOP highest bounds are evaluated
-    first and raise its best (a pair I > J evaluated there is a pair J, I
-    mirrored), then the strip's pairs whose bound still beats it.  The best
-    only grows, so a pair skipped in an earlier strip cannot reach the
-    final max either.
+    first and raise its best, then the strip's pairs whose bound still
+    beats it.  The best only grows, so a pair skipped in an earlier strip
+    cannot reach the final max either.
     """
-    rows, nb = blocks.shape[1], plan.nb
+    rows = blocks.shape[1]
     lo, hi = blocks.min(axis=3), blocks.max(axis=3)
-    top = LAG_SCAN_TOP
-    row_of = np.repeat(np.arange(rows), top)
-    for i0 in range(0, nb, plan.strip):
-        bound = _strip_bounds(lo, hi, plan, i0)
-        first = np.argpartition(bound, bound.shape[1] - top,
-                                axis=1)[:, -top:].ravel()
-        _eval_block_pairs(blocks, times, alpha, plan, row_of,
-                          first + i0 * nb, out)
-        bound[row_of, first] = 0.0
+    for i0 in range(0, plan.nb, plan.strip):
+        I, J, den = plan.pairs(i0)
+        bound = _strip_bounds(lo, hi, i0, min(i0 + plan.strip, plan.nb), den)
+        every = np.arange(rows)
+        first = np.empty((min(LAG_SCAN_TOP, len(I)), rows), dtype=np.intp)
+        for at in first:
+            # a taken pair's bound drops below every value: not taken again
+            bound.argmax(axis=1, out=at)
+            bound[every, at] = -1.0
+        row_of, first = np.tile(every, len(first)), first.ravel()
+        _eval_block_pairs(blocks, plan, row_of, I[first], J[first], out)
         bound *= 1.0 + 1e-12
         r, pair = np.nonzero(bound > out[:, None])
         del bound  # before the next strip's bounds are made
-        _eval_block_pairs(blocks, times, alpha, plan, r, pair + i0 * nb, out)
+        _eval_block_pairs(blocks, plan, r, I[pair], J[pair], out)
 
 
-def _strip_bounds(lo, hi, plan, i0):
-    """Bounds (rows, strip * nb) of the block pairs (I, J), I in the strip
-    of block rows from i0, for blocks' per-coordinate min/max (d, rows, nb)."""
-    i1 = min(i0 + plan.strip, plan.nb)
-    rows, nb = lo.shape[1], plan.nb
-    bound = np.empty((rows, i1 - i0, nb))
-    wide, other = np.empty_like(bound), np.empty_like(bound)
-    for k in range(len(lo)):
-        np.subtract(hi[k][:, None, :], lo[k][:, i0:i1, None], out=wide)
-        np.subtract(hi[k][:, i0:i1, None], lo[k][:, None, :], out=other)
-        np.maximum(wide, other, out=wide)
-        np.multiply(wide, wide, out=bound if k == 0 else wide)
-        if k:
-            bound += wide
-    del wide, other  # before the divisors are made
-    bound /= plan.den(i0)
-    return bound.reshape(rows, -1)
+def _strip_bounds(lo, hi, i0, i1, den):
+    """Bounds (rows, pairs) of the block pairs (I, J), i0 <= I < i1, J >= I,
+    row by row as `_BlockPlan.pairs` lists them, for blocks' per-coordinate
+    min/max (d, rows, nb)."""
+    d, rows, nb = lo.shape
+    m = i1 - i0
+    bound = np.empty((rows, m * (nb - i0) - m * (m - 1) // 2))
+    c = 0
+    for I in range(i0, i1):
+        seg = bound[:, c:c + nb - I]
+        c += nb - I
+        wide = hi[:, :, I:] - lo[:, :, I, None]
+        np.maximum(wide, hi[:, :, I, None] - lo[:, :, I:], out=wide)
+        np.multiply(wide, wide, out=wide)
+        np.copyto(seg, wide[0])
+        for k in range(1, d):
+            seg += wide[k]
+    if den is not None:
+        bound /= den
+    return bound
 
 
-def _eval_block_pairs(blocks, times, alpha, plan, row_of, pair, out):
+def _eval_block_pairs(blocks, plan, row_of, I, J, out):
     """Raise out[row_of[q]] to the max pair value of block pair
-    pair[q] = I * nb + J, plan.batch block pairs at a time."""
+    (I[q], J[q]), plan.batch block pairs at a time."""
     step = plan.batch
-    for q0 in range(0, len(pair), step):
+    for q0 in range(0, len(I), step):
         r = row_of[q0:q0 + step]
-        I, J = np.divmod(pair[q0:q0 + step], plan.nb)
+        bi, bj = I[q0:q0 + step], J[q0:q0 + step]
         acc = None
         for k in range(len(blocks)):
-            dv = blocks[k][r, J][:, None, :] - blocks[k][r, I][:, :, None]
+            dv = blocks[k][r, bj][:, None, :] - blocks[k][r, bi][:, :, None]
             np.multiply(dv, dv, out=dv)
             if acc is None:
                 acc = dv
             else:
                 acc += dv
-        if alpha != 0:
-            # spans of the distinct block pairs only; a node paired with
-            # itself (diagonal or padding) has value 0 and span set to 1
-            up, inv = np.unique(pair[q0:q0 + step], return_inverse=True)
-            ni, nj = (plan.nodes[u] for u in np.divmod(up, plan.nb))
-            span = np.abs(times[nj][:, None, :] - times[ni][:, :, None])
-            span[ni[:, :, None] == nj[:, None, :]] = 1.0
-            acc /= (span ** (2.0 * alpha))[inv]
+        del dv  # before the spans are gathered
+        if plan.alpha != 0:
+            acc /= plan.spans(bi, bj)
         np.maximum.at(out, r, acc.reshape(len(r), -1).max(axis=1))
 
 

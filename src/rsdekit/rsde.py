@@ -469,8 +469,9 @@ def shifted_driver_batch(domain, coeffs, times, W, n, h, x0, T=None,
     """
     grid, slopes = _adapted_slopes(times, W, n, T)
     dt = np.diff(grid)
-    W = _step_major(W[:, :len(grid)])
-    dW = np.tile(W[1:] - W[:-1], len(slopes) // W.shape[2])
+    # increments differenced straight into the step-major layout
+    V = np.moveaxis(W[:, :len(grid)], 0, -1)
+    dW = np.tile(np.subtract(V[1:], V[:-1], order="C"), len(slopes) // len(W))
     dh = np.diff(np.atleast_2d(h(grid)), axis=0)
     du_total = dW - _step_major(slopes) * dt[:, None, None] + dh[:, :, None]
     # (P, steps, d1) view of the step-major increments: nothing is copied

@@ -151,14 +151,6 @@ def drive_batch(domain, times, x0, increment_fn, stride=1, record=("x",)):
     return x, k, tv, pushes
 
 
-def solve_batch(domain, times, dW, x0):
-    """Skorohod map of P drivers given as increments dW (P, N-1, d)."""
-    dW = np.asarray(dW, dtype=float)
-    x, k, tv, _ = drive_batch(domain, times, x0, lambda i, X: dW[:, i],
-                              record=("x", "k", "tv"))
-    return BatchPaths(np.asarray(times, dtype=float), x, k, tv)
-
-
 def solve(domain, driver, x0):
     """Skorohod map of a sampled driver from a start in the closure.
 

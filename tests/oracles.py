@@ -14,6 +14,7 @@ from rsdekit.errors import (AmbiguousProjection, GridMismatch,
                             StartOutsideDomain)
 from rsdekit.geometry import AMBIGUITY_RTOL, BOUNDARY_TOL
 from rsdekit.paths import _sq_norm, rng_for
+from rsdekit.skorohod import BatchPaths, drive_batch
 
 
 def reflect_half_line(x0, w_values):
@@ -367,6 +368,16 @@ def drive_batch_reference(domain, times, x0, increment_fn, check_start=True,
         pushes[hit, j] = k_inc[hit] / norms[hit, None]
     return tuple(a if name in record else None for name, a in
                  zip(("x", "k", "tv", "pushes"), (x, k, tv, pushes)))
+
+
+def solve_batch(domain, times, dW, x0):
+    """Skorohod map of P drivers given as increments dW (P, N-1, d) through
+    the package's step loop: the batch form of skorohod.solve, for tests
+    that check many drivers against closed forms or single-path solves."""
+    dW = np.asarray(dW, dtype=float)
+    x, k, tv, _ = drive_batch(domain, times, x0, lambda i, X: dW[:, i],
+                              record=("x", "k", "tv"))
+    return BatchPaths(np.asarray(times, dtype=float), x, k, tv)
 
 
 def refined_grid_reference(grid, substeps):

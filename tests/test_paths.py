@@ -343,7 +343,7 @@ def _tile_rows(N):
     nb = -(-N // pth.LAG_SCAN_BLOCK)
     if nb < pth.LAG_SCAN_MIN_BLOCKS:
         return pth.LAG_SCAN_TILE
-    return max(1, pth.LAG_SCAN_BUDGET // (nb * nb))
+    return max(1, pth.LAG_SCAN_BUDGET // (nb * (nb + 1) // 2))
 
 
 def _walk(rng, P, N, d):
@@ -360,10 +360,10 @@ class TestExactScanBits:
         t = _grid(grid, N, rng)
         t *= 0.7 / t[-1]
         for d in (1, 2, 3):
-            # one tile, then one row past a tile edge
+            # one tile, then one row past a tile edge (span table made)
             for P in (1, _tile_rows(N) + 1):
                 v = _walk(rng, P, N, d)
-                for alpha in (0.0, 0.2, 0.5):
+                for alpha in (0.0, 0.2, 0.25, 0.5):
                     want = lag_scan_sq_reference(t, v, alpha)
                     assert np.array_equal(lag_scan_sq(t, v, alpha), want)
                     if alpha == 0.0:
@@ -407,8 +407,12 @@ class TestExactScanBits:
         assert np.array_equal(lag_scan_sq(t, v, alpha),
                               lag_scan_sq_reference(t, v, alpha))
 
+    # (64, 352): the last grid whose triangle of span powers fits
+    # LAG_SCAN_BUDGET, in one tile, so no table; (128, 352) makes it;
+    # (64, 353): the first grid whose triangle does not fit
     @pytest.mark.parametrize("P, N", [(64, 4096), (1024, 257), (16, 4096),
-                                      (1, 4096)])
+                                      (1, 4096), (64, 352), (128, 352),
+                                      (64, 353)])
     def test_memory_within_twice_reference(self, P, N):
         rng = np.random.default_rng(P)
         t = np.linspace(0.0, 1.0, N)
@@ -440,6 +444,29 @@ class TestExactScanBits:
                 assert np.array_equal(lag_scan_sq(t, v, alpha),
                                       lag_scan_sq_reference(t, v, alpha))
 
+    def test_strips_of_many_rows(self, monkeypatch):
+        # strips of 8 block rows on tiles of 4 rows, in batches of 8 block
+        # pairs, on a non-uniform grid
+        monkeypatch.setattr(pth, "LAG_SCAN_BUDGET", 1024)
+        rng = np.random.default_rng(11)
+        t = _grid("nonuniform", 257, rng)
+        plan = pth._BlockPlan(t, 9, 257, 0.25)
+        assert (plan.strip, plan.tile_rows, plan.batch) == (8, 4, 8)
+        v = _walk(rng, 9, 257, 2)
+        for alpha in (0.1, 0.25, 0.45):
+            assert np.array_equal(lag_scan_sq(t, v, alpha),
+                                  lag_scan_sq_reference(t, v, alpha))
+
+    @pytest.mark.parametrize("P, N, table", [
+        (1024, 257, True), (67, 352, True), (66, 352, False),
+        (1024, 353, False), (1, 257, False)])
+    def test_span_table_once_per_plan(self, P, N, table):
+        # made for a scan of more than one tile whose triangle of span
+        # powers fits LAG_SCAN_BUDGET
+        plan = pth._BlockPlan(np.linspace(0.0, 1.0, N), P, N, 0.2)
+        assert (plan._spans is not None) == table
+        assert pth._BlockPlan(np.linspace(0.0, 1.0, N), P, N,
+                              0.0)._spans is None
 
     @pytest.mark.parametrize("P, N, whole", [
         (1024, 257, True), (1, 257, True), (256, 513, True), (1, 512, True),
@@ -469,11 +496,13 @@ class TestExactScanBits:
 
 
     @pytest.mark.parametrize("P, N, rows, batch", [
-        (1024, 257, 60, 1024), (256, 513, 15, 1024), (1, 1025, 1, 129),
+        (1024, 257, 116, 512), (256, 513, 30, 512), (1, 1025, 1, 129),
         (3, 1025, 3, 387)])
     def test_block_pair_batch_follows_the_tile(self, P, N, rows, batch):
-        # holder-disc's and criterion 09's tiles keep batches of 1024 block
-        # pairs; a few long rows take B node pairs per bound of a strip
+        # holder-disc's and criterion 09's tiles hold as many rows as their
+        # upper-triangle bounds fit LAG_SCAN_BUDGET and take batches of 512
+        # block pairs; a few long rows take B node pairs per block pair of
+        # a strip
         plan = pth._BlockPlan(np.linspace(0.0, 1.0, N), P, N, 0.2)
         assert min(P, plan.tile_rows) == rows
         assert plan.batch == batch

@@ -8,10 +8,9 @@ from rsdekit import (BV_COMPARISON_BOUND, Ball, HalfSpace, NotchedDisc,
                      verify_tv_bound)
 from rsdekit import paths as pth
 from rsdekit import skorohod
-from rsdekit.skorohod import solve_batch
 
 from oracles import (advance_reference, lag_scan_sq_reference,
-                     reflect_half_line)
+                     reflect_half_line, solve_batch)
 
 HALF_LINE = HalfSpace([1.0], 0.0)
 DISC = Ball([0.0, 0.0], 1.0)
