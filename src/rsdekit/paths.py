@@ -438,11 +438,12 @@ def lag_scan_sq(times, values, alpha, lags=None):
     depends on that row alone.
 
     The exact scan prunes once a path has LAG_SCAN_MIN_BLOCKS blocks of
-    LAG_SCAN_BLOCK nodes: it evaluates only the block pairs whose bound can
-    still reach the row's best (see _scan_pruned), on tiles of rows whose
-    bounds are taken in strips of at most LAG_SCAN_BUDGET elements (see
-    _BlockPlan).  Shorter paths, a given lag list and tiles with a
-    non-finite value scan lag by lag, LAG_SCAN_TILE paths at a time.
+    LAG_SCAN_BLOCK nodes: it bounds the block pairs I <= J and evaluates
+    only those whose bound can still reach the row's best (see
+    _scan_pruned), on tiles of rows whose bounds are taken in strips of at
+    most LAG_SCAN_BUDGET elements (see _BlockPlan).  Shorter paths, a given
+    lag list and tiles with a non-finite value scan lag by lag,
+    LAG_SCAN_TILE paths at a time.
     """
     values = np.asarray(values)
     P, N, d = values.shape
@@ -592,11 +593,11 @@ def _scan_pruned(blocks, plan, out):
     cannot reach the final max either.
     """
     rows = blocks.shape[1]
+    every = np.arange(rows)
     lo, hi = blocks.min(axis=3), blocks.max(axis=3)
     for i0 in range(0, plan.nb, plan.strip):
         I, J, den = plan.pairs(i0)
         bound = _strip_bounds(lo, hi, i0, min(i0 + plan.strip, plan.nb), den)
-        every = np.arange(rows)
         first = np.empty((min(LAG_SCAN_TOP, len(I)), rows), dtype=np.intp)
         for at in first:
             # a taken pair's bound drops below every value: not taken again
