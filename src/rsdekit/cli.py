@@ -110,7 +110,7 @@ CATALOG = {
         {"T": "pos_float", "deltas": "float_list", "M_values": "float_list",
          "paths": "pos_int"},
         {"grid_level": (10, "pos_int"), "epsilon": (0.5, "pos_float"),
-         "levy_deltas": ((0.8, 0.5), "pair_float"),
+         "levy_deltas": ((0.8, 0.5), "pos_pair"),
          "levy_attempts": (4_000_000, "pos_int"),
          "levy_grid_level": (7, "pos_int"), "min_r2": (0.95, "float"),
          "slope_factor": (1.5, "pos_float"),
@@ -193,6 +193,8 @@ _VALIDATORS = {
     and all(v[i + 1] < v[i] for i in range(len(v) - 1)),
     "pair_float": lambda v: isinstance(v, (list, tuple)) and len(v) == 2
     and all(_is_num(x) for x in v),
+    "pos_pair": lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+    and all(_is_num(x) and x > 0 for x in v),
     "band": lambda v: isinstance(v, (list, tuple)) and len(v) == 2
     and _is_num(v[0]) and (v[1] is None or _is_num(v[1])),
     "window_list": lambda v: isinstance(v, (list, tuple)) and len(v) > 0

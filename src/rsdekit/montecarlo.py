@@ -210,22 +210,29 @@ def parallel_chunks(fn, n_items, workers, payload, chunk=CHUNK, rows=()):
         return [f.result() for f in futures]
 
 
-def brownian_batch(d1, times, seed, lo, hi):
-    """Driver values for paths lo..hi-1, one stream per path index.
-
-    The Philox keys of all paths are derived at once; one generator is
-    re-keyed before each path fills its own row in place, and the whole
-    batch is then scaled and summed at once.  That gives the bits of
-    `paths.brownian_increments` path by path.
-    """
-    W = np.zeros((hi - lo, len(times), d1))
-    Z = W[:, 1:]
+def _path_streams(seed, lo, hi):
+    """One generator re-keyed, path by path, to the stream of each path
+    lo..hi-1: yields (j, gen) with gen at the start of path lo + j's
+    stream.  The Philox keys of all paths are derived at once."""
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     state = bitgen.state  # a fresh stream: zero counter, empty buffer
     for j, key in enumerate(pth.stream_keys(seed, lo, hi)):
         state["state"]["key"] = key
         bitgen.state = state
+        yield j, gen
+
+
+def brownian_batch(d1, times, seed, lo, hi):
+    """Driver values for paths lo..hi-1, one stream per path index.
+
+    Each path fills its own row in place from `_path_streams`, and the
+    whole batch is then scaled and summed at once.  That gives the bits of
+    `paths.brownian_increments` path by path.
+    """
+    W = np.zeros((hi - lo, len(times), d1))
+    Z = W[:, 1:]
+    for j, gen in _path_streams(seed, lo, hi):
         gen.standard_normal(out=Z[j])
     Z *= np.sqrt(np.diff(np.asarray(times, dtype=float)))[:, None]
     np.cumsum(Z, axis=1, out=Z)
@@ -711,27 +718,81 @@ def exp_tail(domain, coeffs, x0, T, paths, seed, grid_level=9, workers=1,
 
 
 def _smallball_chunk(lo, hi, payload):
-    times = np.asarray(payload["times"])
-    W = brownian_batch(1, times, payload["seed"], lo, hi)
-    return {"sup": np.max(np.abs(W[..., 0]), axis=1)}
+    """sup_t |w_t| of the 1-d paths lo..hi-1, with the bits of
+    max |brownian_batch(1, times, seed, lo, hi)| over each path's nodes
+    (node 0 included: every |w_t| is at least 0).  Paths are drawn one by
+    one into a reused buffer of 16 rows; each full buffer, and the last,
+    is scaled, summed and reduced at once."""
+    dt_sqrt = np.sqrt(np.diff(np.asarray(payload["times"], dtype=float)))
+    buf = np.empty((16, len(dt_sqrt)))
+    sup = np.empty(hi - lo)
+    for j, gen in _path_streams(payload["seed"], lo, hi):
+        r = j % len(buf)
+        gen.standard_normal(out=buf[r])
+        if r == len(buf) - 1 or j == hi - lo - 1:
+            Z = buf[:r + 1]
+            Z *= dt_sqrt
+            np.cumsum(Z, axis=1, out=Z)
+            np.abs(Z, out=Z)
+            Z.max(axis=1, out=sup[j - r:j + 1])
+    return {"sup": sup}
 
 
-def _levy_block(block, payload):
-    """One block's tube hits reduced to their iterated-integral sups, with
-    each hit's node deviation from zero."""
-    tube = pth.tube_block(block, block + 1, payload)
-    Wh = tube["accepted"][0]
-    mid = 0.5 * (Wh[:, :-1, 0] + Wh[:, 1:, 0])
-    dv = np.diff(Wh[:, :, 1], axis=1)
-    running = np.cumsum(mid * dv, axis=1)
-    return np.max(np.abs(running), axis=1), tube["dev"][0]
+def _levy_block(block, payload, buf, terms):
+    """One Levy pool block (see `paths.tube_draw`) reduced while it is
+    drawn: slab by slab, each live candidate's midpoint-rule iterated
+    integral of w^1 against dw^2 and its running max of |.| are kept,
+    compacted with the live rows.  Returns the hits' sups and their node
+    deviations from zero.
+
+    The slab buffer `buf` and the (2, TUBE_SLAB * size) `terms`, which
+    hold a slab's midpoints and increments, are reused from block to
+    block.  Each term is 0.5 (w^1_{k-1} + w^1_k) (w^2_k - w^2_{k-1}) and
+    the sum runs from the first term on, node by node, so the sups have the
+    bits of `paths.levy_sup` on each hit.
+    """
+    run = top = None
+
+    def consume(live, S, pos, keep):
+        nonlocal run, top
+        steps, rows, _ = S.shape
+        mid = terms[0, :steps * rows].reshape(steps, rows)
+        dv = terms[1, :steps * rows].reshape(steps, rows)
+        prev0, prev1 = (0.0, 0.0) if pos is None else (pos[:, 0], pos[:, 1])
+        np.add(S[0, :, 0], prev0, out=mid[0])
+        np.add(S[1:, :, 0], S[:-1, :, 0], out=mid[1:])
+        mid *= 0.5
+        np.subtract(S[0, :, 1], prev1, out=dv[0])
+        np.subtract(S[1:, :, 1], S[:-1, :, 1], out=dv[1:])
+        mid *= dv
+        if run is not None:
+            mid[0] += run
+        np.cumsum(mid, axis=0, out=mid)
+        run = mid[-1, keep]
+        np.abs(mid, out=mid)
+        high = mid.max(axis=0)
+        if top is not None:
+            np.maximum(high, top, out=high)
+        top = high[keep]
+
+    hit, _, dev = pth.tube_draw(payload, block, buf, consume)
+    return top[hit], dev
 
 
 def _levy_blocks(lo, hi, payload):
     """Tube-conditioned iterated-integral sups for blocks [lo, hi), with
-    each hit's node deviation from zero; a block's hits are dropped before
-    the next block is drawn."""
-    zeta_sups, devs = zip(*(_levy_block(b, payload) for b in range(lo, hi)))
+    each hit's node deviation from zero.  Each block is reduced while it is
+    drawn, in a slab buffer and term buffers made once for all the
+    blocks."""
+    m = pth.TUBE_SLAB * payload["size"]
+    # one allocation, not two: once it is freed, glibc's dynamic mmap and
+    # trim thresholds rise past the heap a call uses, so later calls reuse
+    # its pages (two 2.1 MB arrays left 1,757 minor faults per tube-levy
+    # call, one 4.2 MB array none)
+    work = np.empty((2 + payload["d1"]) * m)
+    buf, terms = work[:-2 * m], work[-2 * m:].reshape(2, m)
+    zeta_sups, devs = zip(*(_levy_block(b, payload, buf, terms)
+                            for b in range(lo, hi)))
     return {"zeta_sup": np.concatenate(zeta_sups),
             "dev": np.concatenate(devs)}
 
@@ -742,6 +803,8 @@ def smallball_and_levy(T, deltas, M_values, paths, seed, workers=1,
                        min_r2=0.95, slope_factor=1.5, min_conditioned=50):
     """1-d small-ball regression of log P(sup|w| < delta) against 1/delta^2,
     plus conditional iterated-integral exceedance proportions in d1 = 2."""
+    if any(d <= 0 for d in levy_deltas):
+        raise ValueError("levy_deltas must be positive")
     deltas = sorted(float(d) for d in deltas)
     times = pth.dyadic_grid(T, grid_level)
     results = parallel_chunks(_smallball_chunk, int(paths), workers,

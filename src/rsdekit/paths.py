@@ -708,62 +708,78 @@ def levy_sup(w, T=None):
 # ---------------------------------------------------------------------------
 
 
-def tube_block(lo, hi, payload):
-    """Draw candidate-driver blocks block0 + lo .. block0 + hi - 1, each of
-    `size` candidates from the stream (seed, tag, delta_idx, block), and
-    return the rows of each that stay in the delta-tube around href (the
-    zero path when href is None): per block the hits' zero-prefixed values
-    (hits, n, d1) in row order, their rows and each hit's node deviation
-    max_k |W_k - href_k| in `dev`.
+def tube_draw(payload, block, buf, consume, stack=False):
+    """Draw tube candidate block `block` of `payload`; its hits stay in the
+    delta-tube around href (the zero path when href is None).  Returns
+    which of the rows live after the last slab are hits, the hits' rows
+    and each hit's node deviation max_k |W_k - href_k| (`dev`).
 
-    A block is drawn time-major, TUBE_SLAB steps at a time, as
-    (steps, live candidates, d1); a candidate stops drawing once its running
-    max of squared node deviations reaches delta^2.  Each candidate's
-    increments are still iid N(0, dt), but which normals it gets depends on
-    which other rows of its block are still live.  Only each hit's max is
-    rooted: sqrt is monotone and correctly rounded, so `dev` equals the max
-    of the node norms bit for bit.
+    The block's `size` candidates come from the stream (seed, tag,
+    delta_idx, block), drawn time-major, TUBE_SLAB steps at a time, as
+    (steps, live candidates, d1) node values in `buf`: each slab at its
+    start, or after the previous one when `stack` is set.  A candidate
+    stops drawing once its running max of squared node deviations reaches
+    delta^2.  Each candidate's increments are still iid N(0, dt), but which
+    normals it gets depends on which other rows of its block are still
+    live.  After each slab `consume(live, S, pos, keep)` gets the live rows,
+    the slab S, their previous node values `pos` (None before the first
+    slab, whose previous node is 0) and which of them stay live.  Only each
+    hit's max is rooted: sqrt is monotone and correctly rounded, so `dev`
+    equals the max of the node norms bit for bit.
     """
     d1, size, delta = payload["d1"], payload["size"], payload["delta"]
     delta_sq = delta * delta
     times = np.asarray(payload["times"])
     href = payload["href"]
-    block0 = payload.get("block0", 0)
     n = len(times)
     dt_sqrt = np.sqrt(np.diff(times))
     # every candidate starts at 0, so node 0 deviates by |href(0)|
     sq0 = 0.0 if href is None else float(_sq_norm(href[0]))
-    # one buffer for a block's slabs, back to back, reused block after
-    # block: a block writes only as much of it as it draws
-    arena = np.empty((n - 1) * size * d1)
+    rng = rng_for(payload["seed"], payload["tag"], payload["delta_idx"], block)
+    live = np.arange(size if sq0 < delta_sq else 0)
+    worst = np.full(len(live), sq0)
+    pos, used = None, 0
+    for k0 in range(1, n, TUBE_SLAB):  # nodes k0 .. k1-1
+        if not len(live):
+            break
+        k1 = min(k0 + TUBE_SLAB, n)
+        S = buf[used:used + (k1 - k0) * len(live) * d1].reshape(
+            k1 - k0, len(live), d1)
+        if stack:
+            used += S.size
+        rng.standard_normal(out=S)
+        S *= dt_sqrt[k0 - 1:k1 - 1, None, None]
+        if pos is not None:
+            S[0] += pos
+        for j in range(1, k1 - k0):  # cumsum over the leading axis
+            np.add(S[j - 1], S[j], out=S[j])
+        sq = _sq_norm(S if href is None else S - href[k0:k1, None])
+        np.maximum(worst, sq.max(axis=0), out=worst)
+        keep = worst < delta_sq
+        consume(live, S, pos, keep)
+        live, worst, pos = live[keep], worst[keep], S[-1, keep]
+    dev = np.sqrt(worst)
+    hit = dev < delta
+    return hit, live[hit], dev[hit]
+
+
+def tube_block(lo, hi, payload):
+    """Tube candidate blocks block0 + lo .. block0 + hi - 1 of `payload`
+    (see `tube_draw`): per block the hits' zero-prefixed values
+    (hits, n, d1) in row order, their rows and their node deviations in
+    `dev`.  A block's slabs go back to back in one buffer, reused block
+    after block: a block writes only as much of it as it draws.
+    """
+    n, d1 = len(payload["times"]), payload["d1"]
+    block0 = payload.get("block0", 0)
+    arena = np.empty((n - 1) * payload["size"] * d1)
     accepted, counts, rows, devs = [], [], [], []
     for block in range(block0 + lo, block0 + hi):
-        rng = rng_for(payload["seed"], payload["tag"], payload["delta_idx"],
-                      block)
-        live = np.arange(size if sq0 < delta_sq else 0)
-        worst = np.full(len(live), sq0)
-        slabs, pos, used = [], None, 0
-        for k0 in range(1, n, TUBE_SLAB):  # nodes k0 .. k1-1
-            if not len(live):
-                break
-            k1 = min(k0 + TUBE_SLAB, n)
-            S = arena[used:used + (k1 - k0) * len(live) * d1].reshape(
-                k1 - k0, len(live), d1)
-            used += S.size
-            rng.standard_normal(out=S)
-            S *= dt_sqrt[k0 - 1:k1 - 1, None, None]
-            if pos is not None:
-                S[0] += pos
-            for j in range(1, k1 - k0):  # cumsum over the leading axis
-                np.add(S[j - 1], S[j], out=S[j])
-            sq = _sq_norm(S if href is None else S - href[k0:k1, None])
-            np.maximum(worst, sq.max(axis=0), out=worst)
-            slabs.append((live, S))
-            keep = worst < delta_sq
-            live, worst, pos = live[keep], worst[keep], S[-1, keep]
-        dev = np.sqrt(worst)
-        hit = dev < delta
-        live, dev = live[hit], dev[hit]
+        slabs = []
+        _, live, dev = tube_draw(
+            payload, block, arena,
+            lambda slab_rows, S, pos, keep: slabs.append((slab_rows, S)),
+            stack=True)
         W = np.zeros((len(live), n, d1))
         for k0, (slab_rows, S) in zip(range(1, n, TUBE_SLAB), slabs):
             W[:, k0:k0 + len(S)] = np.swapaxes(

@@ -13,7 +13,7 @@ import numpy as np
 from rsdekit.errors import (AmbiguousProjection, GridMismatch,
                             StartOutsideDomain)
 from rsdekit.geometry import AMBIGUITY_RTOL, BOUNDARY_TOL
-from rsdekit.paths import _sq_norm, rng_for
+from rsdekit.paths import _sq_norm, rng_for, tube_block
 from rsdekit.skorohod import BatchPaths, drive_batch
 
 
@@ -234,6 +234,23 @@ def tube_block_slab_reference(lo, hi, payload, slab):
         out["rows"].append(hit)
         out["dev"].append(dev[hit])
     return out
+
+
+def levy_blocks_reference(lo, hi, payload):
+    """The Levy pool's reduction as first written: each block's hits taken
+    whole from tube_block, then per hit the max over nodes of |.| of the
+    cumsum of the midpoint-rule terms 0.5 (w^1_{k-1} + w^1_k)
+    (w^2_k - w^2_{k-1}), with each hit's node deviation."""
+    zeta, dev = [], []
+    for block in range(lo, hi):
+        tube = tube_block(block, block + 1, payload)
+        Wh = tube["accepted"][0]
+        mid = 0.5 * (Wh[:, :-1, 0] + Wh[:, 1:, 0])
+        dv = np.diff(Wh[:, :, 1], axis=1)
+        running = np.cumsum(mid * dv, axis=1)
+        zeta.append(np.max(np.abs(running), axis=1))
+        dev.append(tube["dev"][0])
+    return {"zeta_sup": np.concatenate(zeta), "dev": np.concatenate(dev)}
 
 
 def brownian_batch_reference(d1, times, seed, lo, hi):

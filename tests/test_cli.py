@@ -334,6 +334,31 @@ class TestRun:
         """.format(out=tmp_path / "o8"))
         assert cli.main(["run", path]) == cli.EXIT_FAIL
 
+    @pytest.mark.parametrize("levy_deltas", ["[0.8, -0.5]", "[-0.8, -0.5]",
+                                             "[0.8, 0.0]"])
+    def test_non_positive_levy_delta_exit_2(self, tmp_path, levy_deltas):
+        out = tmp_path / "o10"
+        path = write_config(tmp_path, """
+            [run]
+            experiment = smallball_and_levy
+            seed = 1
+            output = {out}
+
+            [experiment]
+            T = 0.5
+            deltas = [0.5, 1.0]
+            M_values = [0.5]
+            paths = 200
+            levy_attempts = 8192
+            levy_grid_level = 4
+        """.format(out=out))
+        cli.parse_config(path)
+        setting = f"experiment.levy_deltas={levy_deltas}"
+        with pytest.raises(ConfigError, match="levy_deltas failed validation"):
+            cli.parse_config(path, [setting])
+        assert cli.main(["run", path, "--set", setting]) == cli.EXIT_CONFIG
+        assert not out.exists()
+
     def test_byte_identical_across_workers(self, tmp_path):
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
         path = write_config(tmp_path, MOMENT_CONFIG.format(out=out1))
@@ -483,6 +508,33 @@ REPORT_DIGESTS = {
     11: {"holder-disc": "422b12cb", "tube-levy": "8fe59174",
          "wz-halfline": "d0a4053a", "wz-notch-w2": "62fb99c4"},
 }
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, imported from the checkout without changing
+    it."""
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["holder-disc", "tube-levy", "wz-halfline",
+                                  "wz-notch-w2"])
+def test_benchmark_workloads_pass(tmp_path, name):
+    # the benchmark counts a call whose verdict is not "pass" as failed, so
+    # each of its configs, written by its own code, must pass here first
+    workloads = _perfbench_workloads()
+    assert sorted(workloads.WORKLOADS) == sorted(BENCHMARK_SHAPED)
+    path, out = tmp_path / "config.ini", tmp_path / "out"
+    workloads.write_config(name, 1, path, out)
+    assert cli.main(["run", str(path)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["verdict"] == "pass"
+    assert report["seeds"]["seed"] == 1
 
 
 @pytest.mark.parametrize("seed", sorted(REPORT_DIGESTS))

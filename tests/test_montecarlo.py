@@ -13,7 +13,7 @@ from rsdekit import (Ball, HalfSpace, NotchedDisc, dyadic_grid, levy_sup,
                      tube_sample, zero_control)
 from rsdekit import maxprinciple as mp
 from rsdekit import montecarlo as mc
-from rsdekit.paths import TUBE_SLAB, tube_block
+from rsdekit.paths import TUBE_SLAB, SamplePath, tube_block, tube_draw
 
 HALF_LINE = HalfSpace([1.0], 0.0)
 DISC = Ball([0.0, 0.0], 1.0)
@@ -268,6 +268,81 @@ class TestTubeKernel:
         assert np.array_equal(self._bits(got), self._bits(want))
 
 
+class TestStreamedLevyPool:
+    """The Levy pool reduced slab by slab while it is drawn, against the
+    reduction of each block's whole hit paths in oracles.py, bit for bit;
+    the small-ball sups taken path by path against brownian_batch."""
+
+    @staticmethod
+    def _bits(a):
+        return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+    @staticmethod
+    def _payload(seed, level, delta=0.8):
+        # smallball_and_levy's pool at T = 0.5
+        return {"d1": 2, "size": mc.TUBE_BLOCK,
+                "times": dyadic_grid(0.5, level), "href": None,
+                "delta": delta, "delta_idx": 0, "seed": seed, "tag": 0x1E}
+
+    @staticmethod
+    def _slabs_and_hits(payload, block):
+        """How many slabs block `block` draws, and its hit count."""
+        slabs = []
+        buf = np.empty(TUBE_SLAB * payload["size"] * payload["d1"])
+        _, rows, _ = tube_draw(payload, block, buf,
+                               lambda *slab: slabs.append(len(slab[0])))
+        return len(slabs), len(rows)
+
+    def _check(self, payload, lo, hi):
+        from oracles import levy_blocks_reference
+        got = mc._levy_blocks(lo, hi, payload)
+        want = levy_blocks_reference(lo, hi, payload)
+        for key in ("zeta_sup", "dev"):
+            assert got[key].shape == want[key].shape
+            assert np.array_equal(self._bits(got[key]),
+                                  self._bits(want[key]))
+        return got
+
+    @pytest.mark.parametrize("level", [3, 7])
+    @pytest.mark.parametrize("seed", [1, 7, 40])
+    def test_matches_path_reference(self, seed, level):
+        # level 3 draws one slab of 8 steps, shorter than TUBE_SLAB
+        payload = self._payload(seed, level)
+        assert self._slabs_and_hits(payload, 1)[0] == \
+            -(-(2 ** level) // TUBE_SLAB)
+        got = self._check(payload, 0, 2)
+        assert len(got["zeta_sup"]) > 100
+
+    def test_block_without_hits(self):
+        # candidates survive the first slab, but none stays in the tube
+        payload = self._payload(3, 7, delta=0.12)
+        slabs, hits = self._slabs_and_hits(payload, 0)
+        assert slabs > 1 and hits == 0
+        assert len(self._check(payload, 0, 1)["zeta_sup"]) == 0
+
+    def test_every_candidate_leaves_in_the_first_slab(self):
+        payload = self._payload(5, 7, delta=1e-3)
+        assert self._slabs_and_hits(payload, 0) == (1, 0)
+        assert len(self._check(payload, 0, 1)["zeta_sup"]) == 0
+
+    def test_hit_sup_is_levy_sup(self):
+        payload = self._payload(11, 6)
+        W = tube_block(2, 3, payload)["accepted"][0][0]
+        zeta_sup = levy_sup(SamplePath(payload["times"], W))[0][0, 1]
+        assert self._bits(mc._levy_blocks(2, 3, payload)["zeta_sup"][0]) == \
+            self._bits(zeta_sup)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 256), (3840, 4000), (100, 137)],
+                             ids=["full", "last-of-4000", "partial-buffer"])
+    def test_smallball_sups_match_brownian_batch(self, lo, hi):
+        times = dyadic_grid(0.5, 10)
+        got = mc._smallball_chunk(lo, hi, {"times": times, "seed": 9})["sup"]
+        want = np.max(np.abs(mc.brownian_batch(1, times, 9, lo, hi)[..., 0]),
+                      axis=1)
+        assert got.shape == (hi - lo,)
+        assert np.array_equal(self._bits(got), self._bits(want))
+
+
 class TestNestedDeltaPool:
     """Both nested-delta experiments classify one pool drawn at the widest
     delta, so adding a narrower delta leaves the widest one untouched."""
@@ -341,6 +416,20 @@ class TestFitGuards:
         assert rep.rate_fit is None
         assert "upper-decade quantiles of |K|_T coincide; tail fit skipped" \
             in rep.notes
+
+    @pytest.mark.parametrize("levy_deltas", [(0.8, -0.5), (-0.8, -0.5),
+                                             (0.8, 0.0)])
+    def test_smallball_rejects_non_positive_levy_deltas(self, levy_deltas,
+                                                        monkeypatch):
+        # rejected before any path is drawn
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew paths")
+
+        monkeypatch.setattr(mc, "parallel_chunks", no_draws)
+        with pytest.raises(ValueError, match="levy_deltas must be positive"):
+            mc.smallball_and_levy(0.5, [0.5, 1.0], [0.5], 200, seed=1,
+                                  grid_level=6, levy_deltas=levy_deltas,
+                                  levy_attempts=8192, levy_grid_level=4)
 
     @pytest.mark.parametrize("deltas, hit", [([0.05, 0.06], 0),
                                              ([0.05, 1.0], 1)])
@@ -509,12 +598,24 @@ class TestOwnedChunkResults:
     def test_levy_blocks_reduce_block_by_block(self):
         # tube-levy's Levy pool, 4 blocks of 8192 candidates on 129 nodes
         # at delta 0.8: holding every block's hits until all were drawn
-        # peaked at 31.8-32.5 MB; reducing each block before the next peaks
-        # at 21.5-22.3 MB, 16.8 MB of it the tube kernel's slab buffer
+        # peaked at 31.8-32.5 MB; reducing each block's hit paths before
+        # the next, from a 16.8 MB buffer of all its slabs, at 21.5-22.3 MB;
+        # reducing each slab as it is drawn, in one 4.2 MB slab buffer and
+        # term buffers, peaks at 7.81 MB on seeds 1, 2, 3 and 11
         payload = {"d1": 2, "size": mc.TUBE_BLOCK,
                    "times": dyadic_grid(0.5, 7), "href": None, "delta": 0.8,
                    "delta_idx": 0, "seed": 1, "tag": 0x1E}
-        assert self._peak(lambda: mc._levy_blocks(0, 4, payload)) < 24e6
+        assert self._peak(lambda: mc._levy_blocks(0, 4, payload)) < 8.5e6
+
+    def test_smallball_chunk_reuses_one_small_buffer(self):
+        # one 256-path chunk on tube-levy's 1025 nodes: a (256, 1025, 1)
+        # driver batch peaked at 4.2-5.0 MB; a reused buffer of 16 rows
+        # peaks at 0.21 MB.  A first chunk is run before, so numpy.random's
+        # import is not counted
+        payload = {"times": dyadic_grid(0.5, 10), "seed": 1}
+        mc._smallball_chunk(0, 1, payload)
+        peak = self._peak(lambda: mc._smallball_chunk(0, 256, payload))
+        assert peak < 0.5e6
 
 
 def _tracing():
