@@ -214,8 +214,9 @@ class HalfSpace(Domain):
 
     def project_rows(self, Y):
         # ndarray.dot has matmul's bits at a fraction of its cost, on rows
-        s = np.ascontiguousarray(Y).dot(self.normal) - self.offset
-        dist = np.maximum(-s, 0.0)
+        s = np.ascontiguousarray(Y).dot(self.normal)
+        s -= self.offset
+        dist = np.maximum(np.negative(s, out=s), 0.0, out=s)
         X = Y + np.multiply.outer(self.normal, dist).T  # in Y's layout
         return X, X - Y, dist
 

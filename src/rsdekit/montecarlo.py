@@ -203,8 +203,11 @@ def parallel_chunks(fn, n_items, workers, payload, chunk=CHUNK, rows=()):
              for lo, hi in _chunks(n_items, chunk)]
     if workers is None or workers <= 1 or len(parts) <= 1:
         return [fn(*part) for part in parts]
-    # imported here: a serial run never pays for the pool module's import
+    # imported here: a serial run never pays for the pool module's import.
+    # numpy.random is imported before the fork, so that every worker
+    # inherits it instead of importing it on its first draw
     from concurrent.futures import ProcessPoolExecutor
+    import numpy.random  # noqa: F401
     with ProcessPoolExecutor(max_workers=int(workers)) as ex:
         futures = [ex.submit(fn, *part) for part in parts]
         return [f.result() for f in futures]
@@ -318,20 +321,19 @@ def _sup_dist(A, B):
 def _wz_chunk(c):
     ref = c.euler().x
     out = {}
-    for mult, tag in ((1, "err"), (2, "err2x")):
-        if mult == 2 and not c.check_substeps:
-            continue
-        # all levels in one batch, rows level-major; each level's rows are
-        # reduced, and the batch dropped, before the next solve
-        x = rsde.wong_zakai_batch(c.domain, c.coeffs, c.times, c.W, c.levels,
-                                  c.substeps * mult, c.x0).x
-        for n, xn in zip(c.levels, np.split(x, len(c.levels))):
+    # every level and substep refinement in one batch: rows
+    # refinement-major, then level-major
+    subs = (c.substeps, 2 * c.substeps) if c.check_substeps else (c.substeps,)
+    x = rsde.wong_zakai_batch(c.domain, c.coeffs, c.times, c.W, c.levels,
+                              subs, c.x0).x
+    for tag, xs in zip(("err", "err2x"), np.split(x, len(subs))):
+        for n, xn in zip(c.levels, np.split(xs, len(c.levels))):
             out[(tag, n)] = _sup_dist(ref, xn)
-            if mult == 1:
+            if tag == "err":
                 out[("holder", n)] = out[(tag, n)] + np.sqrt(pth.lag_scan_sq(
                     c.times, ref - xn, c.theta,
                     pth.dyadic_lags(len(c.times))))
-        del x, xn
+    del x, xs, xn
     crn_ok = True
     if c.lo == 0:
         # CRN discipline: the level-n driver must be a restriction of the
@@ -767,7 +769,7 @@ def _levy_block(block, payload, buf, terms):
         mid *= dv
         if run is not None:
             mid[0] += run
-        np.cumsum(mid, axis=0, out=mid)
+        pth._cumsum_rows(mid)
         run = mid[-1, keep]
         np.abs(mid, out=mid)
         high = mid.max(axis=0)

@@ -708,6 +708,15 @@ def levy_sup(w, T=None):
 # ---------------------------------------------------------------------------
 
 
+def _cumsum_rows(A):
+    """Running sums of A along its leading axis, in place, one np.add per
+    row: np.cumsum(A, axis=0, out=A) has the same bits, but numpy's
+    accumulate along a leading axis is several times slower on the
+    (TUBE_SLAB, rows) slabs of a tube draw."""
+    for j in range(1, len(A)):
+        np.add(A[j - 1], A[j], out=A[j])
+
+
 def tube_draw(payload, block, buf, consume, stack=False):
     """Draw tube candidate block `block` of `payload`; its hits stay in the
     delta-tube around href (the zero path when href is None).  Returns
@@ -751,8 +760,7 @@ def tube_draw(payload, block, buf, consume, stack=False):
         S *= dt_sqrt[k0 - 1:k1 - 1, None, None]
         if pos is not None:
             S[0] += pos
-        for j in range(1, k1 - k0):  # cumsum over the leading axis
-            np.add(S[j - 1], S[j], out=S[j])
+        _cumsum_rows(S)
         sq = _sq_norm(S if href is None else S - href[k0:k1, None])
         np.maximum(worst, sq.max(axis=0), out=worst)
         keep = worst < delta_sq

@@ -93,7 +93,10 @@ def btilde(coeffs, x, S=None):
     if isinstance(coeffs.sigma_jac, _ZeroJacobian):
         return b
     S = coeffs.sigma_at(x) if S is None else S
-    return b + 0.5 * np.einsum("...ikj,...jk->...i", coeffs.jacobian_at(x), S)
+    c = np.einsum("...ikj,...jk->...i", coeffs.jacobian_at(x), S)
+    c *= 0.5
+    c += b  # b + c: the same sum
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +164,7 @@ def _diagonal(v, axes):
     broadcasts slowly over short axes)."""
     d = v.shape[-1]
     if d == 1:
-        return v.reshape(v.shape + (1,) * (axes - 1))
+        return v[(Ellipsis,) + (None,) * (axes - 1)]
     out = np.zeros(v.shape + (d,) * (axes - 1))
     out[(Ellipsis,) + (np.arange(d),) * axes] = v
     return out
@@ -270,7 +273,9 @@ def _rows_dot(S, v):
     broadcast S at d1 = 2 reads v's columns, redoing NaN rows on rows."""
     d1 = S.shape[-1]
     if d1 == 1:
-        return S[..., 0] * v + 0.0
+        out = S[..., 0] * v
+        out += 0.0
+        return out
     v = np.ascontiguousarray(v) if d1 > 2 or S.strides[0] else v
     out = np.einsum("pik,pk->pi", S, v)
     if not v.flags.c_contiguous and np.isnan(out).any():
@@ -325,7 +330,9 @@ def euler_reflected_batch(domain, coeffs, times, dW, x0, record=("x",),
     else:
         def inc(i, X):
             S = coeffs.sigma_at(X)
-            return _rows_dot(S, dW[i].T) + btilde(coeffs, X, S) * dt[i]
+            u = _rows_dot(S, dW[i].T)
+            u += btilde(coeffs, X, S) * dt[i]
+            return u
 
     return BatchPaths(times[::stride], *drive_batch(
         domain, times, x0, inc, stride=stride, record=record))
@@ -355,34 +362,60 @@ def _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
     grid: shape (cells, d1) shared across paths or (P, cells, d1) per path.
     Coefficients are re-evaluated at every substep state, or once per
     coarse cell for a constant model; only the grid nodes are recorded.
+
+    With a sequence of substep counts, each dividing the next, every
+    refinement is solved in the same batch: rows refinement-major, coarsest
+    first, len(substeps) times the rows of one solve.  The loop runs on the
+    finest refined grid, and a refinement's rows step only on the
+    iterations of their own refined grid, with its dt, so each row takes
+    the steps of its separate solve.
     """
     grid = np.asarray(grid, dtype=float)
-    substeps = max(int(substeps), 1)
-    refined = _refined_grid(grid, substeps)
-    dt = np.diff(refined)
-    # map refined cells back to coarse cells
-    cell = np.clip(np.searchsorted(grid, refined[:-1], side="right") - 1,
-                   0, len(grid) - 2)
+    subs = [max(int(m), 1) for m in np.atleast_1d(substeps)]
+    if any(b % a for a, b in zip(subs, subs[1:])):
+        raise ValueError(f"substeps {subs} must each divide the next")
+    R, M = len(subs), subs[-1]
+    dts = [np.diff(_refined_grid(grid, m)) for m in subs]
     per_path = slopes.ndim == 3
     P = slopes.shape[0] if per_path else int(np.atleast_2d(x0).shape[0])
-    x0 = _broadcast_start(x0, P, coeffs.d)
+    x0 = _broadcast_start(x0, R * P, coeffs.d)
     slopes = _step_major(slopes) if per_path else slopes
+    periods = [M // m for m in subs]
+
+    def rate(S, b, s):
+        u = _rows_dot(S, s) if per_path else S @ s
+        u += b
+        return u
 
     # a constant model's coefficients do not read the state, so its rate
-    # sigma s + b is formed once per coarse cell
+    # sigma s + b is formed once per coarse cell, for every row
     const = coeffs.constant and (coeffs.sigma_at(x0), coeffs.b_at(x0))
-    last = [-1, None]
+    last = [-1, None]  # coarse cell and its slopes, or its rate
 
     def inc(i, X):
-        c = cell[i]
-        if not const or c != last[0]:
-            S, b = const or (coeffs.sigma_at(X), coeffs.b_at(X))
-            s = slopes[c].T if per_path else slopes[c]
-            last[:] = c, (_rows_dot(S, s) if per_path else S @ s) + b
-        return last[1] * dt[i]
+        c, lo = i // M, R * P - len(X)
+        if c != last[0]:
+            s = slopes[c]
+            if per_path:  # (rows, d1), tiled across the refinements
+                s = (np.tile(s, R) if R > 1 else s).T
+            last[:] = c, (rate(*const, s) if const else s)
+        # the due rows' rate, or their slopes (shared slopes have no rows)
+        r = last[1][lo:] if lo and (const or per_path) else last[1]
+        if not const:
+            r = rate(coeffs.sigma_at(X), coeffs.b_at(X), r)
+        j0 = lo // P
+        if j0 == R - 1:  # the finest refinement's rows alone
+            dt = dts[j0][i // periods[j0]]
+            return r * dt if const else np.multiply(r, dt, out=r)
+        u = np.empty_like(r) if const else r  # in the rate's layout
+        for j in range(j0, R):
+            rows = slice(j * P - lo, (j + 1) * P - lo)
+            np.multiply(r[rows], dts[j][i // periods[j]], out=u[rows])
+        return u
 
-    return BatchPaths(grid, *drive_batch(domain, refined, x0, inc,
-                                         stride=substeps, record=record))
+    return BatchPaths(grid, *drive_batch(
+        domain, _refined_grid(grid, M), x0, inc, stride=M, record=record,
+        blocks=[(j * P, q) for j, q in enumerate(periods)]))
 
 
 def skeleton(domain, coeffs, h, substeps, x0, grid=None):
@@ -446,7 +479,10 @@ def wong_zakai_batch(domain, coeffs, times, W, n, substeps, x0, T=None,
     dyadic nodes; output is on that grid.  Stratonovich coefficients: drift
     b, no Ito correction, since the interpolation is of bounded variation.
     With a sequence of levels n, every level is solved in the same batch:
-    rows level-major, len(n) * P of them.
+    rows level-major, len(n) * P of them.  A sequence of substep counts,
+    each dividing the next, stacks the refinements the same way in front
+    of that: rows refinement-major, coarsest first, each refinement's rows
+    with the bits of its own solve.
     """
     grid, slopes = _adapted_slopes(times, W, n, T)
     return _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,

@@ -100,26 +100,49 @@ def _advance(domain, X, du):
     return X, k_inc, tv_inc
 
 
-def drive_batch(domain, times, x0, increment_fn, stride=1, record=("x",)):
+def drive_batch(domain, times, x0, increment_fn, stride=1, record=("x",),
+                blocks=((0, 1),)):
     """Run the projection scheme for P paths at once.
 
     increment_fn(i, X) must return the full step increments (P, d) for the
     step from times[i] to times[i+1] given the column-major states X.  Returns
     the (x, k, tv, pushes) arrays named in `record` (any of RECORD_ALL),
-    each recorded at every stride-th node only (node 0 included; pass a
-    stride that divides the step count), and None for each of the others.
+    each recorded at every stride-th node only (node 0 included; the stride
+    must divide the step count), and None for each of the others.
     The running regulator and total-variation sums are kept only if `k` or
     `tv` is recorded.
+
+    `blocks` lists (first row, period) pairs, first rows rising from 0 and
+    each period a multiple of the next, the last 1: a block's rows step
+    only on the iterations i that its period divides.  The rows due on an
+    iteration are then a trailing block X[lo:], and increment_fn gets and
+    answers for those rows only.  The stride must be a multiple of every
+    period; a recorded push is the one from the row's own last step.
     """
     unknown = set(record) - set(RECORD_ALL)
     if unknown:
         raise ValueError(f"cannot record {sorted(unknown)}")
-    times = np.asarray(times, dtype=float)
+    steps = len(times) - 1
+    if steps % stride:
+        raise ValueError(f"stride {stride} does not divide {steps} steps")
+    firsts, periods = zip(*blocks)
+    if firsts[0] or periods[-1] != 1 \
+            or any(a >= b for a, b in zip(firsts, firsts[1:])) \
+            or any(a % b for a, b in zip(periods, periods[1:])):
+        raise ValueError("blocks need rising first rows from 0 and each "
+                         "period a multiple of the next, the last 1")
+    if any(stride % q for q in periods):
+        raise ValueError(f"stride {stride} is not a multiple of every "
+                         f"block's period {list(periods)}")
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     P, d = x0.shape
     if np.any(domain.signed_distance(x0) > BOUNDARY_TOL):
         raise StartOutsideDomain("initial state outside the closure")
-    N = (len(times) - 1) // stride + 1
+    # first due row per iteration; nested periods make the due rows trail
+    due = np.zeros(steps, dtype=int)
+    for first, q in reversed(blocks):
+        due[::q] = first
+    N = steps // stride + 1
     x = np.empty((P, N, d)) if "x" in record else None
     k = np.zeros((P, N, d)) if "k" in record else None
     tv = np.zeros((P, N)) if "tv" in record else None
@@ -127,14 +150,23 @@ def drive_batch(domain, times, x0, increment_fn, stride=1, record=("x",)):
     X = np.array(x0, order="F")
     K = np.zeros((P, d), order="F")
     TV = np.zeros(P)
+    # each row's own last regulator increment, for the pushes
+    last = np.zeros((P, d)) if pushes is not None else None
     if x is not None:
         x[:, 0] = X
-    for i in range(len(times) - 1):
-        X, k_inc, tv_inc = _advance(domain, X, increment_fn(i, X))
+    for i, lo in enumerate(due.tolist()):
+        Xd = X[lo:] if lo else X
+        Xd, k_inc, tv_inc = _advance(domain, Xd, increment_fn(i, Xd))
+        if lo:
+            X[lo:] = Xd
+        else:
+            X = Xd
         if k is not None:
-            K += k_inc
+            K[lo:] += k_inc
         if tv is not None:
-            TV += tv_inc
+            TV[lo:] += tv_inc
+        if pushes is not None:
+            last[lo:] = k_inc
         j, off = divmod(i + 1, stride)
         if off:
             continue
@@ -145,9 +177,9 @@ def drive_batch(domain, times, x0, increment_fn, stride=1, record=("x",)):
         if tv is not None:
             tv[:, j] = TV
         if pushes is not None:
-            norms = np.sqrt(_sq_norm(k_inc))
+            norms = np.sqrt(_sq_norm(last))
             hit = norms > 0
-            pushes[hit, j] = k_inc[hit] / norms[hit, None]
+            pushes[hit, j] = last[hit] / norms[hit, None]
     return x, k, tv, pushes
 
 

@@ -352,9 +352,12 @@ def advance_reference(domain, X, du):
 
 
 def drive_batch_reference(domain, times, x0, increment_fn, check_start=True,
-                          stride=1, record=("x",)):
+                          stride=1, record=("x",), blocks=((0, 1),)):
     """The step loop as first written; it records every array and returns
-    those named in `record`, None for the others."""
+    those named in `record`, None for the others.  Every row steps on every
+    iteration: it takes one block of rows only."""
+    if len(blocks) != 1:
+        raise ValueError("the reference steps every row on every iteration")
     times = np.asarray(times, dtype=float)
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     P, d = x0.shape

@@ -511,6 +511,26 @@ class TestDeterminism:
         assert run(1).to_json() == run(2).to_json()
 
 
+def test_wz_substep_check_runs_one_refined_step_loop(monkeypatch):
+    # levels 4-7 on 257 nodes with the substep check: 256 Euler steps, then
+    # one loop over the x8 grid (2,048 steps) that also steps the x4 rows on
+    # every other iteration.  Two separate solves took 256 + 1,024 + 2,048
+    iters = []
+    drive = mc.rsde.drive_batch
+
+    def counted(domain, times, x0, increment_fn, *args, **kwargs):
+        def inc(i, X):
+            iters.append(len(X))
+            return increment_fn(i, X)
+
+        return drive(domain, times, x0, inc, *args, **kwargs)
+
+    monkeypatch.setattr(mc.rsde, "drive_batch", counted)
+    mc.wz_convergence(HALF_LINE, SIN_1D, [1.0], 1.0, [4, 5, 6, 7], 8, seed=1)
+    assert len(iters) == 2304
+    assert sorted(set(iters)) == [8, 32, 64]  # Euler, x8 rows, both
+
+
 class TestOwnedChunkResults:
     """Chunk results are arrays of their own: a view would keep its chunk's
     whole base alive until the runner concatenates every chunk."""
@@ -571,10 +591,13 @@ class TestOwnedChunkResults:
         # wz-halfline's call: 4 levels x 256 paths on 257 nodes, two level
         # stacks.  Recording x, k and tv of each solve, with the first
         # stack's batch alive through the second solve, peaked at
-        # 17.0-17.8 MB; x alone, one stack at a time, peaks at 5.4-6.2 MB
+        # 17.0-17.8 MB; x alone, one stack at a time, peaked at 5.4-6.2 MB.
+        # Both substep refinements now share one batch, so both stacks'
+        # x (2.1 MB each) are alive together: 7.7 MB.  Recording k and tv
+        # as well would add 8.4 MB
         peak = self._peak(lambda: mc.wz_convergence(
             HALF_LINE, SIN_1D, [1.0], 1.0, [4, 5, 6, 7], 256, seed=1))
-        assert peak < 7e6
+        assert peak < 8.5e6
 
     def test_serial_holder_tightness_drops_each_batch(self):
         # holder-disc's call with a control: 4 levels x 256 paths on 257
@@ -745,11 +768,25 @@ class TestReportShape:
 
 
 def test_serial_run_imports_no_process_pool():
-    # the pool module is imported only when a pool starts, so a serial run
-    # (the CLI included) does not pay for importing it
+    # the pool module, and numpy.random ahead of the fork, are imported
+    # only when a pool starts, so a serial run (the CLI included) does not
+    # pay for importing them
     code = ("import sys, rsdekit.cli, rsdekit.montecarlo as mc; "
             "mc.parallel_chunks(slice, 600, 1, {}); "
-            "print('concurrent.futures.process' in sys.modules)")
+            "print('concurrent.futures.process' in sys.modules, "
+            "'numpy.random' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.split() == ["False"]
+    assert out.stdout.split() == ["False", "False"]
+
+
+def test_pool_workers_inherit_numpy_random():
+    # a pool imports numpy.random in the parent before it forks, so no
+    # worker pays for that import on its first draw
+    code = ("import sys, rsdekit.montecarlo as mc\n"
+            "def seen(lo, hi, payload):\n"
+            "    return 'numpy.random' in sys.modules\n"
+            "print(mc.parallel_chunks(seen, 600, 2, {}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["[True,", "True,", "True]"]

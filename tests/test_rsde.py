@@ -353,7 +353,7 @@ class TestIncrementKernels:
         incs = []
 
         def stand_in(domain, times, x0, increment_fn, stride=1,
-                     record=("x",)):
+                     record=("x",), blocks=((0, 1),)):
             X = np.array(x0, order="F")
             incs.append(np.stack([increment_fn(i, X)
                                   for i in range(len(times) - 1)]))

@@ -81,6 +81,80 @@ def test_stacked_levels_equal_per_level_solves(kind):
             assert np.array_equal(batch.pushes[rows], single.pushes)
 
 
+CONST = make_coefficients(2, 2, sigma="const",
+                          sigma_params={"matrix": [[0.6, -0.2], [0.1, 0.5]]},
+                          b="const", b_params={"value": [0.3, -0.2]})
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("model", ["sin", "const"])
+def test_stacked_refinements_equal_separate_solves(kind, model):
+    # each refinement's rows of one stacked call have the bits of its own
+    # solve, compared as int64 views: x, k, tv, and pushes, which must come
+    # from the row's own last step.  One row's increments are large, so the
+    # nonconvex kind bisects it; stacked levels, per-path slopes and one
+    # shared slope row for every path are covered
+    dom, x0 = KINDS[kind]
+    cf = {"sin": SIN, "const": CONST}[model]
+    times = dyadic_grid(1.0, 6)
+    W = brownian_batch(2, times, 19, 0, 5)
+    W[3] *= 6.0
+    grid = dyadic_grid(1.0, 3)
+    shared = np.random.default_rng(4).uniform(-2.0, 2.0, size=(8, 2))
+    starts = np.tile(x0, (3, 1))
+    subs = [1, 2, 4, 8]
+    runs = [lambda m: wong_zakai_batch(dom, cf, times, W, [3, 4], m, x0,
+                                       record=RECORD_ALL),
+            lambda m: rsde._bv_integrate_batch(dom, cf, grid, shared, starts,
+                                               m, RECORD_ALL)]
+    for run in runs:
+        stacked = run(subs)
+        rows = len(stacked.x) // len(subs)
+        for j, m in enumerate(subs):
+            single = run(m)
+            assert len(single.x) == rows
+            for name in RECORD_ALL:
+                a = getattr(stacked, name)[j * rows:(j + 1) * rows]
+                b = getattr(single, name)
+                assert np.array_equal(a.view(np.int64), b.view(np.int64)), \
+                    (m, name)
+
+
+def test_stacked_refinements_need_nested_substeps():
+    times = dyadic_grid(1.0, 4)
+    W = brownian_batch(2, times, 3, 0, 2)
+    with pytest.raises(ValueError, match="each divide the next"):
+        wong_zakai_batch(Ball([0.0, 0.0], 1.0), SIN, times, W, 3, [4, 6],
+                         [0.0, 0.0])
+
+
+def test_drive_batch_stride_must_divide_the_steps_and_periods():
+    # over 10 steps stride 3 would record nodes 0, 3, 6 and 9 and lose the
+    # final state at node 10
+    dom = Ball([0.0, 0.0], 1.0)
+    times = np.linspace(0.0, 1.0, 11)
+
+    def inc(i, X):
+        return np.full(X.shape, 0.01)
+
+    with pytest.raises(ValueError, match="does not divide 10 steps"):
+        drive_batch(dom, times, [[0.0, 0.0]], inc, stride=3)
+    x = drive_batch(dom, times, [[0.0, 0.0]], inc, stride=5)[0]
+    assert np.allclose(x[0, -1], [0.1, 0.1])
+    # a block stepping every other iteration would not have arrived at a
+    # node recorded every 5th
+    starts = [[0.0, 0.0], [0.0, 0.0]]
+    with pytest.raises(ValueError, match="not a multiple of every"):
+        drive_batch(dom, times, starts, inc, stride=5,
+                    blocks=((0, 2), (1, 1)))
+    with pytest.raises(ValueError, match="multiple of the next"):
+        drive_batch(dom, times, starts, inc, stride=10,
+                    blocks=((0, 2), (1, 5)))
+    x = drive_batch(dom, times, starts, inc, stride=10,
+                    blocks=((0, 2), (1, 1)))[0]
+    assert np.allclose(x[:, -1], [[0.05, 0.05], [0.1, 0.1]])
+
+
 def _batch_runs(kind, record):
     """Every batch integrator on one small driver batch, recording `record`;
     one row's increments are large, so the nonconvex kind bisects it."""
