@@ -204,8 +204,9 @@ def parallel_chunks(fn, n_items, workers, payload, chunk=CHUNK, rows=()):
     if workers is None or workers <= 1 or len(parts) <= 1:
         return [fn(*part) for part in parts]
     # imported here: a serial run never pays for the pool module's import.
-    # numpy.random is imported before the fork, so that every worker
-    # inherits it instead of importing it on its first draw
+    # numpy.random is imported before the pool starts, so that a forked
+    # worker inherits it instead of importing it on its first draw; under
+    # the spawn and forkserver start methods the import is only the parent's
     from concurrent.futures import ProcessPoolExecutor
     import numpy.random  # noqa: F401
     with ProcessPoolExecutor(max_workers=int(workers)) as ex:

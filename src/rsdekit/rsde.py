@@ -403,12 +403,8 @@ def _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
         r = last[1][lo:] if lo and (const or per_path) else last[1]
         if not const:
             r = rate(coeffs.sigma_at(X), coeffs.b_at(X), r)
-        j0 = lo // P
-        if j0 == R - 1:  # the finest refinement's rows alone
-            dt = dts[j0][i // periods[j0]]
-            return r * dt if const else np.multiply(r, dt, out=r)
         u = np.empty_like(r) if const else r  # in the rate's layout
-        for j in range(j0, R):
+        for j in range(lo // P, R):
             rows = slice(j * P - lo, (j + 1) * P - lo)
             np.multiply(r[rows], dts[j][i // periods[j]], out=u[rows])
         return u

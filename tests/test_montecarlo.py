@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import multiprocessing
 import subprocess
 import sys
 import tracemalloc
@@ -588,13 +589,10 @@ class TestOwnedChunkResults:
             tracemalloc.stop()
 
     def test_serial_wz_convergence_keeps_only_x(self):
-        # wz-halfline's call: 4 levels x 256 paths on 257 nodes, two level
-        # stacks.  Recording x, k and tv of each solve, with the first
-        # stack's batch alive through the second solve, peaked at
-        # 17.0-17.8 MB; x alone, one stack at a time, peaked at 5.4-6.2 MB.
-        # Both substep refinements now share one batch, so both stacks'
-        # x (2.1 MB each) are alive together: 7.7 MB.  Recording k and tv
-        # as well would add 8.4 MB
+        # wz-halfline's call: 4 levels x 256 paths on 257 nodes, both
+        # substep refinements solved in one batch.  Recording x alone, both
+        # refinements' x (2.1 MB each) are alive together, about 7.7 MB;
+        # recording k and tv as well would add 8.4 MB
         peak = self._peak(lambda: mc.wz_convergence(
             HALF_LINE, SIN_1D, [1.0], 1.0, [4, 5, 6, 7], 256, seed=1))
         assert peak < 8.5e6
@@ -780,6 +778,8 @@ def test_serial_run_imports_no_process_pool():
     assert out.stdout.split() == ["False", "False"]
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only forked workers inherit the parent's modules")
 def test_pool_workers_inherit_numpy_random():
     # a pool imports numpy.random in the parent before it forks, so no
     # worker pays for that import on its first draw
