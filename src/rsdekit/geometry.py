@@ -69,14 +69,14 @@ class Domain:
     kind = "abstract"
     convex = True
 
-    def __init__(self, dim, r0, c0, gamma, phi=None, cone_b=None, cover_d=None):
+    def __init__(self, dim, r0, c0, gamma, phi=None, cone_b=None):
         self.dim = int(dim)
         self.r0 = float(r0)
         self.c0 = float(c0)
         self.gamma = float(gamma)
         self.phi = phi
         self.cone_b = cone_b  # (delta, beta) or None
-        self.cover_d = cover_d  # list[CoverPatch] or None
+        self.cover_d = None  # list[CoverPatch] once ensure_cover builds it
 
     # -- per-kind kernels ------------------------------------------------
 
@@ -204,8 +204,7 @@ class HalfSpace(Domain):
             grad=lambda x, n=self.normal: n.copy(),
             alpha=0.5 / c0,
         )
-        super().__init__(d, r0, c0, gamma, phi=phi, cone_b=(1.0, 1.25),
-                         cover_d=None)
+        super().__init__(d, r0, c0, gamma, phi=phi, cone_b=(1.0, 1.25))
         base = self.offset * self.normal
         self.cover_d = [CoverPatch(base, self.normal.copy(), 1.0, 1e6)]
 
@@ -260,7 +259,7 @@ class Ball(Domain):
             alpha=0.5 * self.radius / c0,
         )
         super().__init__(center.size, r0, c0, gamma, phi=phi,
-                         cone_b=(0.25 * self.radius, 1.5), cover_d=None)
+                         cone_b=(0.25 * self.radius, 1.5))
 
     def signed_distance(self, X):
         return np.linalg.norm(X - self.center, axis=1) - self.radius
@@ -318,8 +317,7 @@ class AxisBox(Domain):
             alpha=0.5 * halfwidth / c0,
         )
         super().__init__(low.size, r0, c0, gamma, phi=phi,
-                         cone_b=(0.25 * halfwidth, 1.0 / (0.9 / math.sqrt(low.size))),
-                         cover_d=None)
+                         cone_b=(0.25 * halfwidth, 1.0 / (0.9 / math.sqrt(low.size))))
 
     def signed_distance(self, X):
         q = np.maximum(self.low - X, X - self.high)
@@ -389,7 +387,7 @@ class ConvexPolytope(Domain):
             alpha=0.5 * margin / c0,
         )
         super().__init__(A.shape[1], r0, c0, gamma, phi=phi,
-                         cone_b=(0.25 * margin, 2.0), cover_d=None)
+                         cone_b=(0.25 * margin, 2.0))
 
     def signed_distance(self, X):
         slack = X @ self.A.T - self.b  # positive rows are violated
@@ -506,8 +504,7 @@ class NotchedDisc(Domain):
             * (-self._sd_grad(x)),
             alpha=0.5 / c0,
         )
-        super().__init__(2, r0, c0, gamma, phi=phi, cone_b=(0.05, 2.5),
-                         cover_d=None)
+        super().__init__(2, r0, c0, gamma, phi=phi, cone_b=(0.05, 2.5))
 
     # -- helpers -----------------------------------------------------------
 

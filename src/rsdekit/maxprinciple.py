@@ -74,9 +74,9 @@ def reachable_sample(domain, coeffs, x, n_controls, horizon, seed,
     slopes, t0 = _random_controls(coeffs.d1, int(n_controls), float(horizon),
                                   int(segments), float(slope_max), int(seed))
     grid = np.linspace(0.0, float(horizon), int(segments) * 8 + 1)
+    # the control slopes stay on their `segments` cells of [0, horizon]
     batch = rsde.skeleton_batch(
-        domain, coeffs, grid,
-        rsde.expand_cell_slopes(slopes, grid, float(horizon)),
+        domain, coeffs, grid, slopes,
         np.broadcast_to(x, (len(slopes), x.size)).copy(), substeps)
     # endpoint at the per-control horizon: nearest grid node at or before t0
     idx = np.minimum(np.searchsorted(grid, t0, side="right") - 1, len(grid) - 1)

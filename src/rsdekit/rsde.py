@@ -358,10 +358,13 @@ def _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
                         record=("x",)):
     """Projected explicit Euler for dx = sigma(x) hdot dt + b(x) dt.
 
-    slopes gives the piecewise-constant driver derivative per cell of the
-    grid: shape (cells, d1) shared across paths or (P, cells, d1) per path.
-    Coefficients are re-evaluated at every substep state, or once per
-    coarse cell for a constant model; only the grid nodes are recorded.
+    slopes gives the piecewise-constant driver derivative: shape (cells,
+    d1), one per cell of the grid, shared across paths; (P, cells, d1) per
+    path, read through _cell_index; or a list of (slopes (cells, d1, P),
+    grid cells' index into them) pairs as _adapted_slopes builds them, one
+    per stacked level, rows level-major.  Coefficients are re-evaluated at
+    every substep state, or once per change of the slopes for a constant
+    model; only the grid nodes are recorded.
 
     With a sequence of substep counts, each dividing the next, every
     refinement is solved in the same batch: rows refinement-major, coarsest
@@ -376,10 +379,22 @@ def _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
         raise ValueError(f"substeps {subs} must each divide the next")
     R, M = len(subs), subs[-1]
     dts = [np.diff(_refined_grid(grid, m)) for m in subs]
-    per_path = slopes.ndim == 3
-    P = slopes.shape[0] if per_path else int(np.atleast_2d(x0).shape[0])
+    if isinstance(slopes, np.ndarray) and slopes.ndim == 3:
+        slopes = [(_step_major(slopes),
+                   _cell_index(grid, slopes.shape[1], grid[-1]))]
+    per_path = isinstance(slopes, list)
+    if per_path:
+        _, d1, p = slopes[0][0].shape
+        P = len(slopes) * p
+        # one running slope row per stacked row of a refinement, written
+        # into every refinement at once; a level's block is rewritten only
+        # when its cell changes
+        buf = np.empty((d1, R, P))
+        levels = [(s, idx.tolist(), slice(j * p, (j + 1) * p), [-1])
+                  for j, (s, idx) in enumerate(slopes)]
+    else:
+        P, levels = int(np.atleast_2d(x0).shape[0]), []
     x0 = _broadcast_start(x0, R * P, coeffs.d)
-    slopes = _step_major(slopes) if per_path else slopes
     periods = [M // m for m in subs]
 
     def rate(S, b, s):
@@ -388,17 +403,21 @@ def _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
         return u
 
     # a constant model's coefficients do not read the state, so its rate
-    # sigma s + b is formed once per coarse cell, for every row
+    # sigma s + b is formed once per change of the slopes, for every row
     const = coeffs.constant and (coeffs.sigma_at(x0), coeffs.b_at(x0))
     last = [-1, None]  # coarse cell and its slopes, or its rate
 
     def inc(i, X):
         c, lo = i // M, R * P - len(X)
         if c != last[0]:
-            s = slopes[c]
-            if per_path:  # (rows, d1), tiled across the refinements
-                s = (np.tile(s, R) if R > 1 else s).T
-            last[:] = c, (rate(*const, s) if const else s)
+            last[0], moved = c, not per_path
+            for own, idx, rows, cur in levels:
+                if idx[c] != cur[0]:
+                    cur[0], moved = idx[c], True
+                    buf[:, :, rows] = own[idx[c]][:, None]
+            if moved:  # per path (rows, d1), the same in every refinement
+                s = buf.reshape(len(buf), -1).T if per_path else slopes[c]
+                last[1] = rate(*const, s) if const else s
         # the due rows' rate, or their slopes (shared slopes have no rows)
         r = last[1][lo:] if lo and (const or per_path) else last[1]
         if not const:
@@ -429,41 +448,45 @@ def skeleton(domain, coeffs, h, substeps, x0, grid=None):
 
 
 def skeleton_batch(domain, coeffs, grid, slopes, x0, substeps, record=("x",)):
-    """Skeletons for a batch of controls sharing breakpoints (slopes (P, cells, d1))."""
+    """Skeletons for a batch of controls, slopes (P, cells, d1) per cell of
+    the grid or on equal cells of [0, grid[-1]], read through
+    _cell_index."""
     return _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
                                record)
 
 
-def expand_cell_slopes(slopes, grid, T):
-    """Slopes (P, cells, d1) on the equal cells of [0, T], read off on the
-    cells of grid: each grid cell takes the slope of the cell holding its
-    midpoint (grids here never put a midpoint on a cell boundary), stored
-    cell-major as _step_major leaves them."""
-    cells = slopes.shape[1]
+def _cell_index(grid, cells, T):
+    """Index of the cell of the `cells` equal cells of [0, T] holding each
+    grid cell's midpoint (grids here never put a midpoint on a cell
+    boundary); on a grid of `cells` cells, slopes given per grid cell, the
+    identity."""
+    if cells == len(grid) - 1:
+        return np.arange(cells)
     mids = 0.5 * (grid[:-1] + grid[1:])
-    cell = np.minimum((mids / (T / cells)).astype(int), cells - 1)
-    return np.moveaxis(slopes, 0, -1).take(cell, axis=0).transpose(2, 0, 1)
+    return np.minimum((mids / (T / cells)).astype(int), cells - 1)
 
 
 def _adapted_slopes(times, W, levels, T=None):
     """Grid of the nodes up to T and the one-cell-delayed adapted
-    interpolation's slope on each of its cells.
+    interpolation's slopes of each level on that level's own cells.
 
     W holds driver node values (P, N, d1) on a grid containing the dyadic
-    nodes of every level; levels is one level or a sequence.  The slopes,
-    (len(levels) * P, cells, d1) rows level-major, are stored cell-major.
+    nodes of every level; levels is one level or a sequence.  Each level
+    gives a pair: its slopes (2^n, d1, P), stored step-major, and the
+    index of the level cell holding each grid cell's midpoint.
     """
     times = np.asarray(times, dtype=float)
     T = float(times[-1]) if T is None else float(T)
     grid = times[times <= T + 1e-12]
-    levels, (P, _, d1) = np.atleast_1d(levels), W.shape
-    out = np.empty((len(grid) - 1, d1, len(levels) * P)).transpose(2, 0, 1)
-    for j, n in enumerate(levels):
+    V = np.moveaxis(W, 0, -1)
+    out = []
+    for n in np.atleast_1d(levels):
         delta = T / 2 ** int(n)
-        w_nodes = W[:, pth.node_indices(times, pth.dyadic_grid(T, n))]
-        slopes = np.zeros_like(w_nodes[:, :-1])
-        slopes[:, 1:] = (w_nodes[:, 1:-1] - w_nodes[:, :-2]) / delta
-        out[j * P:(j + 1) * P] = expand_cell_slopes(slopes, grid, T)
+        w_nodes = V[pth.node_indices(times, pth.dyadic_grid(T, n))]
+        slopes = np.zeros((len(w_nodes) - 1,) + w_nodes.shape[1:])
+        np.subtract(w_nodes[1:-1], w_nodes[:-2], out=slopes[1:])
+        slopes[1:] /= delta
+        out.append((slopes, _cell_index(grid, len(slopes), T)))
     return grid, out
 
 
@@ -500,15 +523,24 @@ def shifted_driver_batch(domain, coeffs, times, W, n, h, x0, T=None,
     a sequence of levels n, rows are level-major as in wong_zakai_batch.
     """
     grid, slopes = _adapted_slopes(times, W, n, T)
-    dt = np.diff(grid)
+    dt = np.diff(grid)[:, None, None]
     # increments differenced straight into the step-major layout
     V = np.moveaxis(W[:, :len(grid)], 0, -1)
-    dW = np.tile(np.subtract(V[1:], V[:-1], order="C"), len(slopes) // len(W))
-    dh = np.diff(np.atleast_2d(h(grid)), axis=0)
-    du_total = dW - _step_major(slopes) * dt[:, None, None] + dh[:, :, None]
+    dW = np.subtract(V[1:], V[:-1], order="C")
+    dh = np.diff(np.atleast_2d(h(grid)), axis=0)[:, :, None]
+    # dW - slope dt + dh written level block by level block
+    P = dW.shape[2]
+    du = np.empty(dW.shape[:2] + (len(slopes) * P,))
+    for j, (s, idx) in enumerate(slopes):
+        block = du[:, :, j * P:(j + 1) * P]
+        # the indices are in range; "clip" writes into the block unbuffered
+        np.take(s, idx, axis=0, out=block, mode="clip")
+        block *= dt
+        np.subtract(dW, block, out=block)
+        block += dh
     # (P, steps, d1) view of the step-major increments: nothing is copied
-    return euler_reflected_batch(domain, coeffs, grid,
-                                 np.moveaxis(du_total, -1, 0), x0, record)
+    return euler_reflected_batch(domain, coeffs, grid, np.moveaxis(du, -1, 0),
+                                 x0, record)
 
 
 def shifted_driver(domain, coeffs, w, n, h, x0, T=None):

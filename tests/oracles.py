@@ -13,7 +13,9 @@ import numpy as np
 from rsdekit.errors import (AmbiguousProjection, GridMismatch,
                             StartOutsideDomain)
 from rsdekit.geometry import AMBIGUITY_RTOL, BOUNDARY_TOL
-from rsdekit.paths import _sq_norm, rng_for, tube_block
+from rsdekit.paths import (_sq_norm, dyadic_grid, node_indices, rng_for,
+                           tube_block)
+from rsdekit.rsde import euler_reflected_batch
 from rsdekit.skorohod import BatchPaths, drive_batch
 
 
@@ -417,3 +419,48 @@ def node_index_reference(times, t, tol=1e-12):
         if 0 <= j < len(times) and abs(times[j] - t) <= tol:
             return j
     raise GridMismatch(f"t={t!r} is not a grid node")
+
+
+def expand_cell_slopes(slopes, grid, T):
+    """Slopes (P, cells, d1) on the equal cells of [0, T], read off on the
+    cells of grid: each grid cell takes the slope of the cell holding its
+    midpoint (grids here never put a midpoint on a cell boundary), stored
+    cell-major."""
+    cells = slopes.shape[1]
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    cell = np.minimum((mids / (T / cells)).astype(int), cells - 1)
+    return np.moveaxis(slopes, 0, -1).take(cell, axis=0).transpose(2, 0, 1)
+
+
+def adapted_slopes_reference(times, W, levels, T=None):
+    """rsde._adapted_slopes as first written: the grid of the nodes up to T
+    and every level's slopes copied onto every grid cell, (len(levels) * P,
+    cells, d1) rows level-major, stored cell-major."""
+    times = np.asarray(times, dtype=float)
+    T = float(times[-1]) if T is None else float(T)
+    grid = times[times <= T + 1e-12]
+    levels, (P, _, d1) = np.atleast_1d(levels), W.shape
+    out = np.empty((len(grid) - 1, d1, len(levels) * P)).transpose(2, 0, 1)
+    for j, n in enumerate(levels):
+        delta = T / 2 ** int(n)
+        w_nodes = W[:, node_indices(times, dyadic_grid(T, n))]
+        slopes = np.zeros_like(w_nodes[:, :-1])
+        slopes[:, 1:] = (w_nodes[:, 1:-1] - w_nodes[:, :-2]) / delta
+        out[j * P:(j + 1) * P] = expand_cell_slopes(slopes, grid, T)
+    return grid, out
+
+
+def shifted_driver_batch_reference(domain, coeffs, times, W, n, h, x0,
+                                   T=None, record=("x",)):
+    """rsde.shifted_driver_batch as first written: the driver increments
+    tiled across the levels, less the expanded slopes times dt, plus the
+    control's increments."""
+    grid, slopes = adapted_slopes_reference(times, W, n, T)
+    dt = np.diff(grid)
+    V = np.moveaxis(W[:, :len(grid)], 0, -1)
+    dW = np.tile(np.subtract(V[1:], V[:-1], order="C"), len(slopes) // len(W))
+    dh = np.diff(np.atleast_2d(h(grid)), axis=0)
+    du_total = dW - np.ascontiguousarray(np.moveaxis(slopes, 0, -1)) \
+        * dt[:, None, None] + dh[:, :, None]
+    return euler_reflected_batch(domain, coeffs, grid,
+                                 np.moveaxis(du_total, -1, 0), x0, record)

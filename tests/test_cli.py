@@ -505,6 +505,8 @@ BENCHMARK_SHAPED = {
 REPORT_DIGESTS = {
     1: {"holder-disc": "fcc38fac", "tube-levy": "3d681139",
         "wz-halfline": "bfe7178a", "wz-notch-w2": "b0aadb5e"},
+    7: {"holder-disc": "ca653664", "tube-levy": "d8601a95",
+        "wz-halfline": "6a90d149", "wz-notch-w2": "8edf092f"},
     11: {"holder-disc": "422b12cb", "tube-levy": "8fe59174",
          "wz-halfline": "d0a4053a", "wz-notch-w2": "62fb99c4"},
 }

@@ -591,21 +591,37 @@ class TestOwnedChunkResults:
     def test_serial_wz_convergence_keeps_only_x(self):
         # wz-halfline's call: 4 levels x 256 paths on 257 nodes, both
         # substep refinements solved in one batch.  Recording x alone, both
-        # refinements' x (2.1 MB each) are alive together, about 7.7 MB;
-        # recording k and tv as well would add 8.4 MB
+        # refinements' x (2.1 MB each) are alive together: the call peaks
+        # at 7.44 MB run alone and 6.74 MB after the other tests of this
+        # file.  The bound leaves about 0.2 MB over the peak run alone;
+        # recording k and tv as well would add 8.4 MB, and the slopes
+        # copied onto every grid cell 0.9 MB
         peak = self._peak(lambda: mc.wz_convergence(
             HALF_LINE, SIN_1D, [1.0], 1.0, [4, 5, 6, 7], 256, seed=1))
-        assert peak < 8.5e6
+        assert peak < 7.65e6
 
     def test_serial_holder_tightness_drops_each_batch(self):
         # holder-disc's call with a control: 4 levels x 256 paths on 257
-        # nodes, a Wong-Zakai and a shifted-driver stack.  Keeping the
-        # Wong-Zakai batch alive through the shifted solve peaked at
-        # 23.3-24.1 MB; dropping it once scanned peaks at 20.0-20.7 MB
+        # nodes, a Wong-Zakai and a shifted-driver stack, each dropped once
+        # scanned.  The call peaks at 13.29 MB run alone and 12.58 MB after
+        # the other tests of this file; the bound leaves about 0.2 MB over
+        # the peak run alone.  Keeping the Wong-Zakai batch alive through
+        # the shifted solve would add up to its 4.2 MB x
         peak = self._peak(lambda: mc.holder_tightness(
             DISC, HALF_2D, [0.0, 0.0], 1.0, 0.2, [4, 5, 6, 7], 256, seed=31,
             h=SINE_2D))
-        assert peak < 21.5e6
+        assert peak < 13.5e6
+
+    def test_serial_holder_tightness_at_holder_disc_shape(self):
+        # holder-disc's call: 4 levels x 256 paths on 257 nodes, one
+        # Wong-Zakai stack reading each level's slopes on its own cells
+        # (0.98 MB).  The call peaks at 8.10 MB run alone and 7.40 MB after
+        # the other tests of this file; the bound leaves about 0.2 MB over
+        # the peak run alone.  The slopes copied onto every grid cell would
+        # add 2.3 MB
+        peak = self._peak(lambda: mc.holder_tightness(
+            DISC, HALF_2D, [0.0, 0.0], 1.0, 0.2, [4, 5, 6, 7], 256, seed=31))
+        assert peak < 8.3e6
 
     def test_serial_exp_tail_records_tv_at_the_ends(self):
         # the exp_tail run above: recording tv at all 513 nodes, with the

@@ -423,25 +423,89 @@ def test_constant_models_match_the_per_step_path(kind, d1):
 
 
 def test_adapted_slopes_need_no_second_copy():
-    # the slopes are built cell-major, so the step loop reads them in place
+    # each level's slopes are built step-major on that level's own cells,
+    # so the step loop reads a cell's (d1, P) slopes in place; each grid
+    # cell reads them through its index.  Expanded onto every grid cell
+    # they would be (15, 64, 2), 3.4 times the bytes
     times = dyadic_grid(1.0, 6)
     W = brownian_batch(2, times, 3, 0, 5)
-    grid, slopes = rsde._adapted_slopes(times, W, [2, 3, 4])
-    assert slopes.shape == (15, 64, 2)
-    assert np.shares_memory(rsde._step_major(slopes), slopes)
+    grid, levels = rsde._adapted_slopes(times, W, [2, 3, 4])
+    assert [s.shape for s, _ in levels] == [(4, 2, 5), (8, 2, 5), (16, 2, 5)]
+    assert sum(s.nbytes for s, _ in levels) == 28 * 2 * 5 * 8
+    for s, idx in levels:
+        assert s.flags.c_contiguous and s.base is None
+        assert np.array_equal(idx, np.arange(64) // (64 // len(s)))
+    expanded = oracles.adapted_slopes_reference(times, W, [2, 3, 4])[1]
+    assert expanded.shape == (15, 64, 2)
+    for j, (s, idx) in enumerate(levels):
+        assert np.array_equal(np.moveaxis(s[idx], -1, 0),
+                              expanded[5 * j:5 * (j + 1)])
+
+
+def _same_bits(got, want):
+    for name in RECORD_ALL:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape, name
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("model", ["sin", "const"])
+def test_own_cell_slopes_match_expanded_slopes(kind, model):
+    # every stacked solve reading slopes on their own cells has the bits of
+    # the same solve fed the slopes copied onto every grid cell.  The
+    # driver grid is finer than the level-5 dyadic grid and has nodes off
+    # it; T = 0.75 stops the solves before the grid's end; one row's
+    # increments are large, so the nonconvex kind bisects it
+    dom, x0 = KINDS[kind]
+    cf = {"sin": SIN, "const": CONST}[model]
+    times = np.union1d(dyadic_grid(1.0, 7), [0.1, 0.3, 0.77])
+    W = brownian_batch(2, times, 23, 0, 5)
+    W[3] *= 6.0
+    h = sine_control(1.0, amplitude=0.5, dim=2, n_cells=64)
+    levels = [2, 3, 4]
+    for T in (None, 0.75):
+        grid, expanded = oracles.adapted_slopes_reference(times, W, levels, T)
+        _same_bits(wong_zakai_batch(dom, cf, times, W, levels, [2, 4], x0, T,
+                                    RECORD_ALL),
+                   rsde._bv_integrate_batch(dom, cf, grid, expanded, x0,
+                                            [2, 4], RECORD_ALL))
+        _same_bits(shifted_driver_batch(dom, cf, times, W, levels, h, x0, T,
+                                        RECORD_ALL),
+                   oracles.shifted_driver_batch_reference(
+                       dom, cf, times, W, levels, h, x0, T, RECORD_ALL))
+    # controls on 4 equal cells, read on a finer grid with nodes off them
+    grid = np.union1d(dyadic_grid(1.0, 4), [0.1, 0.3, 0.77])
+    slopes = np.random.default_rng(6).uniform(-2.0, 2.0, size=(5, 4, 2))
+    _same_bits(skeleton_batch(dom, cf, grid, slopes, x0, [2, 4], RECORD_ALL),
+               skeleton_batch(dom, cf, grid, oracles.expand_cell_slopes(
+                   slopes, grid, 1.0), x0, [2, 4], RECORD_ALL))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_reachable_sample_matches_expanded_slopes(kind, monkeypatch):
+    from rsdekit.maxprinciple import reachable_sample
+    dom, x0 = KINDS[kind]
+    got = reachable_sample(dom, SIN, x0, 12, 0.5, seed=3, segments=6)
+    solve = rsde.skeleton_batch
+
+    def expanded(domain, coeffs, grid, slopes, *args):
+        return solve(domain, coeffs, grid,
+                     oracles.expand_cell_slopes(slopes, grid, 0.5), *args)
+
+    monkeypatch.setattr(rsde, "skeleton_batch", expanded)
+    want = reachable_sample(dom, SIN, x0, 12, 0.5, seed=3, segments=6)
+    assert np.array_equal(got.points.view(np.int64),
+                          want.points.view(np.int64))
 
 
 def test_wong_zakai_memory_at_holder_disc_shape():
-    # holder-disc's batch: 4 levels x 256 paths on 256 cells, d1 = 2.  Run
-    # alone, this test measured 14,939,717-14,939,877 B on the row-major step
-    # loop (14,935,648 B after the other tests of this file) and
-    # 14,923,855-14,924,213 B on the column-major one, which no longer
-    # copies a shared start (14,920,080 B).  Recording x alone, with no k
-    # or tv, it measured 8,607,815-8,608,031 B run alone and 8,603,624 B
-    # in the whole suite.  The bound leaves about 90 KB over that, room for
-    # numpy's caches or the test order to move the peak by a few KB, and is
-    # still 6.2 MB under the full recording; a recorded (1024, 257, 2) k
-    # alone would add 4.2 MB, as would a second copy of the slopes
+    # holder-disc's batch: 4 levels x 256 paths on 256 cells, d1 = 2,
+    # recording x alone.  It peaks at 5,455,276-5,456,685 B run alone and
+    # at 5,451,783 B after the other tests of this file.  The bound leaves
+    # about 90 KB over that, room for numpy's caches or the test order to
+    # move the peak by a few KB; a recorded (1024, 257, 2) k alone would
+    # add 4.2 MB, and the slopes copied onto every grid cell 3.2 MB
     times = dyadic_grid(1.0, 8)
     W = brownian_batch(2, times, 7, 0, 256)
     cf = make_coefficients(2, 2, sigma="const", sigma_params={"value": 0.5})
@@ -452,4 +516,4 @@ def test_wong_zakai_memory_at_holder_disc_shape():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8_700_000
+    assert peak <= 5_550_000
