@@ -426,7 +426,7 @@ def test_adapted_slopes_need_no_second_copy():
     # each level's slopes are built step-major on that level's own cells,
     # so the step loop reads a cell's (d1, P) slopes in place; each grid
     # cell reads them through its index.  Expanded onto every grid cell
-    # they would be (15, 64, 2), 3.4 times the bytes
+    # they would be (15, 64, 2), 6.9 times the bytes
     times = dyadic_grid(1.0, 6)
     W = brownian_batch(2, times, 3, 0, 5)
     grid, levels = rsde._adapted_slopes(times, W, [2, 3, 4])
