@@ -306,12 +306,13 @@ def run_paths(fn, drivers, workers, domain, coeffs, times, x0, seed, h=None,
             for key in results[0]}
 
 
-def _sup_dist(A, B):
-    """Per-path sup_t |A_t - B_t| for arrays (P, N, d) against (N, d) or (P, N, d).
+def _sup_dist(A, B=None):
+    """Per-path sup_t |A_t - B_t| for arrays (P, N, d) against (N, d) or
+    (P, N, d), or sup_t |A_t| when B is None.
 
     One sqrt per path: sqrt is monotone and correctly rounded, so this is
     the max of the node norms bit for bit."""
-    return np.sqrt(np.max(pth._sq_norm(A - B), axis=-1))
+    return np.sqrt(np.max(pth._sq_norm(A if B is None else A - B), axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +329,16 @@ def _wz_chunk(c):
     x = rsde.wong_zakai_batch(c.domain, c.coeffs, c.times, c.W, c.levels,
                               subs, c.x0).x
     for tag, xs in zip(("err", "err2x"), np.split(x, len(subs))):
-        for n, xn in zip(c.levels, np.split(xs, len(c.levels))):
-            out[(tag, n)] = _sup_dist(ref, xn)
+        for n, err in zip(c.levels, np.split(xs, len(c.levels))):
+            # the error x^n - ref, formed once where x^n was: nothing reads
+            # x^n again, and both statistics square its differences, so
+            # they have the bits of ref - x^n
+            np.subtract(err, ref, out=err)
+            out[(tag, n)] = _sup_dist(err)
             if tag == "err":
                 out[("holder", n)] = out[(tag, n)] + np.sqrt(pth.lag_scan_sq(
-                    c.times, ref - xn, c.theta,
-                    pth.dyadic_lags(len(c.times))))
-    del x, xs, xn
+                    c.times, err, c.theta, pth.dyadic_lags(len(c.times))))
+    del x, xs, err
     crn_ok = True
     if c.lo == 0:
         # CRN discipline: the level-n driver must be a restriction of the
@@ -749,10 +753,11 @@ def _levy_block(block, payload, buf, terms):
     deviations from zero.
 
     The slab buffer `buf` and the (2, TUBE_SLAB * size) `terms`, which
-    hold a slab's midpoints and increments, are reused from block to
-    block.  Each term is 0.5 (w^1_{k-1} + w^1_k) (w^2_k - w^2_{k-1}) and
-    the sum runs from the first term on, node by node, so the sups have the
-    bits of `paths.levy_sup` on each hit.
+    hold a slab's midpoints and increments and, before them, its squared
+    node deviations, are reused from block to block.  Each term is
+    0.5 (w^1_{k-1} + w^1_k) (w^2_k - w^2_{k-1}) and the sum runs from the
+    first term on, node by node, so the sups have the bits of
+    `paths.levy_sup` on each hit.
     """
     run = top = None
 
@@ -778,7 +783,7 @@ def _levy_block(block, payload, buf, terms):
             np.maximum(high, top, out=high)
         top = high[keep]
 
-    hit, _, dev = pth.tube_draw(payload, block, buf, consume)
+    hit, _, dev = pth.tube_draw(payload, block, buf, terms, consume)
     return top[hit], dev
 
 
@@ -788,10 +793,11 @@ def _levy_blocks(lo, hi, payload):
     drawn, in a slab buffer and term buffers made once for all the
     blocks."""
     m = pth.TUBE_SLAB * payload["size"]
-    # one allocation, not two: once it is freed, glibc's dynamic mmap and
-    # trim thresholds rise past the heap a call uses, so later calls reuse
-    # its pages (two 2.1 MB arrays left 1,757 minor faults per tube-levy
-    # call, one 4.2 MB array none)
+    # the pool's only slab-sized memory, the terms doubling as tube_draw's
+    # deviation scratch.  One allocation, not two: once it is freed,
+    # glibc's dynamic mmap and trim thresholds rise past the heap a call
+    # uses, so later calls reuse its pages (two 2.1 MB arrays left 1,757
+    # minor faults per tube-levy call, one 4.2 MB array none)
     work = np.empty((2 + payload["d1"]) * m)
     buf, terms = work[:-2 * m], work[-2 * m:].reshape(2, m)
     zeta_sups, devs = zip(*(_levy_block(b, payload, buf, terms)

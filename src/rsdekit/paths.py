@@ -717,7 +717,7 @@ def _cumsum_rows(A):
         np.add(A[j - 1], A[j], out=A[j])
 
 
-def tube_draw(payload, block, buf, consume, stack=False):
+def tube_draw(payload, block, buf, scratch, consume, stack=False):
     """Draw tube candidate block `block` of `payload`; its hits stay in the
     delta-tube around href (the zero path when href is None).  Returns
     which of the rows live after the last slab are hits, the hits' rows
@@ -730,11 +730,14 @@ def tube_draw(payload, block, buf, consume, stack=False):
     stops drawing once its running max of squared node deviations reaches
     delta^2.  Each candidate's increments are still iid N(0, dt), but which
     normals it gets depends on which other rows of its block are still
-    live.  After each slab `consume(live, S, pos, keep)` gets the live rows,
-    the slab S, their previous node values `pos` (None before the first
-    slab, whose previous node is 0) and which of them stay live.  Only each
-    hit's max is rooted: sqrt is monotone and correctly rounded, so `dev`
-    equals the max of the node norms bit for bit.
+    live.  A slab's squared node deviations are summed coordinate by
+    coordinate, as `_sq_norm` sums them, in `scratch`: two rows of at least
+    TUBE_SLAB * size doubles, free for `consume` to overwrite.  After each
+    slab `consume(live, S, pos, keep)` gets the live rows, the slab S, their
+    previous node values `pos` (None before the first slab, whose previous
+    node is 0) and which of them stay live.  Only each hit's max is rooted:
+    sqrt is monotone and correctly rounded, so `dev` equals the max of the
+    node norms bit for bit.
     """
     d1, size, delta = payload["d1"], payload["size"], payload["delta"]
     delta_sq = delta * delta
@@ -761,7 +764,15 @@ def tube_draw(payload, block, buf, consume, stack=False):
         if pos is not None:
             S[0] += pos
         _cumsum_rows(S)
-        sq = _sq_norm(S if href is None else S - href[k0:k1, None])
+        sq, tmp = scratch[:, :S.shape[0] * S.shape[1]].reshape(
+            2, *S.shape[:2])
+        for j in range(d1):
+            D = S[..., j] if href is None else np.subtract(
+                S[..., j], href[k0:k1, None, j], out=tmp)
+            if j:
+                sq += np.multiply(D, D, out=tmp)
+            else:
+                np.multiply(D, D, out=sq)
         np.maximum(worst, sq.max(axis=0), out=worst)
         keep = worst < delta_sq
         consume(live, S, pos, keep)
@@ -776,7 +787,9 @@ def tube_block(lo, hi, payload):
     (see `tube_draw`): per block the hits' zero-prefixed values
     (hits, n, d1) in row order, their rows and their node deviations in
     `dev`.  A block's slabs go back to back in one buffer, reused block
-    after block: a block writes only as much of it as it draws.
+    after block: a block writes only as much of it as it draws.  Its
+    deviation scratch is freed before its hits are copied out, so the
+    scratch never adds to the peak that the buffer and the hits set.
     """
     n, d1 = len(payload["times"]), payload["d1"]
     block0 = payload.get("block0", 0)
@@ -784,10 +797,12 @@ def tube_block(lo, hi, payload):
     accepted, counts, rows, devs = [], [], [], []
     for block in range(block0 + lo, block0 + hi):
         slabs = []
+        scratch = np.empty((2, TUBE_SLAB * payload["size"]))
         _, live, dev = tube_draw(
-            payload, block, arena,
+            payload, block, arena, scratch,
             lambda slab_rows, S, pos, keep: slabs.append((slab_rows, S)),
             stack=True)
+        del scratch
         W = np.zeros((len(live), n, d1))
         for k0, (slab_rows, S) in zip(range(1, n, TUBE_SLAB), slabs):
             W[:, k0:k0 + len(S)] = np.swapaxes(

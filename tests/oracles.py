@@ -2,19 +2,22 @@
 
 These deliberately avoid the package's own code paths: closed forms,
 brute-force enumeration, classical series, and the first-written form of
-kernels since rewritten for speed, kept as bitwise references.
+kernels since rewritten for speed, kept as bitwise references.  Last,
+`peak_bytes`, the measure every absolute `tracemalloc` bound of the tests
+takes.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 
 from rsdekit.errors import (AmbiguousProjection, GridMismatch,
                             StartOutsideDomain)
 from rsdekit.geometry import AMBIGUITY_RTOL, BOUNDARY_TOL
-from rsdekit.paths import (_sq_norm, dyadic_grid, node_indices, rng_for,
-                           tube_block)
+from rsdekit.paths import (TUBE_SLAB, _cumsum_rows, _sq_norm, dyadic_grid,
+                           node_indices, rng_for, tube_block)
 from rsdekit.rsde import euler_reflected_batch
 from rsdekit.skorohod import BatchPaths, drive_batch
 
@@ -236,6 +239,43 @@ def tube_block_slab_reference(lo, hi, payload, slab):
         out["rows"].append(hit)
         out["dev"].append(dev[hit])
     return out
+
+
+def tube_draw_reference(payload, block, buf, consume, stack=False):
+    """`paths.tube_draw` as first written: each slab's squared node
+    deviations are a new array, `_sq_norm` of S, or of a new S - href."""
+    d1, size, delta = payload["d1"], payload["size"], payload["delta"]
+    delta_sq = delta * delta
+    times = np.asarray(payload["times"])
+    href = payload["href"]
+    n = len(times)
+    dt_sqrt = np.sqrt(np.diff(times))
+    sq0 = 0.0 if href is None else float(_sq_norm(href[0]))
+    rng = rng_for(payload["seed"], payload["tag"], payload["delta_idx"], block)
+    live = np.arange(size if sq0 < delta_sq else 0)
+    worst = np.full(len(live), sq0)
+    pos, used = None, 0
+    for k0 in range(1, n, TUBE_SLAB):
+        if not len(live):
+            break
+        k1 = min(k0 + TUBE_SLAB, n)
+        S = buf[used:used + (k1 - k0) * len(live) * d1].reshape(
+            k1 - k0, len(live), d1)
+        if stack:
+            used += S.size
+        rng.standard_normal(out=S)
+        S *= dt_sqrt[k0 - 1:k1 - 1, None, None]
+        if pos is not None:
+            S[0] += pos
+        _cumsum_rows(S)
+        sq = _sq_norm(S if href is None else S - href[k0:k1, None])
+        np.maximum(worst, sq.max(axis=0), out=worst)
+        keep = worst < delta_sq
+        consume(live, S, pos, keep)
+        live, worst, pos = live[keep], worst[keep], S[-1, keep]
+    dev = np.sqrt(worst)
+    hit = dev < delta
+    return hit, live[hit], dev[hit]
 
 
 def levy_blocks_reference(lo, hi, payload):
@@ -464,3 +504,15 @@ def shifted_driver_batch_reference(domain, coeffs, times, W, n, h, x0,
         * dt[:, None, None] + dh[:, :, None]
     return euler_reflected_batch(domain, coeffs, grid,
                                  np.moveaxis(du_total, -1, 0), x0, record)
+
+
+def peak_bytes(run):
+    """tracemalloc's peak over a call of run() made after one untraced
+    call, so the modules and caches a first call loads are not counted."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -3,7 +3,6 @@ import json
 import multiprocessing
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +14,8 @@ from rsdekit import (Ball, HalfSpace, NotchedDisc, dyadic_grid, levy_sup,
 from rsdekit import maxprinciple as mp
 from rsdekit import montecarlo as mc
 from rsdekit.paths import TUBE_SLAB, SamplePath, tube_block, tube_draw
+
+from oracles import peak_bytes
 
 HALF_LINE = HalfSpace([1.0], 0.0)
 DISC = Ball([0.0, 0.0], 1.0)
@@ -231,6 +232,58 @@ class TestTubeKernel:
             assert np.linalg.norm(payload["href"][0]) in np.concatenate(
                 got["dev"])
 
+    def _draws_agree(self, payload, block, scratch, stack):
+        """tube_draw in `scratch` against the allocating loop, bit for bit:
+        its result and every argument of every consume call.  The consume
+        overwrites the scratch, as the Levy pool's does.  Returns the
+        consume calls."""
+        from oracles import tube_draw_reference
+        n, size, d1 = len(payload["times"]), payload["size"], payload["d1"]
+        calls = ([], [])
+
+        def recorder(seen, scribble):
+            def consume(*args):
+                seen.append([None if a is None else a.copy() for a in args])
+                if scribble:
+                    scratch.fill(np.nan)
+            return consume
+
+        got = tube_draw(payload, block, np.empty((n - 1) * size * d1),
+                        scratch, recorder(calls[0], True), stack)
+        want = tube_draw_reference(payload, block,
+                                   np.empty((n - 1) * size * d1),
+                                   recorder(calls[1], False), stack)
+        assert len(calls[0]) == len(calls[1])
+        for a, b in zip([*got, *sum(calls[0], [])],
+                        [*want, *sum(calls[1], [])]):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.shape == b.shape
+                assert np.array_equal(self._bits(a), self._bits(b))
+        return calls[0]
+
+    @pytest.mark.parametrize("stack", [False, True], ids=["reuse", "stack"])
+    @pytest.mark.parametrize("shifted", [False, True], ids=["zero", "href"])
+    @pytest.mark.parametrize("d1", [1, 2, 3])
+    def test_tube_draw_matches_allocating_loop(self, d1, shifted, stack):
+        payload = self._payload(d1, shifted)
+        # the second block finds the scratch as the first one left it
+        scratch = np.full((2, TUBE_SLAB * payload["size"]), np.nan)
+        for block in (3, 4):
+            calls = self._draws_agree(payload, block, scratch, stack)
+            assert len(calls) == 2 and 0 < len(calls[1][0]) < len(calls[0][0])
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["zero", "href"])
+    def test_tube_draw_every_row_leaves_in_the_first_slab(self, shifted):
+        # the tube and its href shrunk a thousandfold
+        payload = self._payload(2, shifted)
+        payload["delta"] *= 1e-3
+        if shifted:
+            payload["href"] = payload["href"] * 1e-3
+        scratch = np.zeros((2, TUBE_SLAB * payload["size"]))
+        calls = self._draws_agree(payload, 5, scratch, False)
+        assert len(calls) == 1 and not calls[0][3].any()
+
     @pytest.mark.parametrize("shifted", [False, True], ids=["zero", "href"])
     @pytest.mark.parametrize("d1", [1, 3])
     def test_hit_dev_is_its_max_node_deviation(self, d1, shifted):
@@ -289,8 +342,9 @@ class TestStreamedLevyPool:
     def _slabs_and_hits(payload, block):
         """How many slabs block `block` draws, and its hit count."""
         slabs = []
-        buf = np.empty(TUBE_SLAB * payload["size"] * payload["d1"])
-        _, rows, _ = tube_draw(payload, block, buf,
+        m = TUBE_SLAB * payload["size"]
+        _, rows, _ = tube_draw(payload, block, np.empty(m * payload["d1"]),
+                               np.empty((2, m)),
                                lambda *slab: slabs.append(len(slab[0])))
         return len(slabs), len(rows)
 
@@ -570,67 +624,55 @@ class TestOwnedChunkResults:
         assert seen
         assert [s for s in seen if not s[2]] == []
 
-    def test_serial_exp_tail_holds_one_chunk(self):
-        # ten chunks of 256 paths on 513 nodes: one retained (256, 513)
-        # total-variation array per chunk would add 10.5 MB to the peak;
-        # holding one chunk's work at a time peaked near 5.3 MB, and near
-        # 3.2 MB since a chunk records tv alone
-        peak = self._peak(lambda: mc.exp_tail(HALF_LINE, SIN_1D, [0.0], 1.0,
-                                              2560, seed=24, grid_level=9))
-        assert peak < 8e6
-
-    @staticmethod
-    def _peak(run):
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    # Each bound below measures the call after one untraced warm-up call
+    # (oracles.peak_bytes), so the modules a first call imports are not
+    # counted and the test order does not move the peak
 
     def test_serial_wz_convergence_keeps_only_x(self):
         # wz-halfline's call: 4 levels x 256 paths on 257 nodes, both
         # substep refinements solved in one batch.  Recording x alone, both
-        # refinements' x (2.1 MB each) are alive together: the call peaks
-        # at 7.44 MB run alone and 6.74 MB after the other tests of this
-        # file.  The bound leaves about 0.2 MB over the peak run alone;
-        # recording k and tv as well would add 8.4 MB, and the slopes
-        # copied onto every grid cell 0.9 MB
-        peak = self._peak(lambda: mc.wz_convergence(
+        # refinements' x (2.1 MB each) are alive together, and each level's
+        # error is formed in place in its x: the call peaks at 6.21 MB
+        # (6.74 MB with the error formed twice, once per statistic).  The
+        # bound leaves about 0.2 MB over the peak; recording k and tv as
+        # well would add 8.4 MB, and the slopes copied onto every grid cell
+        # 0.9 MB
+        peak = peak_bytes(lambda: mc.wz_convergence(
             HALF_LINE, SIN_1D, [1.0], 1.0, [4, 5, 6, 7], 256, seed=1))
-        assert peak < 7.65e6
+        assert peak < 6.42e6
 
     def test_serial_holder_tightness_drops_each_batch(self):
         # holder-disc's call with a control: 4 levels x 256 paths on 257
         # nodes, a Wong-Zakai and a shifted-driver stack, each dropped once
-        # scanned.  The call peaks at 13.29 MB run alone and 12.58 MB after
-        # the other tests of this file; the bound leaves about 0.2 MB over
-        # the peak run alone.  Keeping the Wong-Zakai batch alive through
-        # the shifted solve would add up to its 4.2 MB x
-        peak = self._peak(lambda: mc.holder_tightness(
+        # scanned.  The call peaks at 12.59 MB; the bound leaves about
+        # 0.2 MB over it.  Keeping the Wong-Zakai batch alive through the
+        # shifted solve would add up to its 4.2 MB x
+        peak = peak_bytes(lambda: mc.holder_tightness(
             DISC, HALF_2D, [0.0, 0.0], 1.0, 0.2, [4, 5, 6, 7], 256, seed=31,
             h=SINE_2D))
-        assert peak < 13.5e6
+        assert peak < 12.8e6
 
     def test_serial_holder_tightness_at_holder_disc_shape(self):
         # holder-disc's call: 4 levels x 256 paths on 257 nodes, one
         # Wong-Zakai stack reading each level's slopes on its own cells
-        # (0.98 MB).  The call peaks at 8.10 MB run alone and 7.40 MB after
-        # the other tests of this file; the bound leaves about 0.2 MB over
-        # the peak run alone.  The slopes copied onto every grid cell would
-        # add 2.3 MB
-        peak = self._peak(lambda: mc.holder_tightness(
+        # (0.98 MB).  The call peaks at 7.41 MB; the bound leaves about
+        # 0.2 MB over it.  The slopes copied onto every grid cell would add
+        # 2.3 MB
+        peak = peak_bytes(lambda: mc.holder_tightness(
             DISC, HALF_2D, [0.0, 0.0], 1.0, 0.2, [4, 5, 6, 7], 256, seed=31))
-        assert peak < 8.3e6
+        assert peak < 7.6e6
 
     def test_serial_exp_tail_records_tv_at_the_ends(self):
-        # the exp_tail run above: recording tv at all 513 nodes, with the
-        # drivers differenced before a step-major copy, peaked at 3.2 MB;
-        # tv at the first and last node, differenced step-major, peaks at
-        # 2.27 MB
-        peak = self._peak(lambda: mc.exp_tail(HALF_LINE, SIN_1D, [0.0], 1.0,
+        # ten chunks of 256 paths on 513 nodes: one retained (256, 513)
+        # total-variation array per chunk would add 10.5 MB to the peak;
+        # holding one chunk's work at a time peaked near 5.3 MB, recording
+        # tv at all 513 nodes, with the drivers differenced before a
+        # step-major copy, at 3.2 MB; tv at the first and last node,
+        # differenced step-major, peaks at 2.27 MB.  The bound leaves
+        # about 0.2 MB over it
+        peak = peak_bytes(lambda: mc.exp_tail(HALF_LINE, SIN_1D, [0.0], 1.0,
                                               2560, seed=24, grid_level=9))
-        assert peak < 2.5e6
+        assert peak < 2.47e6
 
     def test_levy_blocks_reduce_block_by_block(self):
         # tube-levy's Levy pool, 4 blocks of 8192 candidates on 129 nodes
@@ -638,21 +680,35 @@ class TestOwnedChunkResults:
         # peaked at 31.8-32.5 MB; reducing each block's hit paths before
         # the next, from a 16.8 MB buffer of all its slabs, at 21.5-22.3 MB;
         # reducing each slab as it is drawn, in one 4.2 MB slab buffer and
-        # term buffers, peaks at 7.81 MB on seeds 1, 2, 3 and 11
+        # term buffers, at 7.81 MB with each slab's deviations allocated
+        # afresh, and at 4.96 MB on seeds 1, 2, 3 and 11 with the term
+        # buffers as their scratch.  The bound leaves about 0.2 MB over it
         payload = {"d1": 2, "size": mc.TUBE_BLOCK,
                    "times": dyadic_grid(0.5, 7), "href": None, "delta": 0.8,
                    "delta_idx": 0, "seed": 1, "tag": 0x1E}
-        assert self._peak(lambda: mc._levy_blocks(0, 4, payload)) < 8.5e6
+        assert peak_bytes(lambda: mc._levy_blocks(0, 4, payload)) < 5.16e6
+
+    def test_tube_block_block_at_approx_continuity_shape(self):
+        # one block of 8192 candidates on 257 nodes, d1 2, delta 1.0 around
+        # a zero href (approx_continuity's tube with a zero control, one
+        # grid level coarser): the 33.6 MB buffer of all its slabs and 885
+        # hits (3.6 MB) peak at 38.00 MB.  Each slab's deviations allocated
+        # afresh, with S - href, peaked at 39.14 MB, and a deviation
+        # scratch held while the hits are copied out at 40.10 MB.  The
+        # bound leaves about 0.2 MB over the peak
+        times = dyadic_grid(1.0, 8)
+        payload = {"d1": 2, "size": mc.TUBE_BLOCK, "times": times,
+                   "href": np.zeros((len(times), 2)), "delta": 1.0,
+                   "delta_idx": 0, "seed": 1, "tag": 0x5A}
+        assert peak_bytes(lambda: tube_block(0, 1, payload)) < 38.2e6
 
     def test_smallball_chunk_reuses_one_small_buffer(self):
         # one 256-path chunk on tube-levy's 1025 nodes: a (256, 1025, 1)
         # driver batch peaked at 4.2-5.0 MB; a reused buffer of 16 rows
-        # peaks at 0.21 MB.  A first chunk is run before, so numpy.random's
-        # import is not counted
+        # peaks at 0.22 MB.  The bound leaves about 50 KB over it
         payload = {"times": dyadic_grid(0.5, 10), "seed": 1}
-        mc._smallball_chunk(0, 1, payload)
-        peak = self._peak(lambda: mc._smallball_chunk(0, 256, payload))
-        assert peak < 0.5e6
+        peak = peak_bytes(lambda: mc._smallball_chunk(0, 256, payload))
+        assert peak < 0.28e6
 
 
 def _tracing():

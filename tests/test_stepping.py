@@ -3,7 +3,6 @@ projection stepping kernel, on every shipped domain kind."""
 
 import dataclasses
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -501,19 +500,14 @@ def test_reachable_sample_matches_expanded_slopes(kind, monkeypatch):
 
 def test_wong_zakai_memory_at_holder_disc_shape():
     # holder-disc's batch: 4 levels x 256 paths on 256 cells, d1 = 2,
-    # recording x alone.  It peaks at 5,455,276-5,456,685 B run alone and
-    # at 5,451,783 B after the other tests of this file.  The bound leaves
-    # about 90 KB over that, room for numpy's caches or the test order to
-    # move the peak by a few KB; a recorded (1024, 257, 2) k alone would
-    # add 4.2 MB, and the slopes copied onto every grid cell 3.2 MB
+    # recording x alone.  After a warm-up call it peaks at 5,450,556-
+    # 5,451,508 B.  The bound leaves about 90 KB over that, room for
+    # numpy's caches to move the peak by a few KB; a recorded
+    # (1024, 257, 2) k alone would add 4.2 MB, and the slopes copied onto
+    # every grid cell 3.2 MB
     times = dyadic_grid(1.0, 8)
     W = brownian_batch(2, times, 7, 0, 256)
     cf = make_coefficients(2, 2, sigma="const", sigma_params={"value": 0.5})
-    tracemalloc.start()
-    try:
-        wong_zakai_batch(Ball([0.0, 0.0], 1.0), cf, times, W, [4, 5, 6, 7],
-                         4, [0.0, 0.0])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5_550_000
+    peak = oracles.peak_bytes(lambda: wong_zakai_batch(
+        Ball([0.0, 0.0], 1.0), cf, times, W, [4, 5, 6, 7], 4, [0.0, 0.0]))
+    assert peak <= 5_545_000
