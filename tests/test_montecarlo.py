@@ -662,14 +662,20 @@ class TestOwnedChunkResults:
             DISC, HALF_2D, [0.0, 0.0], 1.0, 0.2, [4, 5, 6, 7], 256, seed=31))
         assert peak < 7.6e6
 
-    def test_serial_exp_tail_records_tv_at_the_ends(self):
+    def test_serial_exp_tail_holds_one_chunk(self):
         # ten chunks of 256 paths on 513 nodes: one retained (256, 513)
         # total-variation array per chunk would add 10.5 MB to the peak;
-        # holding one chunk's work at a time peaked near 5.3 MB, recording
-        # tv at all 513 nodes, with the drivers differenced before a
-        # step-major copy, at 3.2 MB; tv at the first and last node,
-        # differenced step-major, peaks at 2.27 MB.  The bound leaves
-        # about 0.2 MB over it
+        # holding one chunk's work at a time peaked near 5.3 MB, and near
+        # 3.2 MB since a chunk records tv alone
+        peak = peak_bytes(lambda: mc.exp_tail(HALF_LINE, SIN_1D, [0.0], 1.0,
+                                              2560, seed=24, grid_level=9))
+        assert peak < 8e6
+
+    def test_serial_exp_tail_records_tv_at_the_ends(self):
+        # the exp_tail run above: recording tv at all 513 nodes, with the
+        # drivers differenced before a step-major copy, peaked at 3.2 MB;
+        # tv at the first and last node, differenced step-major, peaks at
+        # 2.27 MB.  The bound leaves about 0.2 MB over it
         peak = peak_bytes(lambda: mc.exp_tail(HALF_LINE, SIN_1D, [0.0], 1.0,
                                               2560, seed=24, grid_level=9))
         assert peak < 2.47e6
