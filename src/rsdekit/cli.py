@@ -17,10 +17,11 @@ from __future__ import annotations
 import argparse
 import ast
 import configparser
+import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,110 +51,86 @@ EXIT_INTERNAL = 5
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    name: str
+    """What the CLI adds to an experiment's function.  The [experiment] keys,
+    which of them are required and their defaults are the function's
+    parameters (see `experiment_keys`)."""
+
     anchor: str   # the mathematical claim the experiment checks
     sections: tuple  # config sections required besides [run]/[experiment]
-    required: dict   # experiment keys -> validator name
-    optional: dict   # experiment keys -> (default, validator name)
     optional_sections: tuple = ()
+    rules: dict = field(default_factory=dict)  # key -> rule, where not _RULES
 
 
 CATALOG = {
     "wz_convergence": ExperimentSpec(
-        "wz_convergence",
         "strong limit of the adapted piecewise-linear driver scheme",
-        ("domain", "coefficients"),
-        {"T": "pos_float", "x0": "vector", "levels": "int_list",
-         "paths": "pos_int"},
-        {"substeps": (4, "pos_int"), "check_substeps": (True, "bool"),
-         "min_slope": (0.25, "float"), "min_r2": (0.9, "float"),
-         "theta": (0.2, "pos_float")}),
+        ("domain", "coefficients")),
     "skeleton_convergence": ExperimentSpec(
-        "skeleton_convergence",
         "mean-square convergence of shifted-driver solutions to the skeleton",
-        ("domain", "coefficients", "control"),
-        {"T": "pos_float", "x0": "vector", "levels": "int_list",
-         "paths": "pos_int"},
-        {"substeps": (4, "pos_int"), "theta": (0.5, "pos_float"),
-         "decay_factor": (0.5, "pos_float"),
-         "stability_factor": (2.0, "pos_float")}),
+        ("domain", "coefficients", "control")),
     "approx_continuity": ExperimentSpec(
-        "approx_continuity",
         "conditional concentration near the skeleton on shrinking tubes",
         ("domain", "coefficients", "control"),
-        {"T": "pos_float", "x0": "vector", "epsilon": "pos_float",
-         "deltas": "decreasing_floats", "target_accepted": "pos_int"},
-        {"grid_level": (9, "pos_int"), "substeps": (4, "pos_int"),
-         "max_attempts": (50_000_000, "pos_int"),
-         "final_min": (0.9, "float")}),
+        rules={"deltas": "decreasing_floats"}),
     "moment_scaling": ExperimentSpec(
-        "moment_scaling",
         "window-length scaling of oscillation and regulator moments",
-        ("domain", "coefficients"),
-        {"windows": "window_list", "p": "pos_float", "x0": "vector",
-         "paths": "pos_int"},
-        {"grid_points_min": (128, "pos_int"),
-         "slope_band": ((0.8, None), "band")}),
+        ("domain", "coefficients")),
     "exp_tail": ExperimentSpec(
-        "exp_tail",
         "squared-exponential integrability of the regulator total variation",
-        ("domain", "coefficients"),
-        {"T": "pos_float", "x0": "vector", "paths": "pos_int"},
-        {"grid_level": (9, "pos_int"),
-         "survival_range": ((0.1, 0.001), "pair_float"),
-         "n_points": (10, "pos_int"), "oracle_coefficient": (None, "opt_float"),
-         "oracle_factor": (2.0, "pos_float")}),
+        ("domain", "coefficients")),
     "smallball_and_levy": ExperimentSpec(
-        "smallball_and_levy",
         "Gaussian small-ball law and conditional iterated-integral bounds",
-        (),
-        {"T": "pos_float", "deltas": "float_list", "M_values": "float_list",
-         "paths": "pos_int"},
-        {"grid_level": (10, "pos_int"), "epsilon": (0.5, "pos_float"),
-         "levy_deltas": ((0.8, 0.5), "pos_pair"),
-         "levy_attempts": (4_000_000, "pos_int"),
-         "levy_grid_level": (7, "pos_int"), "min_r2": (0.95, "float"),
-         "slope_factor": (1.5, "pos_float"),
-         "min_conditioned": (50, "pos_int")}),
+        ()),
     "regulator_conditional": ExperimentSpec(
-        "regulator_conditional",
         "vanishing conditional regulator exceedance on shrinking tubes",
-        ("domain", "coefficients"),
-        {"T": "pos_float", "x0": "vector", "deltas": "float_list",
-         "c3": "pos_float", "paths": "pos_int"},
-        {"epsilon": (0.5, "pos_float"), "grid_level": (8, "pos_int")}),
+        ("domain", "coefficients")),
     "holder_tightness": ExperimentSpec(
-        "holder_tightness",
         "uniform Holder tightness of the approximating laws",
-        ("domain", "coefficients"),
-        {"T": "pos_float", "x0": "vector", "theta": "pos_float",
-         "levels": "int_list", "paths": "pos_int"},
-        {"substeps": (4, "pos_int"), "stability_factor": (2.0, "pos_float"),
-         "critical_theta": (0.25, "pos_float")},
-        optional_sections=("control",)),
+        ("domain", "coefficients"), optional_sections=("control",)),
     "support_inclusions": ExperimentSpec(
-        "support_inclusions",
         "two-sided support characterization via skeleton distances",
-        ("domain", "coefficients", "control"),
-        {"T": "pos_float", "x0": "vector", "n": "pos_int",
-         "epsilon": "pos_float", "paths": "pos_int"},
-        {"substeps": (4, "pos_int"), "reverse_paths": (None, "opt_int"),
-         "reverse_grid_level": (9, "pos_int"),
-         "forward_p95_limit": (None, "opt_float")}),
+        ("domain", "coefficients", "control")),
     "submartingale_test": ExperimentSpec(
-        "submartingale_test",
         "submartingale property of candidate subharmonic functions",
-        ("domain", "coefficients", "u"),
-        {"time_grid": "nonneg_floats", "x": "vector", "paths": "pos_int"},
-        {"grid_level": (9, "pos_int")}),
+        ("domain", "coefficients", "u")),
     "max_principle": ExperimentSpec(
-        "max_principle",
         "boundary-interior maximum principle on the reachable set",
-        ("domain", "coefficients", "u"),
-        {"n_controls": "pos_int", "horizon": "pos_float", "x": "vector"},
-        {"tolerance": (1e-6, "pos_float"), "segments": (8, "pos_int"),
-         "slope_max": (4.0, "pos_float"), "substeps": (4, "pos_int")}),
+        ("domain", "coefficients", "u")),
 }
+
+# The function behind each experiment, as (module, attribute), where it is
+# not montecarlo.<name>.  It is looked up on its module at call time, so a
+# wrapper set there is the one called.
+_HOMES = {"submartingale_test": (maxprinciple, "submartingale_test"),
+          "max_principle": (maxprinciple, "max_principle_report")}
+# a **kwargs parameter passes its keys on to this function, whose defaulted
+# parameters are then the keys it takes
+_FORWARDED = {"cloud_kwargs": (maxprinciple, "reachable_sample")}
+# the parameters the CLI fills in itself, by the section each is built from
+_SECTION_PARAMS = {"domain": "domain", "coeffs": "coefficients",
+                   "h": "control", "u": "u"}
+_SUPPLIED = {*_SECTION_PARAMS, "seed", "workers"}
+REQUIRED = inspect.Parameter.empty  # the default of a required key
+
+
+def _function(name):
+    module, attr = _HOMES.get(name, (montecarlo, name))
+    return getattr(module, attr)
+
+
+def experiment_keys(name):
+    """{key: default} of experiment `name`'s [experiment] keys, read from its
+    function's signature; a required key's default is `REQUIRED`."""
+    keys = {}
+    for param in inspect.signature(_function(name)).parameters.values():
+        if param.kind is param.VAR_KEYWORD:
+            module, attr = _FORWARDED[param.name]
+            keys.update((p.name, p.default) for p in inspect.signature(
+                getattr(module, attr)).parameters.values()
+                if p.default is not REQUIRED)
+        elif param.name not in _SUPPLIED:
+            keys[param.name] = param.default
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +149,13 @@ def _is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 _VALIDATORS = {
-    "pos_int": lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0,
-    "opt_int": lambda v: v is None or (isinstance(v, int) and v > 0),
+    "pos_int": lambda v: _is_int(v) and v > 0,
+    "opt_int": lambda v: v is None or (_is_int(v) and v > 0),
     "pos_float": lambda v: _is_num(v) and v > 0,
     "float": lambda v: _is_num(v),
     "opt_float": lambda v: v is None or _is_num(v),
@@ -183,7 +164,7 @@ _VALIDATORS = {
                          or (isinstance(v, (list, tuple)) and len(v) > 0
                              and all(_is_num(x) for x in v))),
     "int_list": lambda v: isinstance(v, (list, tuple)) and len(v) > 0
-    and all(isinstance(x, int) and x >= 0 for x in v),
+    and all(_is_int(x) and x >= 0 for x in v),
     "float_list": lambda v: isinstance(v, (list, tuple)) and len(v) > 0
     and all(_is_num(x) and x > 0 for x in v),
     "nonneg_floats": lambda v: isinstance(v, (list, tuple)) and len(v) > 0
@@ -201,6 +182,29 @@ _VALIDATORS = {
     and all(isinstance(w, (list, tuple)) and len(w) == 2
             and _is_num(w[0]) and _is_num(w[1]) and w[1] > w[0] for w in v),
 }
+
+# the rule of each [experiment] key, the same in every experiment that has
+# the key unless its spec's `rules` says otherwise
+_RULES = {key: rule for rule, keys in {
+    "pos_int": "paths substeps grid_level target_accepted max_attempts "
+               "grid_points_min n_points levy_attempts levy_grid_level "
+               "min_conditioned n reverse_grid_level n_controls segments",
+    "opt_int": "reverse_paths",
+    "pos_float": "T theta epsilon p c3 horizon tolerance slope_max "
+                 "decay_factor stability_factor critical_theta "
+                 "oracle_factor slope_factor",
+    "float": "min_slope min_r2 final_min",
+    "opt_float": "oracle_coefficient forward_p95_limit",
+    "bool": "check_substeps",
+    "vector": "x0 x",
+    "int_list": "levels",
+    "float_list": "deltas M_values",
+    "nonneg_floats": "time_grid",
+    "pair_float": "survival_range",
+    "pos_pair": "levy_deltas",
+    "band": "slope_band",
+    "window_list": "windows",
+}.items() for key in keys.split()}
 
 _RUN_KEYS = {"experiment": None, "seed": None, "workers": None, "output": None}
 _DOMAIN_KEYS = {"kind", "params", "r0", "c0", "gamma"}
@@ -242,10 +246,10 @@ def parse_config(path, overrides=()):
         raise ConfigError(f"run.experiment must be one of {sorted(CATALOG)}, "
                           f"got {name!r}")
     spec = CATALOG[name]
-    if "seed" not in run or not isinstance(run["seed"], int):
-        raise ConfigError("run.seed must be an integer")
+    if not (_is_int(run.get("seed")) and run["seed"] >= 0):
+        raise ConfigError("run.seed must be a non-negative integer")
     workers = run.get("workers", int(os.environ.get(WORKERS_ENV, "1")))
-    if not (isinstance(workers, int) and workers >= 1):
+    if not (_is_int(workers) and workers >= 1):
         raise ConfigError("run.workers must be a positive integer")
     resolved = {"run": {"experiment": name, "seed": run["seed"],
                         "workers": workers,
@@ -272,7 +276,7 @@ def parse_config(path, overrides=()):
         _check_keys("coefficients", raw["coefficients"], _COEFF_KEYS)
         co = dict(raw["coefficients"])
         for key in ("d", "d1"):
-            if not isinstance(co.get(key), int) or co[key] < 1:
+            if not _VALIDATORS["pos_int"](co.get(key)):
                 raise ConfigError(f"coefficients.{key} must be a positive integer")
         co.setdefault("sigma", "const")
         co.setdefault("sigma_params", {})
@@ -299,19 +303,14 @@ def parse_config(path, overrides=()):
     # experiment parameters
     exp_raw = dict(raw.get("experiment", {}))
     params = {}
-    for key, validator in spec.required.items():
-        if key not in exp_raw:
+    for key, default in experiment_keys(name).items():
+        if key not in exp_raw and default is REQUIRED:
             raise ConfigError(f"experiment.{key} is required for {name!r}")
-        val = exp_raw.pop(key)
-        if not _VALIDATORS[validator](val):
-            raise ConfigError(f"experiment.{key} failed validation "
-                              f"({validator}): {val!r}")
-        params[key] = val
-    for key, (default, validator) in spec.optional.items():
         val = exp_raw.pop(key, default)
-        if not _VALIDATORS[validator](val):
+        rule = spec.rules.get(key, _RULES[key])
+        if not _VALIDATORS[rule](val):
             raise ConfigError(f"experiment.{key} failed validation "
-                              f"({validator}): {val!r}")
+                              f"({rule}): {val!r}")
         params[key] = val
     if exp_raw:
         raise ConfigError(f"unknown key {sorted(exp_raw)[0]!r} in "
@@ -401,32 +400,23 @@ def _build_sections(resolved):
 
 
 def run_experiment(resolved):
-    """Dispatch a resolved config to its experiment; returns (report, extras)."""
-    name = resolved["run"]["experiment"]
-    seed = resolved["run"]["seed"]
-    workers = resolved["run"]["workers"]
-    params = dict(resolved["experiment"])
-    kwargs = {"seed": seed, "workers": workers}
-    extras = {}
+    """Dispatch a resolved config to its experiment; returns (report, extras).
+
+    The built sections, seed and workers are bound to the experiment's
+    parameters of the same names; an experiment that also returns a
+    reachable cloud has it written out as an extra."""
+    fn = _function(resolved["run"]["experiment"])
     built = _build_sections(resolved)
-    domain, coeffs = built.get("domain"), built.get("coefficients")
-    if name == "smallball_and_levy":
-        report = montecarlo.smallball_and_levy(**params, **kwargs)
-    elif name == "submartingale_test":
-        report = maxprinciple.submartingale_test(
-            domain, coeffs, built["u"], params.pop("x"),
-            params.pop("time_grid"), params.pop("paths"), **params, **kwargs)
-    elif name == "max_principle":
-        report, cloud = maxprinciple.max_principle_report(
-            domain, coeffs, built["u"], params.pop("x"),
-            params.pop("n_controls"), params.pop("horizon"), seed=seed,
-            **params)
-        extras["cloud"] = cloud
-    else:
-        if "control" in built:
-            params["h"] = built["control"]
-        report = getattr(montecarlo, name)(domain, coeffs, **params, **kwargs)
-    return report, extras
+    given = {param: built[sec] for param, sec in _SECTION_PARAMS.items()
+             if sec in built}
+    given.update(seed=resolved["run"]["seed"],
+                 workers=resolved["run"]["workers"])
+    accepted = inspect.signature(fn).parameters
+    result = fn(**resolved["experiment"],
+                **{k: v for k, v in given.items() if k in accepted})
+    if isinstance(result, tuple):
+        return result[0], {"cloud": result[1]}
+    return result, {}
 
 
 # ---------------------------------------------------------------------------
@@ -471,13 +461,10 @@ def write_outputs(report, resolved, extras, outdir):
 
 def cmd_run(args):
     try:
-        resolved = parse_config(args.config, args.set or ())
-        if args.seed is not None:
-            resolved["run"]["seed"] = args.seed
-        if args.workers is not None:
-            resolved["run"]["workers"] = args.workers
-        if args.output is not None:
-            resolved["run"]["output"] = args.output
+        # the flags are run.* overrides after --set, so they win over it
+        flags = [f"run.{key}={value!r}" for key in ("seed", "workers", "output")
+                 if (value := getattr(args, key)) is not None]
+        resolved = parse_config(args.config, [*(args.set or ()), *flags])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -510,11 +497,13 @@ def cmd_run(args):
 def cmd_list(args):
     rows = []
     for name in sorted(CATALOG):
-        spec = CATALOG[name]
-        rows.append({"name": name, "claim": spec.anchor,
-                     "required_keys": sorted(spec.required),
-                     "optional_keys": sorted(spec.optional),
-                     "sections": list(spec.sections)})
+        keys = experiment_keys(name)
+        rows.append({"name": name, "claim": CATALOG[name].anchor,
+                     "required_keys": sorted(k for k, default in keys.items()
+                                             if default is REQUIRED),
+                     "optional_keys": sorted(k for k, default in keys.items()
+                                             if default is not REQUIRED),
+                     "sections": list(CATALOG[name].sections)})
     if args.json:
         print(json.dumps(rows, sort_keys=True, indent=2))
     else:

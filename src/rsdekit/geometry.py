@@ -52,6 +52,13 @@ class PhiField:
     def __call__(self, x):
         return self.value(np.asarray(x, dtype=float))
 
+    @classmethod
+    def quadratic(cls, center, alpha):
+        """phi = -|x - center|^2 / 2, whose gradient center - x points into a
+        convex domain around center."""
+        return cls(value=lambda x: -0.5 * float(np.sum((x - center) ** 2)),
+                   grad=lambda x: center - x, alpha=alpha)
+
 
 @dataclass(frozen=True)
 class CoverPatch:
@@ -253,11 +260,7 @@ class Ball(Domain):
         center = np.asarray(center, dtype=float)
         self.center = center
         self.radius = float(radius)
-        phi = PhiField(
-            value=lambda x, c=center: -0.5 * float(np.sum((x - c) ** 2)),
-            grad=lambda x, c=center: c - x,
-            alpha=0.5 * self.radius / c0,
-        )
+        phi = PhiField.quadratic(center, 0.5 * self.radius / c0)
         super().__init__(center.size, r0, c0, gamma, phi=phi,
                          cone_b=(0.25 * self.radius, 1.5))
 
@@ -311,11 +314,7 @@ class AxisBox(Domain):
         self.low, self.high = low, high
         center = 0.5 * (low + high)
         halfwidth = float(np.min(0.5 * (high - low)))
-        phi = PhiField(
-            value=lambda x, c=center: -0.5 * float(np.sum((x - c) ** 2)),
-            grad=lambda x, c=center: c - x,
-            alpha=0.5 * halfwidth / c0,
-        )
+        phi = PhiField.quadratic(center, 0.5 * halfwidth / c0)
         super().__init__(low.size, r0, c0, gamma, phi=phi,
                          cone_b=(0.25 * halfwidth, 1.0 / (0.9 / math.sqrt(low.size))))
 
@@ -380,12 +379,7 @@ class ConvexPolytope(Domain):
         if np.any(self.A @ self.interior_point >= self.b):
             raise ValueError("convex_polytope: interior_point is not interior")
         margin = float(np.min(self.b - self.A @ self.interior_point))
-        c = self.interior_point
-        phi = PhiField(
-            value=lambda x, c=c: -0.5 * float(np.sum((x - c) ** 2)),
-            grad=lambda x, c=c: c - x,
-            alpha=0.5 * margin / c0,
-        )
+        phi = PhiField.quadratic(self.interior_point, 0.5 * margin / c0)
         super().__init__(A.shape[1], r0, c0, gamma, phi=phi,
                          cone_b=(0.25 * margin, 2.0))
 
@@ -864,22 +858,31 @@ def _check_A(domain, bpts, normals, ipts, rng, n_probe=64):
                            note=f"exterior ball radius {r0:g}")
 
 
-def _check_H1(domain, bpts, normals, ipts, rng):
+def _pair_check(label, domain, bpts, normals, ipts, stride, coefficients,
+                note):
+    """Minimum of <y - x, n> + c |y - x|^2 over sampled boundary points x, the
+    normals n at x with their coefficients c = coefficients(x, ns), and up to
+    16 closure points y from a slice of ipts that moves by `stride` per x."""
     margin = np.inf
     count = 0
     m = len(ipts)
     for j, (x, ns) in enumerate(zip(bpts, normals)):
-        y = ipts[(j * 7) % m:(j * 7) % m + 16]
+        y = ipts[(j * stride) % m:(j * stride) % m + 16]
         if len(y) == 0:
             y = ipts[:16]
         diff = y - x
         sq = np.sum(diff ** 2, axis=1)
-        for n in ns:
-            lhs = diff @ n + domain.c0 * sq
-            margin = min(margin, float(np.min(lhs)))
+        for n, c in zip(ns, coefficients(x, ns)):
+            margin = min(margin, float(np.min(diff @ n + c * sq)))
             count += len(y)
-    return ConditionResult("H1", margin >= -CONDITION_TOL, margin, count,
-                           note=f"c0={domain.c0:g}")
+    return ConditionResult(label, margin >= -CONDITION_TOL, margin, count,
+                           note=note)
+
+
+def _check_H1(domain, bpts, normals, ipts, rng):
+    return _pair_check("H1", domain, bpts, normals, ipts, 7,
+                       lambda x, ns: [domain.c0] * len(ns),
+                       f"c0={domain.c0:g}")
 
 
 def _check_H2(domain, bpts, normals, ipts, rng):
@@ -897,22 +900,12 @@ def _check_H2(domain, bpts, normals, ipts, rng):
 
 
 def _check_C(domain, bpts, normals, ipts, rng):
-    margin = np.inf
-    count = 0
-    m = len(ipts)
-    for j, (x, ns) in enumerate(zip(bpts, normals)):
-        y = ipts[(j * 5) % m:(j * 5) % m + 16]
-        if len(y) == 0:
-            y = ipts[:16]
-        diff = y - x
-        sq = np.sum(diff ** 2, axis=1)
+    def coefficients(x, ns):  # <grad phi(x), n> / gamma
         g = np.asarray(domain.phi.grad(x), dtype=float)
-        for n in ns:
-            lhs = diff @ n + (np.dot(g, n) / domain.gamma) * sq
-            margin = min(margin, float(np.min(lhs)))
-            count += len(y)
-    return ConditionResult("C", margin >= -CONDITION_TOL, margin, count,
-                           note=f"gamma={domain.gamma:g}")
+        return [np.dot(g, n) / domain.gamma for n in ns]
+
+    return _pair_check("C", domain, bpts, normals, ipts, 5, coefficients,
+                       f"gamma={domain.gamma:g}")
 
 
 def _check_B(domain, bpts, normals, ipts, rng):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import inspect
 import json
@@ -434,18 +435,50 @@ class TestRun:
 
 
 class TestCatalog:
-    def test_defaults_match_experiment_signatures(self):
-        # each optional key's catalog default is its experiment's default
+    def test_validators_name_exactly_the_configurable_keys(self):
+        # every key an experiment's signature makes configurable has a rule,
+        # and no rule or per-spec override names a key no experiment has
+        used = set()
         for name, spec in cli.CATALOG.items():
-            for key, (default, _) in spec.optional.items():
-                if name == "max_principle":
-                    fn = maxprinciple.max_principle_report \
-                        if key == "tolerance" else maxprinciple.reachable_sample
-                else:
-                    fn = getattr(montecarlo, name, None) \
-                        or getattr(maxprinciple, name)
-                assert inspect.signature(fn).parameters[key].default \
-                    == default, (name, key)
+            keys = set(cli.experiment_keys(name))
+            assert keys <= set(cli._RULES), (name, keys - set(cli._RULES))
+            assert set(spec.rules) <= keys, (name, set(spec.rules) - keys)
+            assert all(rule in cli._VALIDATORS
+                       for rule in spec.rules.values()), name
+            used |= keys
+        assert used == set(cli._RULES), set(cli._RULES) - used
+        assert set(cli._RULES.values()) | {"decreasing_floats"} \
+            == set(cli._VALIDATORS)
+
+    def test_keys_and_defaults_come_from_the_signature(self):
+        keys = cli.experiment_keys("wz_convergence")
+        assert list(keys)[:4] == ["x0", "T", "levels", "paths"]
+        assert all(keys[k] is cli.REQUIRED for k in ("x0", "T", "levels"))
+        assert keys["substeps"] == 4 and keys["theta"] == 0.2
+        assert not {"domain", "coeffs", "seed", "workers"} & set(keys)
+        # max_principle's cloud keys are reachable_sample's defaults
+        cloud = inspect.signature(maxprinciple.reachable_sample).parameters
+        assert cli.experiment_keys("max_principle") == {
+            "n_controls": cli.REQUIRED, "horizon": cli.REQUIRED,
+            "x": cli.REQUIRED, "tolerance": 1e-6,
+            **{k: cloud[k].default for k in ("segments", "slope_max",
+                                             "substeps")}}
+
+    def test_experiment_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        # a wrapper set on the module after import is the function called
+        calls = []
+        original = montecarlo.wz_convergence
+
+        @functools.wraps(original)
+        def wrapper(*args, **kwargs):
+            calls.append(sorted(kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "wz_convergence", wrapper)
+        path = write_config(tmp_path, WZ_CONFIG.format(out=tmp_path / "o"))
+        assert cli.main(["run", path]) in (0, cli.EXIT_FAIL)
+        assert len(calls) == 1 and "domain" in calls[0] \
+            and "workers" in calls[0]
 
     def test_at_least_nine_experiments(self, capsys):
         assert cli.main(["list-experiments"]) == 0
@@ -539,17 +572,160 @@ def test_benchmark_workloads_pass(tmp_path, name):
     assert report["seeds"]["seed"] == 1
 
 
-@pytest.mark.parametrize("seed", sorted(REPORT_DIGESTS))
-@pytest.mark.parametrize("name", sorted(BENCHMARK_SHAPED))
-def test_benchmark_shaped_reports_keep_their_bytes(tmp_path, name, seed):
-    out = tmp_path / "out"
+# One small config of each of the other catalog experiments, with the same
+# digests at seeds 1 and 7: together with the table above, every experiment's
+# CLI report.json is pinned, its materialized defaults included.
+_HALF = {"kind": "half_space", "params": {"normal": [1.0], "offset": 0.0}}
+_DISC = {"kind": "ball", "params": {"center": [0.0, 0.0], "radius": 1.0}}
+_CONST = {"d": 1, "d1": 1, "sigma": "const", "sigma_params": {"value": 0.5}}
+_SIN = {"d": 1, "d1": 1, "sigma": "sin",
+        "sigma_params": {"base": 0.5, "amp": 0.25}}
+_CONST2 = {"d": 2, "d1": 2, "sigma": "const", "sigma_params": {"value": 1.0}}
+CLI_SHAPED = {
+    "skeleton_convergence": {
+        "run": {"experiment": "skeleton_convergence", "workers": 1},
+        "domain": _HALF, "coefficients": _SIN,
+        "control": {"kind": "linear", "params": {"slope": [0.5]}},
+        "experiment": {"T": 1.0, "x0": [0.5], "levels": [3, 4, 5],
+                       "paths": 64},
+    },
+    "approx_continuity": {
+        "run": {"experiment": "approx_continuity", "workers": 1},
+        "domain": _HALF, "coefficients": _CONST, "control": {"kind": "zero"},
+        "experiment": {"T": 1.0, "x0": [1.0], "epsilon": 0.3,
+                       "deltas": [1.0, 0.8], "target_accepted": 64,
+                       "grid_level": 6},
+    },
+    "moment_scaling": {
+        "run": {"experiment": "moment_scaling", "workers": 1},
+        "domain": _HALF, "coefficients": _CONST,
+        "experiment": {"windows": [[0.0, 0.125], [0.0, 0.25], [0.0, 0.5]],
+                       "p": 1.0, "x0": [0.0], "paths": 128,
+                       "grid_points_min": 64},
+    },
+    "exp_tail": {
+        "run": {"experiment": "exp_tail", "workers": 1},
+        "domain": _HALF, "coefficients": _SIN,
+        "experiment": {"T": 1.0, "x0": [0.2], "paths": 256, "grid_level": 6},
+    },
+    "regulator_conditional": {
+        "run": {"experiment": "regulator_conditional", "workers": 1},
+        "domain": _HALF, "coefficients": _CONST,
+        "experiment": {"T": 1.0, "x0": [0.2], "deltas": [1.0, 0.8],
+                       "c3": 1.0, "paths": 64, "grid_level": 6},
+    },
+    "support_inclusions": {
+        "run": {"experiment": "support_inclusions", "workers": 1},
+        "domain": _HALF, "coefficients": _SIN,
+        "control": {"kind": "sin", "params": {"amplitude": 0.5}},
+        "experiment": {"T": 1.0, "x0": [1.0], "n": 3, "epsilon": 0.5,
+                       "paths": 64, "reverse_paths": 64,
+                       "reverse_grid_level": 6},
+    },
+    "submartingale_test": {
+        "run": {"experiment": "submartingale_test", "workers": 1},
+        "domain": _DISC, "coefficients": _CONST2,
+        "u": {"kind": "quadratic", "params": {"sign": 1.0}},
+        "experiment": {"time_grid": [0.0, 0.05, 0.1], "x": [0.0, 0.0],
+                       "paths": 128, "grid_level": 5},
+    },
+    "max_principle": {
+        "run": {"experiment": "max_principle", "workers": 1},
+        "domain": _DISC, "coefficients": _CONST2,
+        "u": {"kind": "quadratic", "params": {"sign": -1.0}},
+        "experiment": {"n_controls": 24, "horizon": 0.5, "x": [0.3, 0.0],
+                       "segments": 4},
+    },
+}
+CLI_DIGESTS = {
+    1: {"approx_continuity": "ea08faee", "exp_tail": "e13139f2",
+        "max_principle": "7326a050", "moment_scaling": "e332c2c3",
+        "regulator_conditional": "0157ebdf", "skeleton_convergence": "cdb0a581",
+        "submartingale_test": "98cf5d92", "support_inclusions": "c4ba5442"},
+    7: {"approx_continuity": "f7486a76", "exp_tail": "476f7299",
+        "max_principle": "0040055c", "moment_scaling": "d36c1dfa",
+        "regulator_conditional": "f75d8cac", "skeleton_convergence": "d371d79e",
+        "submartingale_test": "5b56ce43", "support_inclusions": "1bf214d4"},
+}
+
+
+def _write_shaped(tmp_path, config, seed, out):
     lines = []
-    for section, values in BENCHMARK_SHAPED[name].items():
+    for section, values in config.items():
         if section == "run":
             values = dict(values, seed=seed, output=str(out))
         lines += [f"[{section}]"] + [f"{k} = {v!r}" for k, v in values.items()]
     path = tmp_path / "run.ini"
     path.write_text("\n".join(lines) + "\n")
-    assert cli.main(["run", str(path)]) in (0, cli.EXIT_FAIL)
-    digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
-    assert digest[:8] == REPORT_DIGESTS[seed][name]
+    return str(path)
+
+
+def _report_digest(tmp_path, config, seed):
+    out = tmp_path / "out"
+    path = _write_shaped(tmp_path, config, seed, out)
+    assert cli.main(["run", path]) in (0, cli.EXIT_FAIL)
+    return hashlib.sha256((out / "report.json").read_bytes()).hexdigest()[:8]
+
+
+@pytest.mark.parametrize("seed", sorted(REPORT_DIGESTS))
+@pytest.mark.parametrize("name", sorted(BENCHMARK_SHAPED))
+def test_benchmark_shaped_reports_keep_their_bytes(tmp_path, name, seed):
+    digest = _report_digest(tmp_path, BENCHMARK_SHAPED[name], seed)
+    assert digest == REPORT_DIGESTS[seed][name]
+
+
+@pytest.mark.parametrize("seed", sorted(CLI_DIGESTS))
+@pytest.mark.parametrize("name", sorted(CLI_SHAPED))
+def test_every_experiment_report_keeps_its_bytes(tmp_path, name, seed):
+    covered = {*CLI_SHAPED, *(c["run"]["experiment"]
+                              for c in BENCHMARK_SHAPED.values())}
+    assert covered == set(cli.CATALOG)
+    digest = _report_digest(tmp_path, CLI_SHAPED[name], seed)
+    assert digest == CLI_DIGESTS[seed][name]
+
+
+@pytest.mark.parametrize("seed, args", [
+    (77, ["--workers", "-3"]),
+    (77, ["--workers", "0"]),
+    (77, ["--set", "run.workers=-3"]),
+    (77, ["--seed", "-5"]),
+    (77, ["--set", "run.seed=-1"]),
+    (-1, []),
+])
+def test_bad_run_values_exit_2(tmp_path, capsys, seed, args):
+    # a [run] value from a flag is validated like one from the file or --set
+    out = tmp_path / "out"
+    body = MOMENT_CONFIG.format(out=out).replace("seed = 77", f"seed = {seed}")
+    path = write_config(tmp_path, body)
+    for dry_run in ([], ["--dry-run"]):
+        assert cli.main(["run", path, *args, *dry_run]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: run.")
+    assert not out.exists()
+
+
+def test_run_flags_win_over_set(tmp_path):
+    out, other = tmp_path / "flag", tmp_path / "set"
+    path = write_config(tmp_path, MOMENT_CONFIG.format(out=other))
+    assert cli.main(["run", path, "--set", "run.seed=-1", "--seed", "77",
+                     "--set", f"run.output='{other}'",
+                     "--output", str(out)]) == 0
+    assert (out / "report.json").exists() and not other.exists()
+
+
+@pytest.mark.parametrize("name, setting", [
+    ("wz_convergence", "experiment.levels=[True, 3]"),
+    ("wz_convergence", "experiment.paths=True"),
+    ("support_inclusions", "experiment.reverse_paths=True"),
+    ("wz_convergence", "run.seed=True"),
+    ("wz_convergence", "run.workers=True"),
+    ("wz_convergence", "coefficients.d1=True"),
+])
+def test_booleans_are_not_integers_exit_2(tmp_path, name, setting):
+    out = tmp_path / "out"
+    config = CLI_SHAPED.get(name) or BENCHMARK_SHAPED["wz-halfline"]
+    path = _write_shaped(tmp_path, config, 1, out)
+    cli.parse_config(path)
+    with pytest.raises(ConfigError, match=setting.split("=")[0].split(".")[1]):
+        cli.parse_config(path, [setting])
+    assert cli.main(["run", path, "--set", setting]) == cli.EXIT_CONFIG
+    assert not out.exists()

@@ -404,6 +404,31 @@ class TestConditions:
             for cond, res in rep.results.items():
                 assert res.passed, f"{dom.kind} {cond} margin={res.margin}"
 
+    @pytest.mark.parametrize("seed, margins", [
+        (1, {"ball": ("0x1.3b7279d9c6400p-6", "0x1.586cdc381186bp-7"),
+             "half_space": ("0x1.8101649ddaaa6p-5", "0x1.6091361c42d72p-4"),
+             "axis_box": ("0x1.037d16faef34ep-7", "0x1.6920df9ca6639p-8"),
+             "notched_disc": ("0x1.4dd36b52f341fp-7", "0x1.5536e583e09d2p-8"),
+             "convex_polytope": ("0x1.0c7affa771898p-6",
+                                 "0x1.d5ec07629f584p-7")}),
+        (2, {"ball": ("0x1.caf6294295ffdp-7", "0x1.6463ae6aecfc5p-7"),
+             "half_space": ("0x1.c2e8c933f5cb4p-6", "0x1.2b2b0d580ec02p-7"),
+             "axis_box": ("0x1.df6a3a1ccec7ep-9", "0x1.2409314deeeb1p-12"),
+             "notched_disc": ("0x1.c425caca0d23ap-7", "0x1.436f64590d90dp-7"),
+             "convex_polytope": ("0x1.b6192f287f66cp-7",
+                                 "0x1.746e18c12a13ep-7")}),
+    ])
+    def test_pair_condition_margins_keep_their_bits(self, seed, margins):
+        # (C) and (H1) share one pair-sample loop; their margins and sample
+        # counts are pinned so that sharing it moves no bit
+        for dom in (DISC, HALF, SQUARE, NOTCHED, DIAMOND):
+            rep = check_conditions(dom, 100, 150, seed=seed,
+                                   conditions=("C", "H1"))
+            got = tuple(float(rep[c].margin).hex() for c in ("C", "H1"))
+            assert got == margins[dom.kind], dom.kind
+            assert rep["C"].passed and rep["H1"].passed
+            assert (rep["C"].n_samples, rep["H1"].n_samples) == (1546, 1532)
+
     def test_unsupported_condition_raises(self):
         dom = Ball([0.0, 0.0], 1.0)
         dom.cone_b = None
