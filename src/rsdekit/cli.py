@@ -51,51 +51,43 @@ EXIT_INTERNAL = 5
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """What the CLI adds to an experiment's function.  The [experiment] keys,
-    which of them are required and their defaults are the function's
-    parameters (see `experiment_keys`)."""
+    """What the CLI adds to an experiment's function.  Its [experiment]
+    keys, the sections it takes and which of either are required are the
+    function's parameters (see `experiment_keys` and `experiment_sections`).
+    """
 
     anchor: str   # the mathematical claim the experiment checks
-    sections: tuple  # config sections required besides [run]/[experiment]
-    optional_sections: tuple = ()
     rules: dict = field(default_factory=dict)  # key -> rule, where not _RULES
 
 
 CATALOG = {
     "wz_convergence": ExperimentSpec(
         "strong limit of the adapted piecewise-linear driver scheme",
-        ("domain", "coefficients")),
+        {"levels": "two distinct levels"}),
     "skeleton_convergence": ExperimentSpec(
         "mean-square convergence of shifted-driver solutions to the skeleton",
-        ("domain", "coefficients", "control")),
+        {"levels": "two distinct levels"}),
     "approx_continuity": ExperimentSpec(
         "conditional concentration near the skeleton on shrinking tubes",
-        ("domain", "coefficients", "control"),
-        rules={"deltas": "decreasing_floats"}),
+        {"deltas": "decreasing_floats"}),
     "moment_scaling": ExperimentSpec(
         "window-length scaling of oscillation and regulator moments",
-        ("domain", "coefficients")),
+        {"windows": "two distinct lengths"}),
     "exp_tail": ExperimentSpec(
-        "squared-exponential integrability of the regulator total variation",
-        ("domain", "coefficients")),
+        "squared-exponential integrability of the regulator total variation"),
     "smallball_and_levy": ExperimentSpec(
-        "Gaussian small-ball law and conditional iterated-integral bounds",
-        ()),
+        "Gaussian small-ball law and conditional iterated-integral bounds"),
     "regulator_conditional": ExperimentSpec(
-        "vanishing conditional regulator exceedance on shrinking tubes",
-        ("domain", "coefficients")),
+        "vanishing conditional regulator exceedance on shrinking tubes"),
     "holder_tightness": ExperimentSpec(
         "uniform Holder tightness of the approximating laws",
-        ("domain", "coefficients"), optional_sections=("control",)),
+        {"levels": "levels within the exact Holder scan"}),
     "support_inclusions": ExperimentSpec(
-        "two-sided support characterization via skeleton distances",
-        ("domain", "coefficients", "control")),
+        "two-sided support characterization via skeleton distances"),
     "submartingale_test": ExperimentSpec(
-        "submartingale property of candidate subharmonic functions",
-        ("domain", "coefficients", "u")),
+        "submartingale property of candidate subharmonic functions"),
     "max_principle": ExperimentSpec(
-        "boundary-interior maximum principle on the reachable set",
-        ("domain", "coefficients", "u")),
+        "boundary-interior maximum principle on the reachable set"),
 }
 
 # The function behind each experiment, as (module, attribute), where it is
@@ -133,6 +125,15 @@ def experiment_keys(name):
     return keys
 
 
+def experiment_sections(name):
+    """{section: required} of the sections experiment `name` takes besides
+    [run] and [experiment], in `_SECTION_PARAMS` order: one per section
+    parameter of its function, required where that has no default."""
+    params = inspect.signature(_function(name)).parameters
+    return {sec: params[param].default is REQUIRED
+            for param, sec in _SECTION_PARAMS.items() if param in params}
+
+
 # ---------------------------------------------------------------------------
 # Value parsing and validation
 # ---------------------------------------------------------------------------
@@ -155,6 +156,7 @@ def _is_int(v):
 
 _VALIDATORS = {
     "pos_int": lambda v: _is_int(v) and v > 0,
+    "nonneg_int": lambda v: _is_int(v) and v >= 0,
     "opt_int": lambda v: v is None or (_is_int(v) and v > 0),
     "pos_float": lambda v: _is_num(v) and v > 0,
     "float": lambda v: _is_num(v),
@@ -181,6 +183,17 @@ _VALIDATORS = {
     "window_list": lambda v: isinstance(v, (list, tuple)) and len(v) > 0
     and all(isinstance(w, (list, tuple)) and len(w) == 2
             and _is_num(w[0]) and _is_num(w[1]) and w[1] > w[0] for w in v),
+    "str": lambda v: isinstance(v, str),
+    "mapping": lambda v: isinstance(v, dict),
+    "listed experiment": lambda v: isinstance(v, str) and v in CATALOG,
+    # a rate or exponent fit needs two distinct abscissae
+    "two distinct levels": lambda v: _VALIDATORS["int_list"](v)
+    and len(set(v)) >= 2,
+    "two distinct lengths": lambda v: _VALIDATORS["window_list"](v)
+    and len({t - s for s, t in v}) >= 2,
+    # the fine grid, one level above the finest, within the exact scan
+    "levels within the exact Holder scan": lambda v: _VALIDATORS["int_list"](v)
+    and 2 ** (max(v) + 1) + 1 <= HOLDER_EXACT_LIMIT,
 }
 
 # the rule of each [experiment] key, the same in every experiment that has
@@ -206,17 +219,59 @@ _RULES = {key: rule for rule, keys in {
     "window_list": "windows",
 }.items() for key in keys.split()}
 
-_RUN_KEYS = {"experiment": None, "seed": None, "workers": None, "output": None}
-_DOMAIN_KEYS = {"kind", "params", "r0", "c0", "gamma"}
-_COEFF_KEYS = {"d", "d1", "sigma", "sigma_params", "b", "b_params"}
-_CONTROL_KEYS = {"kind", "params", "grid_level"}
-_U_KEYS = {"kind", "params"}
+
+def _env_workers():
+    """run.workers when not given: RSDEKIT_WORKERS, else 1."""
+    text = os.environ.get(WORKERS_ENV, "1")
+    if not _VALIDATORS["pos_int"](workers := _literal(text)):
+        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, "
+                          f"got {text!r}")
+    return workers
 
 
-def _check_keys(section, present, allowed):
-    for key in present:
-        if key not in allowed:
+_ABSENT = object()  # the default of a key left out when not given
+
+# {section: {key: (default, rule)}} of [run] and of the sections an
+# experiment takes; a callable default is called for each config, so no two
+# configs share a mutable value
+_SECTIONS = {
+    "run": {"experiment": (REQUIRED, "listed experiment"),
+            "seed": (REQUIRED, "nonneg_int"),
+            "workers": (_env_workers, "pos_int"), "output": ("out", "str")},
+    "domain": {"kind": (REQUIRED, "str"), "params": (dict, "mapping"),
+               "r0": (_ABSENT, "pos_float"), "c0": (_ABSENT, "pos_float"),
+               "gamma": (_ABSENT, "pos_float")},
+    "coefficients": {"d": (REQUIRED, "pos_int"), "d1": (REQUIRED, "pos_int"),
+                     "sigma": ("const", "str"),
+                     "sigma_params": (dict, "mapping"),
+                     "b": ("const", "str"), "b_params": (dict, "mapping")},
+    "control": {"kind": ("zero", "str"), "params": (dict, "mapping"),
+                "grid_level": (8, "nonneg_int")},
+    "u": {"kind": ("quadratic", "str"), "params": (dict, "mapping")},
+}
+
+
+def _resolve(section, given, keys):
+    """The values of `section`: those `given`, checked against `keys`
+    ({key: (default, rule)}), and the defaults of the others."""
+    for key in given:
+        if key not in keys:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    values = {}
+    for key, (default, rule) in keys.items():
+        if key in given:
+            val = given[key]
+        elif default is REQUIRED:
+            raise ConfigError(f"{section}.{key} is required")
+        elif default is _ABSENT:
+            continue
+        else:
+            val = default() if callable(default) else default
+        if not _VALIDATORS[rule](val):
+            raise ConfigError(f"{section}.{key} failed validation "
+                              f"({rule}): {val!r}")
+        values[key] = val
+    return values
 
 
 def parse_config(path, overrides=()):
@@ -234,102 +289,25 @@ def parse_config(path, overrides=()):
         loc, val = item.split("=", 1)
         sec, key = loc.split(".", 1)
         raw.setdefault(sec, {})[key] = _literal(val)
-    allowed_sections = {"run", "domain", "coefficients", "control", "u",
-                        "experiment"}
     for sec in raw:
-        if sec not in allowed_sections:
+        if sec not in _SECTIONS and sec != "experiment":
             raise ConfigError(f"unknown section [{sec}]")
-    run = raw.get("run", {})
-    _check_keys("run", run, _RUN_KEYS)
-    name = run.get("experiment")
-    if name not in CATALOG:
-        raise ConfigError(f"run.experiment must be one of {sorted(CATALOG)}, "
-                          f"got {name!r}")
-    spec = CATALOG[name]
-    if not (_is_int(run.get("seed")) and run["seed"] >= 0):
-        raise ConfigError("run.seed must be a non-negative integer")
-    workers = run.get("workers", int(os.environ.get(WORKERS_ENV, "1")))
-    if not (_is_int(workers) and workers >= 1):
-        raise ConfigError("run.workers must be a positive integer")
-    resolved = {"run": {"experiment": name, "seed": run["seed"],
-                        "workers": workers,
-                        "output": str(run.get("output", "out"))}}
-    for sec in spec.sections:
-        if sec not in raw:
+    resolved = {"run": _resolve("run", raw.get("run", {}), _SECTIONS["run"])}
+    name = resolved["run"]["experiment"]
+    sections = experiment_sections(name)
+    for sec, required in sections.items():
+        if required and sec not in raw:
             raise ConfigError(f"experiment {name!r} needs section [{sec}]")
-    permitted = {"run", "experiment"} | set(spec.sections) \
-        | set(spec.optional_sections)
     for sec in raw:
-        if sec not in permitted:
+        if sec not in ("run", "experiment", *sections):
             raise ConfigError(f"section [{sec}] is not used by {name!r}")
-    # section payloads
-    if "domain" in raw:
-        _check_keys("domain", raw["domain"], _DOMAIN_KEYS)
-        dom = dict(raw["domain"])
-        if "kind" not in dom:
-            raise ConfigError("domain.kind is required")
-        dom.setdefault("params", {})
-        if not isinstance(dom["params"], dict):
-            raise ConfigError("domain.params must be a mapping")
-        resolved["domain"] = dom
-    if "coefficients" in raw:
-        _check_keys("coefficients", raw["coefficients"], _COEFF_KEYS)
-        co = dict(raw["coefficients"])
-        for key in ("d", "d1"):
-            if not _VALIDATORS["pos_int"](co.get(key)):
-                raise ConfigError(f"coefficients.{key} must be a positive integer")
-        co.setdefault("sigma", "const")
-        co.setdefault("sigma_params", {})
-        co.setdefault("b", "const")
-        co.setdefault("b_params", {})
-        resolved["coefficients"] = co
-    if "control" in raw:
-        _check_keys("control", raw["control"], _CONTROL_KEYS)
-        ctl = dict(raw["control"])
-        ctl.setdefault("kind", "zero")
-        ctl.setdefault("params", {})
-        ctl.setdefault("grid_level", 8)
-        if ctl["kind"] not in ("zero", "linear", "sin"):
-            raise ConfigError("control.kind must be zero, linear or sin")
-        resolved["control"] = ctl
-    if "u" in raw:
-        _check_keys("u", raw["u"], _U_KEYS)
-        uu = dict(raw["u"])
-        uu.setdefault("kind", "quadratic")
-        uu.setdefault("params", {})
-        if uu["kind"] not in ("constant", "quadratic", "linear"):
-            raise ConfigError("u.kind must be constant, quadratic or linear")
-        resolved["u"] = uu
-    # experiment parameters
-    exp_raw = dict(raw.get("experiment", {}))
-    params = {}
-    for key, default in experiment_keys(name).items():
-        if key not in exp_raw and default is REQUIRED:
-            raise ConfigError(f"experiment.{key} is required for {name!r}")
-        val = exp_raw.pop(key, default)
-        rule = spec.rules.get(key, _RULES[key])
-        if not _VALIDATORS[rule](val):
-            raise ConfigError(f"experiment.{key} failed validation "
-                              f"({rule}): {val!r}")
-        params[key] = val
-    if exp_raw:
-        raise ConfigError(f"unknown key {sorted(exp_raw)[0]!r} in "
-                          f"section [experiment]")
-    if name in ("wz_convergence", "skeleton_convergence") \
-            and len(set(params["levels"])) < 2:
-        raise ConfigError(f"experiment.levels: {name} fits a rate over "
-                          f"levels and needs two distinct levels")
-    if name == "moment_scaling" \
-            and len({t - s for s, t in params["windows"]}) < 2:
-        raise ConfigError("experiment.windows: moment_scaling fits exponents "
-                          "over window lengths and needs two distinct lengths")
-    if name == "holder_tightness":
-        nodes = 2 ** (max(params["levels"]) + 1) + 1  # fine grid: level max + 1
-        if nodes > HOLDER_EXACT_LIMIT:
-            raise ConfigError(f"experiment.levels: the fine grid would have "
-                              f"{nodes} nodes, above the exact Holder scan's "
-                              f"limit of {HOLDER_EXACT_LIMIT}")
-    resolved["experiment"] = params
+        if sec in sections:
+            resolved[sec] = _resolve(sec, raw[sec], _SECTIONS[sec])
+    rules = CATALOG[name].rules
+    keys = {key: (default, rules.get(key, _RULES[key]))
+            for key, default in experiment_keys(name).items()}
+    resolved["experiment"] = _resolve("experiment",
+                                      raw.get("experiment", {}), keys)
     _build_sections(resolved)  # a value no builder takes is a config error
     return resolved
 
@@ -339,25 +317,17 @@ def parse_config(path, overrides=()):
 # ---------------------------------------------------------------------------
 
 
-def _build_domain(cfg):
-    return make_domain(cfg["kind"], cfg["params"], cfg.get("r0"),
-                       cfg.get("c0"), cfg.get("gamma"))
-
-
-def _build_coeffs(cfg):
-    return make_coefficients(cfg["d"], cfg["d1"], cfg["sigma"],
-                             cfg["sigma_params"], cfg["b"], cfg["b_params"])
-
-
 def _build_control(cfg, T, d1):
     kind = cfg["kind"]
-    n_cells = 2 ** int(cfg["grid_level"])
+    n_cells = 2 ** cfg["grid_level"]
     p = cfg["params"]
     if kind == "zero":
         return zero_control(T, d1, n_cells=n_cells)
     if kind == "linear":
         slope = p.get("slope", [0.5] * d1)
         return linear_control(T, slope, n_cells=n_cells)
+    if kind != "sin":
+        raise UnsupportedKind("control.kind must be zero, linear or sin")
     return sine_control(T, amplitude=p.get("amplitude", 1.0),
                         frequency=p.get("frequency", 1.0), dim=d1,
                         axis=int(p.get("axis", 0)), n_cells=n_cells)
@@ -366,6 +336,8 @@ def _build_control(cfg, T, d1):
 def _build_u(cfg):
     kind = cfg["kind"]
     p = cfg["params"]
+    if kind not in ("constant", "quadratic", "linear"):
+        raise UnsupportedKind("u.kind must be constant, quadratic or linear")
     if kind == "constant":
         value = float(p.get("value", 1.0))
         return lambda x: value
@@ -383,8 +355,10 @@ def _build_u(cfg):
 
 def _build_sections(resolved):
     """The [domain], [coefficients], [control] and [u] sections present,
-    built; a value a builder rejects is a ConfigError naming its section."""
-    builders = {"domain": _build_domain, "coefficients": _build_coeffs,
+    built; a value a builder rejects is a ConfigError naming its section.
+    The [domain] and [coefficients] keys are their builders' parameters."""
+    builders = {"domain": lambda cfg: make_domain(**cfg),
+                "coefficients": lambda cfg: make_coefficients(**cfg),
                 "control": lambda cfg: _build_control(
                     cfg, resolved["experiment"].get("T", 1.0),
                     resolved["coefficients"]["d1"]),
@@ -503,7 +477,9 @@ def cmd_list(args):
                                              if default is REQUIRED),
                      "optional_keys": sorted(k for k, default in keys.items()
                                              if default is not REQUIRED),
-                     "sections": list(CATALOG[name].sections)})
+                     "sections": [sec for sec, required in
+                                  experiment_sections(name).items()
+                                  if required]})
     if args.json:
         print(json.dumps(rows, sort_keys=True, indent=2))
     else:

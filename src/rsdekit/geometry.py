@@ -381,7 +381,23 @@ class ConvexPolytope(Domain):
         margin = float(np.min(self.b - self.A @ self.interior_point))
         phi = PhiField.quadratic(self.interior_point, 0.5 * margin / c0)
         super().__init__(A.shape[1], r0, c0, gamma, phi=phi,
-                         cone_b=(0.25 * margin, 2.0))
+                         cone_b=(0.25 * margin,
+                                 1.0 / (0.9 * self._vertex_alignment())))
+
+    def _vertex_alignment(self):
+        """The worst inner product of a vertex's active facet normals with
+        their maximin direction, over the vertices: the normal cone at any
+        boundary point is spanned by a subset of some vertex's normals."""
+        m, d = self.A.shape
+        worst = 1.0
+        for S in map(list, combinations(range(m), d)):
+            if abs(np.linalg.det(self.A[S])) < 1e-12:
+                continue
+            slack = self.A @ np.linalg.solve(self.A[S], self.b[S]) - self.b
+            if np.max(slack) <= 1e-9:
+                N = self.A[np.abs(slack) <= 1e-9]
+                worst = min(worst, float(np.min(N @ _maximin_direction(N))))
+        return worst
 
     def signed_distance(self, X):
         slack = X @ self.A.T - self.b  # positive rows are violated

@@ -437,18 +437,23 @@ class TestRun:
 class TestCatalog:
     def test_validators_name_exactly_the_configurable_keys(self):
         # every key an experiment's signature makes configurable has a rule,
-        # and no rule or per-spec override names a key no experiment has
-        used = set()
+        # no rule or per-spec override names a key no experiment has, and
+        # every validator is the rule of some key of some section
+        used, rules = set(), set(cli._RULES.values())
         for name, spec in cli.CATALOG.items():
             keys = set(cli.experiment_keys(name))
             assert keys <= set(cli._RULES), (name, keys - set(cli._RULES))
             assert set(spec.rules) <= keys, (name, set(spec.rules) - keys)
-            assert all(rule in cli._VALIDATORS
-                       for rule in spec.rules.values()), name
             used |= keys
+            rules |= set(spec.rules.values())
         assert used == set(cli._RULES), set(cli._RULES) - used
-        assert set(cli._RULES.values()) | {"decreasing_floats"} \
-            == set(cli._VALIDATORS)
+        rules |= {rule for keys in cli._SECTIONS.values()
+                  for _, rule in keys.values()}
+        assert rules == set(cli._VALIDATORS), rules ^ set(cli._VALIDATORS)
+        # a section is taken by an experiment whose function builds it
+        assert {sec for name in cli.CATALOG
+                for sec in cli.experiment_sections(name)} \
+            == set(cli._SECTIONS) - {"run"}
 
     def test_keys_and_defaults_come_from_the_signature(self):
         keys = cli.experiment_keys("wz_convergence")
@@ -729,3 +734,75 @@ def test_booleans_are_not_integers_exit_2(tmp_path, name, setting):
         cli.parse_config(path, [setting])
     assert cli.main(["run", path, "--set", setting]) == cli.EXIT_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_bad_workers_env_exit_2(tmp_path, monkeypatch, capsys, value):
+    # the environment's worker count is validated like run.workers, and
+    # read only when the config does not set run.workers
+    monkeypatch.setenv(cli.WORKERS_ENV, value)
+    out = tmp_path / "out"
+    config = BENCHMARK_SHAPED["wz-halfline"]
+    path = _write_shaped(tmp_path, {**config, "run": {
+        "experiment": "wz_convergence"}}, 1, out)
+    for dry_run in ([], ["--dry-run"]):
+        assert cli.main(["run", path, *dry_run]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"config error: {cli.WORKERS_ENV}")
+    assert not out.exists()
+    path = write_config(tmp_path, WZ_CONFIG.format(out=out).replace(
+        "seed = 5", "seed = 5\n    workers = 1"))
+    assert cli.main(["run", path]) in (0, cli.EXIT_FAIL)
+    assert (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("grid_level", ["2.7", "True", "-1", '"8"'])
+def test_bad_control_grid_level_exit_2(tmp_path, grid_level):
+    out = tmp_path / "out"
+    path = _write_shaped(tmp_path, CLI_SHAPED["skeleton_convergence"], 1, out)
+    setting = f"control.grid_level={grid_level}"
+    with pytest.raises(ConfigError, match="grid_level"):
+        cli.parse_config(path, [setting])
+    for dry_run in ([], ["--dry-run"]):
+        assert cli.main(["run", path, "--set", setting, *dry_run]) \
+            == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_section_keys_without_default_stay_unset(tmp_path):
+    path = _write_shaped(tmp_path, CLI_SHAPED["skeleton_convergence"], 1, "o")
+    resolved = cli.parse_config(path)
+    assert resolved["domain"] == {**_HALF}
+    assert resolved["control"] == {"kind": "linear",
+                                   "params": {"slope": [0.5]},
+                                   "grid_level": 8}
+    resolved = cli.parse_config(path, ["domain.r0=2.0"])
+    assert resolved["domain"]["r0"] == 2.0
+    with pytest.raises(ConfigError, match="r0"):
+        cli.parse_config(path, ["domain.r0=-2.0"])
+
+
+def test_sections_come_from_the_signature():
+    assert cli.experiment_sections("holder_tightness") == {
+        "domain": True, "coefficients": True, "control": False}
+    assert cli.experiment_sections("max_principle") == {
+        "domain": True, "coefficients": True, "u": True}
+    assert cli.experiment_sections("smallball_and_levy") == {}
+
+
+@pytest.mark.parametrize("args, digest", [
+    ([], "96b8f7b9"), (["--json"], "95f964d0")])
+def test_catalog_listing_keeps_its_bytes(capsys, args, digest):
+    # the listing's sections and keys come from the experiment signatures
+    assert cli.main(["list-experiments", *args]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest()[:8] == digest
+
+
+def test_readme_config_is_valid(tmp_path, capsys):
+    from pathlib import Path
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    body = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = write_config(tmp_path, body)
+    assert cli.main(["run", path, "--dry-run"]) == 0
+    assert capsys.readouterr().out == "config ok: experiment 'wz_convergence'\n"

@@ -404,6 +404,15 @@ class TestConditions:
             for cond, res in rep.results.items():
                 assert res.passed, f"{dom.kind} {cond} margin={res.margin}"
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_polytope_cone_condition_takes_its_vertex_angles(self, seed):
+        # two of the triangle's facet normals meet at 135 degrees, so (B)
+        # needs beta above 1 / cos(67.5 deg), which a fixed 2.0 is not
+        tri = ConvexPolytope([[1, 0], [0, 1], [-1, -1]], [1, 1, 1], [0.0, 0.0])
+        assert tri.cone_b[1] == pytest.approx(1 / (0.9 * np.cos(3 * np.pi / 8)))
+        rep = check_conditions(tri, 200, 300, seed=seed, conditions=("B",))
+        assert rep["B"].passed, rep["B"].margin
+
     @pytest.mark.parametrize("seed, margins", [
         (1, {"ball": ("0x1.3b7279d9c6400p-6", "0x1.586cdc381186bp-7"),
              "half_space": ("0x1.8101649ddaaa6p-5", "0x1.6091361c42d72p-4"),
