@@ -772,7 +772,7 @@ def test_bad_control_grid_level_exit_2(tmp_path, grid_level):
 def test_section_keys_without_default_stay_unset(tmp_path):
     path = _write_shaped(tmp_path, CLI_SHAPED["skeleton_convergence"], 1, "o")
     resolved = cli.parse_config(path)
-    assert resolved["domain"] == {**_HALF}
+    assert resolved["domain"] == _HALF
     assert resolved["control"] == {"kind": "linear",
                                    "params": {"slope": [0.5]},
                                    "grid_level": 8}
