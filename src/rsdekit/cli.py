@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import ast
 import configparser
+import copy
 import inspect
 import json
 import os
@@ -232,22 +233,20 @@ def _env_workers():
 _ABSENT = object()  # the default of a key left out when not given
 
 # {section: {key: (default, rule)}} of [run] and of the sections an
-# experiment takes; a callable default is called for each config, so no two
-# configs share a mutable value
+# experiment takes; run.workers, when absent, is `_env_workers()`
 _SECTIONS = {
     "run": {"experiment": (REQUIRED, "listed experiment"),
             "seed": (REQUIRED, "nonneg_int"),
-            "workers": (_env_workers, "pos_int"), "output": ("out", "str")},
-    "domain": {"kind": (REQUIRED, "str"), "params": (dict, "mapping"),
+            "workers": (_ABSENT, "pos_int"), "output": ("out", "str")},
+    "domain": {"kind": (REQUIRED, "str"), "params": ({}, "mapping"),
                "r0": (_ABSENT, "pos_float"), "c0": (_ABSENT, "pos_float"),
                "gamma": (_ABSENT, "pos_float")},
     "coefficients": {"d": (REQUIRED, "pos_int"), "d1": (REQUIRED, "pos_int"),
-                     "sigma": ("const", "str"),
-                     "sigma_params": (dict, "mapping"),
-                     "b": ("const", "str"), "b_params": (dict, "mapping")},
-    "control": {"kind": ("zero", "str"), "params": (dict, "mapping"),
+                     "sigma": ("const", "str"), "sigma_params": ({}, "mapping"),
+                     "b": ("const", "str"), "b_params": ({}, "mapping")},
+    "control": {"kind": ("zero", "str"), "params": ({}, "mapping"),
                 "grid_level": (8, "nonneg_int")},
-    "u": {"kind": ("quadratic", "str"), "params": (dict, "mapping")},
+    "u": {"kind": ("quadratic", "str"), "params": ({}, "mapping")},
 }
 
 
@@ -266,10 +265,12 @@ def _resolve(section, given, keys):
         elif default is _ABSENT:
             continue
         else:
-            val = default() if callable(default) else default
+            val = copy.copy(default)  # no two configs share a mutable value
         if not _VALIDATORS[rule](val):
+            listed = (f", not one of {sorted(CATALOG)}"
+                      if rule == "listed experiment" else "")
             raise ConfigError(f"{section}.{key} failed validation "
-                              f"({rule}): {val!r}")
+                              f"({rule}): {val!r}{listed}")
         values[key] = val
     return values
 
@@ -293,6 +294,8 @@ def parse_config(path, overrides=()):
         if sec not in _SECTIONS and sec != "experiment":
             raise ConfigError(f"unknown section [{sec}]")
     resolved = {"run": _resolve("run", raw.get("run", {}), _SECTIONS["run"])}
+    if "workers" not in resolved["run"]:
+        resolved["run"]["workers"] = _env_workers()
     name = resolved["run"]["experiment"]
     sections = experiment_sections(name)
     for sec, required in sections.items():

@@ -380,14 +380,16 @@ class ConvexPolytope(Domain):
             raise ValueError("convex_polytope: interior_point is not interior")
         margin = float(np.min(self.b - self.A @ self.interior_point))
         phi = PhiField.quadratic(self.interior_point, 0.5 * margin / c0)
-        super().__init__(A.shape[1], r0, c0, gamma, phi=phi,
-                         cone_b=(0.25 * margin,
-                                 1.0 / (0.9 * self._vertex_alignment())))
+        super().__init__(A.shape[1], r0, c0, gamma, phi=phi, cone_b=(
+            0.25 * margin, 1.0 / (0.9 * self._vertex_alignment(0.5 * margin))))
 
-    def _vertex_alignment(self):
-        """The worst inner product of a vertex's active facet normals with
-        their maximin direction, over the vertices: the normal cone at any
-        boundary point is spanned by a subset of some vertex's normals."""
+    def _vertex_alignment(self, reach):
+        """The worst inner product, over the vertices, of the normals of the
+        facets whose hyperplanes pass within `reach` of a vertex with their
+        maximin direction.  With reach twice (B)'s delta, every facet that
+        (B)'s sampled cone at a point within delta of a vertex takes in is
+        counted, also across an edge shorter than delta; the direction to the
+        interior point keeps the alignment positive."""
         m, d = self.A.shape
         worst = 1.0
         for S in map(list, combinations(range(m), d)):
@@ -395,7 +397,7 @@ class ConvexPolytope(Domain):
                 continue
             slack = self.A @ np.linalg.solve(self.A[S], self.b[S]) - self.b
             if np.max(slack) <= 1e-9:
-                N = self.A[np.abs(slack) <= 1e-9]
+                N = self.A[slack >= -reach]
                 worst = min(worst, float(np.min(N @ _maximin_direction(N))))
         return worst
 

@@ -221,9 +221,11 @@ class TestRun:
         assert (out / "estimates.csv").exists()
         assert (out / "resolved_config.ini").exists()
 
-    def test_config_error_exit_2(self, tmp_path):
+    def test_config_error_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, "[run]\nexperiment = nope\nseed = 1\n")
         assert cli.main(["run", path]) == 2
+        # a misspelt experiment is answered with the names there are
+        assert str(sorted(cli.CATALOG)) in capsys.readouterr().err
 
     def test_tube_too_narrow_exit_3(self, tmp_path):
         path = write_config(tmp_path, """
@@ -788,6 +790,16 @@ def test_sections_come_from_the_signature():
     assert cli.experiment_sections("max_principle") == {
         "domain": True, "coefficients": True, "u": True}
     assert cli.experiment_sections("smallball_and_levy") == {}
+
+
+def test_signature_defaults_are_not_called(monkeypatch):
+    # a function that an experiment takes as its default is passed as it
+    # is, and a mutable default is copied for each config
+    monkeypatch.setitem(cli._VALIDATORS, "callable", callable)
+    keys = {"statistic": (sum, "callable"), "params": ({}, "mapping")}
+    first = cli._resolve("experiment", {}, keys)
+    assert first == {"statistic": sum, "params": {}}
+    assert cli._resolve("experiment", {}, keys)["params"] is not first["params"]
 
 
 @pytest.mark.parametrize("args, digest", [

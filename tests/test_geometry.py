@@ -13,6 +13,8 @@ DISC = Ball([0.0, 0.0], 1.0, c0=0.5)
 HALF = HalfSpace([1.0, 0.0], 0.0)
 SQUARE = AxisBox([0.0, 0.0], [1.0, 1.0])
 NOTCHED = NotchedDisc()
+CUT_SQUARE = [[1, 0], [-1, 0], [0, 1], [0, -1],
+              [1, 1], [1, -1], [-1, 1], [-1, -1]]
 DIAMOND = ConvexPolytope([[1, 1], [1, -1], [-1, 1], [-1, -1]],
                          [1, 1, 1, 1], [0.0, 0.0])
 
@@ -405,12 +407,21 @@ class TestConditions:
                 assert res.passed, f"{dom.kind} {cond} margin={res.margin}"
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_polytope_cone_condition_takes_its_vertex_angles(self, seed):
-        # two of the triangle's facet normals meet at 135 degrees, so (B)
-        # needs beta above 1 / cos(67.5 deg), which a fixed 2.0 is not
-        tri = ConvexPolytope([[1, 0], [0, 1], [-1, -1]], [1, 1, 1], [0.0, 0.0])
-        assert tri.cone_b[1] == pytest.approx(1 / (0.9 * np.cos(3 * np.pi / 8)))
-        rep = check_conditions(tri, 200, 300, seed=seed, conditions=("B",))
+    @pytest.mark.parametrize("A, b, beta", [
+        # two facet normals meet at 135 degrees, so (B) needs beta above
+        # 1 / cos(67.5 deg), which a fixed 2.0 is not
+        ([[1, 0], [0, 1], [-1, -1]], [1, 1, 1], 1 / np.cos(3 * np.pi / 8)),
+        # each corner of the square cut off: every vertex turns by only 45
+        # degrees, but (B)'s delta-cone at a cut still holds both sides'
+        # normals, 90 degrees apart, as on the plain square
+        (CUT_SQUARE, [1] * 4 + [2 - 1e-3] * 4, 1 / np.cos(np.pi / 4)),
+        (CUT_SQUARE, [1] * 4 + [2 - 0.02] * 4, 1 / np.cos(np.pi / 4)),
+    ], ids=["obtuse-triangle", "square-cut-1e-3", "square-cut-0.02"])
+    def test_polytope_cone_condition_takes_its_vertex_angles(self, seed, A,
+                                                             b, beta):
+        poly = ConvexPolytope(A, b, [0.0, 0.0])
+        assert poly.cone_b[1] == pytest.approx(beta / 0.9)
+        rep = check_conditions(poly, 200, 300, seed=seed, conditions=("B",))
         assert rep["B"].passed, rep["B"].margin
 
     @pytest.mark.parametrize("seed, margins", [
