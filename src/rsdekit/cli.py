@@ -311,6 +311,12 @@ def parse_config(path, overrides=()):
             for key, default in experiment_keys(name).items()}
     resolved["experiment"] = _resolve("experiment",
                                       raw.get("experiment", {}), keys)
+    d = resolved.get("coefficients", {}).get("d")
+    for key in ("x0", "x"):  # a listed start has d coordinates, a number all
+        start = resolved["experiment"].get(key)
+        if isinstance(start, (list, tuple)) and len(start) != d:
+            raise ConfigError(f"experiment.{key} has {len(start)} "
+                              f"coordinates, coefficients.d is {d}")
     _build_sections(resolved)  # a value no builder takes is a config error
     return resolved
 
@@ -320,40 +326,41 @@ def parse_config(path, overrides=()):
 # ---------------------------------------------------------------------------
 
 
-def _build_control(cfg, T, d1):
-    kind = cfg["kind"]
-    n_cells = 2 ** cfg["grid_level"]
-    p = cfg["params"]
-    if kind == "zero":
-        return zero_control(T, d1, n_cells=n_cells)
-    if kind == "linear":
-        slope = p.get("slope", [0.5] * d1)
-        return linear_control(T, slope, n_cells=n_cells)
-    if kind != "sin":
-        raise UnsupportedKind("control.kind must be zero, linear or sin")
-    return sine_control(T, amplitude=p.get("amplitude", 1.0),
-                        frequency=p.get("frequency", 1.0), dim=d1,
-                        axis=int(p.get("axis", 0)), n_cells=n_cells)
+def _linear_u(a=(1.0,)):
+    a = np.asarray(a, dtype=float)
+    return lambda x: float(np.dot(a, np.atleast_1d(x)))
 
 
-def _build_u(cfg):
-    kind = cfg["kind"]
-    p = cfg["params"]
-    if kind not in ("constant", "quadratic", "linear"):
-        raise UnsupportedKind("u.kind must be constant, quadratic or linear")
-    if kind == "constant":
-        value = float(p.get("value", 1.0))
-        return lambda x: value
-    if kind == "linear":
-        a = np.asarray(p.get("a", [1.0]), dtype=float)
-        return lambda x: float(np.dot(a, np.atleast_1d(x)))
-    sign = float(p.get("sign", 1.0))
-    center = p.get("center")
+def _quadratic_u(sign=1.0, center=None):
+    sign = float(sign)
+
     def u(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         c = np.zeros_like(x) if center is None else np.asarray(center, dtype=float)
         return sign * float(np.sum((x - c) ** 2))
     return u
+
+
+# the [control] and [u] kinds; a kind's builder takes the section's params as
+# keywords (after a control's T, dimension and cell count), so a key the kind
+# does not take is a TypeError
+_KINDS = {
+    "control": {"zero": zero_control,
+                "linear": lambda T, d1, n_cells, slope=None: linear_control(
+                    T, [0.5] * d1 if slope is None else slope, n_cells),
+                "sin": lambda T, d1, n_cells, **params: sine_control(
+                    T, dim=d1, n_cells=n_cells, **params)},
+    "u": {"constant": lambda value=1.0: lambda x, v=float(value): v,
+          "quadratic": _quadratic_u, "linear": _linear_u},
+}
+
+
+def _build_kind(section, cfg, *args):
+    """The [control] or [u] `section` built by its kind's builder."""
+    kinds = _KINDS[section]
+    if cfg["kind"] not in kinds:
+        raise UnsupportedKind(f"{section}.kind must be one of {list(kinds)}")
+    return kinds[cfg["kind"]](*args, **cfg["params"])
 
 
 def _build_sections(resolved):
@@ -362,10 +369,10 @@ def _build_sections(resolved):
     The [domain] and [coefficients] keys are their builders' parameters."""
     builders = {"domain": lambda cfg: make_domain(**cfg),
                 "coefficients": lambda cfg: make_coefficients(**cfg),
-                "control": lambda cfg: _build_control(
-                    cfg, resolved["experiment"].get("T", 1.0),
-                    resolved["coefficients"]["d1"]),
-                "u": _build_u}
+                "control": lambda cfg: _build_kind(
+                    "control", cfg, resolved["experiment"].get("T", 1.0),
+                    resolved["coefficients"]["d1"], 2 ** cfg["grid_level"]),
+                "u": lambda cfg: _build_kind("u", cfg)}
     built = {}
     for sec, build in builders.items():
         if sec in resolved:

@@ -177,10 +177,10 @@ class Domain:
                 out.append(v / nv)
         return out[:k]
 
-    def ensure_cover(self, spacing=None):
+    def ensure_cover(self):
         """Boundary cover for condition (D), built lazily when absent."""
         if self.cover_d is None:
-            self.cover_d = build_cover(self, spacing=spacing)
+            self.cover_d = build_cover(self)
         return self.cover_d
 
     def to_config(self):
@@ -202,7 +202,10 @@ class HalfSpace(Domain):
     def __init__(self, normal, offset=0.0, r0=1e6, c0=0.5, gamma=1.0,
                  sample_halfwidth=5.0):
         normal = np.asarray(normal, dtype=float)
-        self.normal = normal / np.linalg.norm(normal)
+        norm = np.linalg.norm(normal)
+        if not (np.isfinite(norm) and norm > 0):
+            raise ValueError(f"zero or non-finite normal {normal.tolist()}")
+        self.normal = normal / norm
         self.offset = float(offset)
         self.sample_halfwidth = float(sample_halfwidth)
         d = self.normal.size
@@ -719,21 +722,21 @@ def _maximin_direction(normals):
     return l
 
 
-def build_cover(domain, n_dense=2048, spacing=None, safety=0.9, seed=0):
+def build_cover(domain):
     """Data-driven condition (D) cover with one global (lambda, R).
 
-    A dense deterministic boundary sample is subsampled greedily at the
-    requested spacing into patch centers; each patch direction is the
-    maximin direction of all normal-cone rays seen within twice the cover
-    radius, and lambda is a safety fraction of the worst patch inner
-    product.  Coverage and alignment are therefore certified on the dense
-    sample, which is what the sampled condition check re-verifies.
+    A dense deterministic sample of 2048 boundary points is subsampled
+    greedily at a spacing of 1/40 of its bounding-box diagonal into patch
+    centers; each patch direction is the maximin direction of all
+    normal-cone rays seen within twice the cover radius, and lambda is 0.9
+    of the worst patch inner product.  Coverage and alignment are therefore
+    certified on the dense sample, which the sampled condition check
+    re-verifies.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xC0E)))
-    dense = domain.boundary_points(int(n_dense), rng)
-    if spacing is None:
-        span = np.max(dense, axis=0) - np.min(dense, axis=0)
-        spacing = float(np.linalg.norm(span)) / 40.0
+    rng = np.random.default_rng(np.random.SeedSequence((0, 0xC0E)))
+    dense = domain.boundary_points(2048, rng)
+    span = np.max(dense, axis=0) - np.min(dense, axis=0)
+    spacing = float(np.linalg.norm(span)) / 40.0
     centers = []
     for x in dense:
         if all(np.linalg.norm(x - c) >= spacing for c in centers):
@@ -755,7 +758,7 @@ def build_cover(domain, n_dense=2048, spacing=None, safety=0.9, seed=0):
         worst = float(np.min(np.asarray(reach) @ a))
         lam_min = min(lam_min, worst)
         patches.append((c, a))
-    lam = max(safety * lam_min, 1e-6)
+    lam = max(0.9 * lam_min, 1e-6)
     return [CoverPatch(c, a, lam, R) for c, a in patches]
 
 
@@ -807,17 +810,16 @@ class ConditionReport:
         return self.results[key]
 
 
-def _supported_conditions(domain, build_cover_if_missing=True):
+def _supported_conditions(domain):
     sup = ["A", "H1"]
     if domain.cone_b is not None:
         sup.append("B")
     if domain.phi is not None:
         sup.extend(["C", "H2"])
-    if domain.cover_d is None and build_cover_if_missing:
-        try:
-            domain.ensure_cover()
-        except Exception:
-            pass
+    try:
+        domain.ensure_cover()
+    except Exception:
+        pass
     if domain.cover_d is not None:
         sup.append("D")
     return tuple(c for c in ALL_CONDITIONS if c in sup)
@@ -836,9 +838,9 @@ def check_conditions(domain, n_boundary_samples, n_pair_samples, seed,
     if n_boundary_samples < 1 or n_pair_samples < 1:
         raise ValueError("sample counts must be >= 1")
     explicit = conditions is not None
-    if conditions is None:
-        conditions = _supported_conditions(domain)
     supported = _supported_conditions(domain)
+    if conditions is None:
+        conditions = supported
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x9E0)))
 
     bpts = domain.boundary_points(n_boundary_samples, rng)

@@ -214,6 +214,12 @@ def parallel_chunks(fn, n_items, workers, payload, chunk=CHUNK, rows=()):
         return [f.result() for f in futures]
 
 
+def _joined(parts):
+    """Each key's arrays of the chunk results `parts`, concatenated along
+    the first axis in chunk order."""
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+
+
 def _path_streams(seed, lo, hi):
     """One generator re-keyed, path by path, to the stream of each path
     lo..hi-1: yields (j, gen) with gen at the start of path lo + j's
@@ -301,9 +307,8 @@ def run_paths(fn, drivers, workers, domain, coeffs, times, x0, seed, h=None,
     payload = {"fn": fn, "domain": domain.to_config(), "coeffs": cf, "h": h,
                "times": times, "x0": np.atleast_1d(x0), "seed": int(seed),
                "W": W, "extra": extra}
-    results = parallel_chunks(_path_chunk, n, workers, payload, rows=rows)
-    return {key: np.concatenate([r[key] for r in results])
-            for key in results[0]}
+    return _joined(parallel_chunks(_path_chunk, n, workers, payload,
+                                   rows=rows))
 
 
 def _sup_dist(A, B=None):
@@ -482,39 +487,13 @@ def skeleton_convergence(domain, coeffs, x0, T, h, levels, paths, seed,
 # ---------------------------------------------------------------------------
 
 
-def _collect_tube_samples(d1, times, href, delta, delta_idx, target, seed,
-                          workers, tag, max_attempts):
-    """First `target` tube hits in deterministic (block, row) order."""
-    payload = {"d1": d1, "size": TUBE_BLOCK, "times": times, "href": href,
-               "delta": float(delta), "delta_idx": int(delta_idx),
-               "seed": int(seed), "tag": int(tag)}
-    pilot = pth.tube_block(0, 1, payload)
-    acc = pilot["counts"][0] / TUBE_BLOCK
-    if acc * max_attempts < target:
-        raise TubeTooNarrow(
-            f"pilot acceptance {acc:.2e} cannot reach {target} hits within "
-            f"{max_attempts} attempts (delta={delta})",
-            acceptance_estimate=acc, attempts=TUBE_BLOCK)
-    got = pilot["counts"][0]
-    chunks = [pilot]
-    next_block = 1
-    while got < target:
-        remaining = target - got
-        guess = int(np.ceil(remaining / max(acc, 1e-12) / TUBE_BLOCK * 1.2)) + 1
-        results = parallel_chunks(pth.tube_block, guess, workers,
-                                  {**payload, "block0": next_block}, chunk=8)
-        for r in results:
-            chunks.append(r)
-            got += sum(r["counts"])
-        next_block += guess
-        if next_block * TUBE_BLOCK > max_attempts:
-            raise TubeTooNarrow(
-                f"attempt budget exhausted at {got}/{target} hits "
-                f"(delta={delta})", acceptance_estimate=acc,
-                attempts=next_block * TUBE_BLOCK)
-    rows = [w for r in chunks for w in r["accepted"] if len(w)]
-    W = np.concatenate(rows, axis=0)[:target]
-    return W, next_block * TUBE_BLOCK, acc
+def _tube_pool(reduce, block0, n, workers, payload):
+    """Tube blocks block0 .. block0 + n - 1 of a `paths.tube_payload`
+    through `reduce` (`paths.tube_block` or `_levy_blocks`, passed as it is
+    so a `parallel_chunks` wrapper sees its name), 8 blocks to a chunk:
+    each key's per-hit arrays in block order, the same for any workers."""
+    return _joined(parallel_chunks(reduce, n, workers,
+                                   {**payload, "block0": block0}, chunk=8))
 
 
 # ---------------------------------------------------------------------------
@@ -552,10 +531,32 @@ def approx_continuity(domain, coeffs, x0, T, h, epsilon, deltas,
         thresholds=[Threshold("final_state_min", final_min, "policy"),
                     Threshold("limit_probability", 1.0, "theory")])
     stats = {"joint": [], "state": [], "regulator": []}
+    target = int(target_accepted)
     for di, delta in enumerate(deltas):
-        W, attempts, acc = _collect_tube_samples(
-            coeffs.d1, times, href, delta, di, int(target_accepted), seed,
-            workers, tag=0xAC, max_attempts=max_attempts)
+        # the first `target` hits in (block, row) order: a pilot block, then
+        # rounds of blocks sized by the pilot's acceptance
+        payload = pth.tube_payload(coeffs.d1, TUBE_BLOCK, times, href, delta,
+                                   di, seed, 0xAC)
+        found = [_tube_pool(pth.tube_block, 0, 1, workers, payload)["W"]]
+        got, blocks = len(found[0]), 1
+        acc = got / TUBE_BLOCK
+        if acc * max_attempts < target:
+            raise TubeTooNarrow(
+                f"pilot acceptance {acc:.2e} cannot reach {target} hits "
+                f"within {max_attempts} attempts (delta={delta})",
+                acceptance_estimate=acc, attempts=TUBE_BLOCK)
+        while got < target:
+            n = int(np.ceil((target - got) / max(acc, 1e-12) / TUBE_BLOCK
+                            * 1.2)) + 1
+            found.append(_tube_pool(pth.tube_block, blocks, n, workers,
+                                    payload)["W"])
+            got, blocks = got + len(found[-1]), blocks + n
+            if blocks * TUBE_BLOCK > max_attempts:
+                raise TubeTooNarrow(
+                    f"attempt budget exhausted at {got}/{target} hits "
+                    f"(delta={delta})", acceptance_estimate=acc,
+                    attempts=blocks * TUBE_BLOCK)
+        W, attempts = np.concatenate(found)[:target], blocks * TUBE_BLOCK
         dist = run_paths(_tracking_chunk, W, workers, domain, coeffs, times,
                          x0, seed, Y=Ysol.x.values, L=Ysol.k.values)
         dist_state, dist_reg = dist["state"], dist["regulator"]
@@ -788,10 +789,10 @@ def _levy_block(block, payload, buf, terms):
 
 
 def _levy_blocks(lo, hi, payload):
-    """Tube-conditioned iterated-integral sups for blocks [lo, hi), with
-    each hit's node deviation from zero.  Each block is reduced while it is
-    drawn, in a slab buffer and term buffers made once for all the
-    blocks."""
+    """Tube-conditioned iterated-integral sups for blocks block0 + lo ..
+    block0 + hi - 1 of `payload`, with each hit's node deviation from
+    zero.  Each block is reduced while it is drawn, in a slab buffer and
+    term buffers made once for all the blocks."""
     m = pth.TUBE_SLAB * payload["size"]
     # the pool's only slab-sized memory, the terms doubling as tube_draw's
     # deviation scratch.  One allocation, not two: once it is freed,
@@ -800,8 +801,9 @@ def _levy_blocks(lo, hi, payload):
     # minor faults per tube-levy call, one 4.2 MB array none)
     work = np.empty((2 + payload["d1"]) * m)
     buf, terms = work[:-2 * m], work[-2 * m:].reshape(2, m)
-    zeta_sups, devs = zip(*(_levy_block(b, payload, buf, terms)
-                            for b in range(lo, hi)))
+    zeta_sups, devs = zip(*(
+        _levy_block(b, payload, buf, terms)
+        for b in range(payload["block0"] + lo, payload["block0"] + hi)))
     return {"zeta_sup": np.concatenate(zeta_sups),
             "dev": np.concatenate(devs)}
 
@@ -816,9 +818,8 @@ def smallball_and_levy(T, deltas, M_values, paths, seed, workers=1,
         raise ValueError("levy_deltas must be positive")
     deltas = sorted(float(d) for d in deltas)
     times = pth.dyadic_grid(T, grid_level)
-    results = parallel_chunks(_smallball_chunk, int(paths), workers,
-                              {"times": times, "seed": int(seed)})
-    sups = np.concatenate([r["sup"] for r in results])
+    sups = _joined(parallel_chunks(_smallball_chunk, int(paths), workers,
+                                   {"times": times, "seed": int(seed)}))["sup"]
     oracle_slope = -np.pi ** 2 / 8.0 * T
     report = ExperimentReport(
         name="smallball_and_levy",
@@ -860,13 +861,10 @@ def smallball_and_levy(T, deltas, M_values, paths, seed, workers=1,
     ltimes = pth.dyadic_grid(T, levy_grid_level)
     max_blocks = max(1, int(np.ceil(levy_attempts / TUBE_BLOCK)))
     pool_deltas = sorted((float(d) for d in levy_deltas), reverse=True)
-    payload = {"d1": 2, "size": TUBE_BLOCK, "times": ltimes, "href": None,
-               "delta": pool_deltas[0], "delta_idx": 0, "seed": int(seed),
-               "tag": 0x1E}
-    parts = parallel_chunks(_levy_blocks, max_blocks, workers, payload,
-                            chunk=8)
-    zeta = np.concatenate([p["zeta_sup"] for p in parts])
-    dev = np.concatenate([p["dev"] for p in parts])
+    pool = _tube_pool(_levy_blocks, 0, max_blocks, workers,
+                      pth.tube_payload(2, TUBE_BLOCK, ltimes, None,
+                                       pool_deltas[0], 0, seed, 0x1E))
+    zeta, dev = pool["zeta_sup"], pool["dev"]
     report.notes.append(f"levy pool: {max_blocks * TUBE_BLOCK} candidates "
                         f"drawn once at delta={pool_deltas[0]} serve every "
                         f"delta")
@@ -921,13 +919,10 @@ def regulator_conditional(domain, coeffs, x0, T, deltas, c3, paths, seed,
     # one candidate pool at the widest delta, integrated once; each
     # narrower delta takes the hits that deviate less than it
     max_blocks = max(1, int(np.ceil(paths / TUBE_BLOCK)))
-    payload = {"d1": coeffs.d1, "size": TUBE_BLOCK, "times": times,
-               "href": None, "delta": deltas[0], "delta_idx": 0,
-               "seed": int(seed), "tag": 0x4E6}
-    parts = parallel_chunks(pth.tube_block, max_blocks, workers, payload,
-                            chunk=8)
-    W = np.concatenate([w for p in parts for w in p["accepted"]], axis=0)
-    dev = np.concatenate([d for p in parts for d in p["dev"]])
+    pool = _tube_pool(pth.tube_block, 0, max_blocks, workers,
+                      pth.tube_payload(coeffs.d1, TUBE_BLOCK, times, None,
+                                       deltas[0], 0, seed, 0x4E6))
+    W, dev = pool["W"], pool["dev"]
     kT_pool = run_paths(_tail_chunk, W, workers, domain, coeffs, times, x0,
                         seed)["kT"] if len(W) else np.zeros(0)
     for delta in deltas:

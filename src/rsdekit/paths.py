@@ -256,7 +256,7 @@ def sine_control(T, amplitude=1.0, frequency=1.0, dim=1, axis=0, n_cells=256):
     """Piecewise-linear sampling of t -> amplitude * sin(2 pi f t) e_axis."""
     times = np.linspace(0.0, T, n_cells + 1)
     vals = np.zeros((n_cells + 1, dim))
-    vals[:, axis] = amplitude * np.sin(2.0 * np.pi * frequency * times)
+    vals[:, int(axis)] = amplitude * np.sin(2.0 * np.pi * frequency * times)
     return control_from_values(times, vals)
 
 
@@ -782,36 +782,48 @@ def tube_draw(payload, block, buf, scratch, consume, stack=False):
     return hit, live[hit], dev[hit]
 
 
-def tube_block(lo, hi, payload):
-    """Tube candidate blocks block0 + lo .. block0 + hi - 1 of `payload`
-    (see `tube_draw`): per block the hits' zero-prefixed values
-    (hits, n, d1) in row order, their rows and their node deviations in
-    `dev`.  A block's slabs go back to back in one buffer, reused block
-    after block: a block writes only as much of it as it draws.  Its
-    deviation scratch is freed before its hits are copied out, so the
-    scratch never adds to the peak that the buffer and the hits set.
-    """
+def tube_payload(d1, size, times, href, delta, delta_idx, seed, tag):
+    """The tube candidate blocks that `tube_draw` and its block reducers
+    read: `size` candidates each on `times`, tested against the delta-tube
+    around href (the zero path when None).  A reducer's block b is keyed
+    (seed, tag, delta_idx, block0 + b); block0 is 0 until a pool sets it."""
+    return {"d1": int(d1), "size": int(size), "times": times, "href": href,
+            "delta": float(delta), "delta_idx": int(delta_idx),
+            "seed": int(seed), "tag": int(tag), "block0": 0}
+
+
+def _block_hits(payload, block, arena):
+    """Block `block` of `payload`, its slabs back to back in `arena`: its
+    hits' zero-prefixed values (hits, n, d1), rows and node deviations.  The
+    deviation scratch is freed before the hits are copied out of `arena`."""
     n, d1 = len(payload["times"]), payload["d1"]
-    block0 = payload.get("block0", 0)
-    arena = np.empty((n - 1) * payload["size"] * d1)
-    accepted, counts, rows, devs = [], [], [], []
-    for block in range(block0 + lo, block0 + hi):
-        slabs = []
-        scratch = np.empty((2, TUBE_SLAB * payload["size"]))
-        _, live, dev = tube_draw(
-            payload, block, arena, scratch,
-            lambda slab_rows, S, pos, keep: slabs.append((slab_rows, S)),
-            stack=True)
-        del scratch
-        W = np.zeros((len(live), n, d1))
-        for k0, (slab_rows, S) in zip(range(1, n, TUBE_SLAB), slabs):
-            W[:, k0:k0 + len(S)] = np.swapaxes(
-                S[:, np.searchsorted(slab_rows, live)], 0, 1)
-        accepted.append(W)
-        counts.append(len(W))
-        rows.append(live)
-        devs.append(dev)
-    return {"accepted": accepted, "counts": counts, "rows": rows, "dev": devs}
+    slabs = []
+    scratch = np.empty((2, TUBE_SLAB * payload["size"]))
+    _, live, dev = tube_draw(
+        payload, block, arena, scratch,
+        lambda slab_rows, S, pos, keep: slabs.append((slab_rows, S)),
+        stack=True)
+    del scratch
+    W = np.zeros((len(live), n, d1))
+    for k0, (slab_rows, S) in zip(range(1, n, TUBE_SLAB), slabs):
+        W[:, k0:k0 + len(S)] = np.swapaxes(
+            S[:, np.searchsorted(slab_rows, live)], 0, 1)
+    return W, live, dev
+
+
+def tube_block(lo, hi, payload):
+    """Tube blocks block0 + lo .. block0 + hi - 1 of `payload`: the hits
+    `W` (hits, n, d1), each one's `row` in its block and node deviation
+    `dev`, in (block, row) order.  The blocks share one slab buffer, each
+    writing only what it draws, freed before their hits are joined."""
+    arena = np.empty((len(payload["times"]) - 1) * payload["size"]
+                     * payload["d1"])
+    hits = [_block_hits(payload, block, arena)
+            for block in range(payload["block0"] + lo, payload["block0"] + hi)]
+    del arena
+    W, rows, devs = zip(*hits)
+    return {"W": np.concatenate(W), "row": np.concatenate(rows),
+            "dev": np.concatenate(devs)}
 
 
 def tube_sample(h, delta, times, seed, max_attempts=100000, stream=0):
@@ -828,16 +840,14 @@ def tube_sample(h, delta, times, seed, max_attempts=100000, stream=0):
         raise ValueError("delta must be positive")
     times = np.asarray(times, dtype=float)
     href = np.atleast_2d(h(times))
-    payload = {"d1": href.shape[1], "size": TUBE_SAMPLE_BLOCK,
-               "times": times, "href": href, "delta": float(delta),
-               "seed": int(seed), "tag": 0x7B,
-               "delta_idx": int(stream)}
+    payload = tube_payload(href.shape[1], TUBE_SAMPLE_BLOCK, times, href,
+                           delta, stream, seed, 0x7B)
     for block in range(-(-int(max_attempts) // TUBE_SAMPLE_BLOCK)):
         got = tube_block(block, block + 1, payload)
-        if got["counts"][0]:
-            attempts = block * TUBE_SAMPLE_BLOCK + int(got["rows"][0][0]) + 1
+        if len(got["row"]):
+            attempts = block * TUBE_SAMPLE_BLOCK + int(got["row"][0]) + 1
             if attempts <= max_attempts:
-                return SamplePath(times, got["accepted"][0][0]), attempts
+                return SamplePath(times, got["W"][0]), attempts
             break
     raise TubeTooNarrow(
         f"no tube sample within {max_attempts} attempts (delta={delta})",

@@ -115,11 +115,11 @@ class _ZeroJacobian:
         return np.zeros(np.shape(X)[:-1] + (d, self.d1, d))
 
 
-def _const_family(d, d1, params):
-    if "matrix" in params:
-        M = np.array(params["matrix"], dtype=float).reshape(d, d1)
+def _const_family(d, d1, value=1.0, matrix=None):
+    if matrix is not None:
+        M = np.array(matrix, dtype=float).reshape(d, d1)
     else:
-        M = float(params.get("value", 1.0)) * np.eye(d, d1)
+        M = float(value) * np.eye(d, d1)
     M.flags.writeable = False
     last = [M]  # a step loop asks for one shape; broadcast_to is costly
 
@@ -133,13 +133,11 @@ def _const_family(d, d1, params):
     return sigma, _ZeroJacobian(d1)
 
 
-def _sin_family(d, d1, params):
+def _sin_family(d, d1, base=0.5, amp=0.25, freq=1.0):
     # diagonal sigma[i, i] = base + amp * sin(freq * x_i); requires d == d1
     if d != d1:
         raise ValueError("sin family needs d == d1")
-    base = float(params.get("base", 0.5))
-    amp = float(params.get("amp", 0.25))
-    freq = float(params.get("freq", 1.0))
+    base, amp, freq = float(base), float(amp), float(freq)
 
     # in place on the one fresh array freq * X
     def sigma(X):
@@ -170,9 +168,9 @@ def _diagonal(v, axes):
     return out
 
 
-def _affine_family(d, d1, params):
-    C0 = np.asarray(params.get("const", np.zeros((d, d1))), dtype=float).reshape(d, d1)
-    Cs = np.asarray(params.get("linear", np.zeros((d, d, d1))), dtype=float).reshape(d, d, d1)
+def _affine_family(d, d1, const=None, linear=None):
+    C0 = np.asarray(np.zeros((d, d1)) if const is None else const, dtype=float).reshape(d, d1)
+    Cs = np.asarray(np.zeros((d, d, d1)) if linear is None else linear, dtype=float).reshape(d, d, d1)
 
     def sigma(X):
         X = np.asarray(X, dtype=float)
@@ -193,8 +191,8 @@ _SIGMA_FAMILIES = {"const": _const_family, "sin": _sin_family,
 class _ConstDrift:
     """The const drift family: one read-only vector at every state."""
 
-    def __init__(self, d, params):
-        v = np.asarray(params.get("value", np.zeros(d)), dtype=float)
+    def __init__(self, d, value=0.0):
+        v = np.asarray(value, dtype=float)
         self.v = np.broadcast_to(np.atleast_1d(v), (d,)).astype(float)
         self.v.flags.writeable = False
 
@@ -202,9 +200,9 @@ class _ConstDrift:
         return self.v
 
 
-def _linear_drift(d, params):
-    B = np.asarray(params.get("matrix", np.zeros((d, d))), dtype=float).reshape(d, d)
-    c = np.asarray(params.get("const", np.zeros(d)), dtype=float)
+def _linear_drift(d, matrix=None, const=0.0):
+    B = np.asarray(np.zeros((d, d)) if matrix is None else matrix, dtype=float).reshape(d, d)
+    c = np.asarray(const, dtype=float)
 
     def b(X):
         X = np.asarray(X, dtype=float)
@@ -222,8 +220,9 @@ def make_coefficients(d, d1, sigma="const", sigma_params=None, b="const",
         raise ValueError(f"unknown sigma family {sigma!r}")
     if b not in _DRIFT_FAMILIES:
         raise ValueError(f"unknown drift family {b!r}")
-    sig, jac = _SIGMA_FAMILIES[sigma](int(d), int(d1), sigma_params or {})
-    drift = _DRIFT_FAMILIES[b](int(d), b_params or {})
+    # a family's parameters are its keywords, so an unknown key raises
+    sig, jac = _SIGMA_FAMILIES[sigma](int(d), int(d1), **(sigma_params or {}))
+    drift = _DRIFT_FAMILIES[b](int(d), **(b_params or {}))
     return Coefficients(int(d), int(d1), sig, drift, sigma_jac=jac,
                         name=f"sigma={sigma},b={b}",
                         meta={"sigma": sigma, "sigma_params": sigma_params or {},

@@ -178,14 +178,14 @@ def tube_block_reference(lo, hi, payload):
     whole driver drawn at once from its block's stream, then the max over
     nodes of np.linalg.norm of the deviation from href.  The streams differ
     from the time-major kernel's, the law of the hits does not, so this is
-    a law oracle.  Returns the accepted rows and counts per block, plus each
-    hit's dev."""
+    a law oracle.  Returns the hits `W` and each hit's `dev`, block after
+    block, as `tube_block` does."""
     d1, block_size = payload["d1"], payload["size"]
     times = np.asarray(payload["times"])
     href = payload["href"]
-    block0 = payload.get("block0", 0)
+    block0 = payload["block0"]
     dt_sqrt = np.sqrt(np.diff(times))
-    accepted, counts, devs = [], [], []
+    accepted, devs = [], []
     for block in range(block0 + lo, block0 + hi):
         rng = rng_for(payload["seed"], payload["tag"], payload["delta_idx"],
                       block)
@@ -196,10 +196,9 @@ def tube_block_reference(lo, hi, payload):
         dev = np.max(np.linalg.norm(W if href is None else W - href[None],
                                     axis=2), axis=1)
         hit = dev < payload["delta"]
-        counts.append(int(np.sum(hit)))
         accepted.append(W[hit])
         devs.append(dev[hit])
-    return {"accepted": accepted, "counts": counts, "dev": devs}
+    return {"W": np.concatenate(accepted), "dev": np.concatenate(devs)}
 
 
 def tube_block_slab_reference(lo, hi, payload, slab):
@@ -208,14 +207,15 @@ def tube_block_slab_reference(lo, hi, payload, slab):
     (steps, live candidates, d1) normals, each live driver is extended node
     by node, and a candidate stops being live once a node's squared
     deviation from href reaches delta^2.  Hits are the candidates live at
-    the end whose max node norm is below delta."""
+    the end whose max node norm is below delta.  Returns `W`, `row` and
+    `dev` of the hits, block after block, as `tube_block` does."""
     d1, size, delta = payload["d1"], payload["size"], payload["delta"]
     times = np.asarray(payload["times"])
     n = len(times)
     href = np.zeros((n, d1)) if payload["href"] is None else payload["href"]
-    block0 = payload.get("block0", 0)
+    block0 = payload["block0"]
     dt_sqrt = np.sqrt(np.diff(times))
-    out = {"accepted": [], "counts": [], "rows": [], "dev": []}
+    out = {"W": [], "row": [], "dev": []}
     for block in range(block0 + lo, block0 + hi):
         rng = rng_for(payload["seed"], payload["tag"], payload["delta_idx"],
                       block)
@@ -234,11 +234,10 @@ def tube_block_slab_reference(lo, hi, payload, slab):
                 live[rows[sq >= delta * delta]] = False
         dev = np.max(np.linalg.norm(W - href, axis=2), axis=1)
         hit = np.flatnonzero(live & (dev < delta))
-        out["accepted"].append(W[hit])
-        out["counts"].append(len(hit))
-        out["rows"].append(hit)
+        out["W"].append(W[hit])
+        out["row"].append(hit)
         out["dev"].append(dev[hit])
-    return out
+    return {key: np.concatenate(parts) for key, parts in out.items()}
 
 
 def tube_draw_reference(payload, block, buf, consume, stack=False):
@@ -286,12 +285,12 @@ def levy_blocks_reference(lo, hi, payload):
     zeta, dev = [], []
     for block in range(lo, hi):
         tube = tube_block(block, block + 1, payload)
-        Wh = tube["accepted"][0]
+        Wh = tube["W"]
         mid = 0.5 * (Wh[:, :-1, 0] + Wh[:, 1:, 0])
         dv = np.diff(Wh[:, :, 1], axis=1)
         running = np.cumsum(mid * dv, axis=1)
         zeta.append(np.max(np.abs(running), axis=1))
-        dev.append(tube["dev"][0])
+        dev.append(tube["dev"])
     return {"zeta_sup": np.concatenate(zeta), "dev": np.concatenate(dev)}
 
 

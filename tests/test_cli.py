@@ -267,6 +267,10 @@ class TestRun:
         ("coefficients", "coefficients.d1=2"),  # sin needs d == d1
         ("domain", "domain.kind=half_spac"),
         ("domain", 'domain.params={"normal": [1.0], "offst": 0.0}'),
+        ("domain", 'domain.params={"normal": [0.0], "offset": 0.0}'),
+        # the sin family takes base, amp and freq, not a value
+        ("coefficients", 'coefficients.sigma_params={"value": "x"}'),
+        ("coefficients", 'coefficients.b_params={"vlaue": 1.0}'),
     ])
     def test_invalid_section_value_exit_2(self, tmp_path, capsys, section,
                                           override):
@@ -764,6 +768,29 @@ def test_bad_control_grid_level_exit_2(tmp_path, grid_level):
     path = _write_shaped(tmp_path, CLI_SHAPED["skeleton_convergence"], 1, out)
     setting = f"control.grid_level={grid_level}"
     with pytest.raises(ConfigError, match="grid_level"):
+        cli.parse_config(path, [setting])
+    for dry_run in ([], ["--dry-run"]):
+        assert cli.main(["run", path, "--set", setting, *dry_run]) \
+            == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, setting, match", [
+    ("skeleton_convergence", 'control.params={"slpoe": [0.5]}', "control"),
+    ("support_inclusions", 'control.params={"amplitud": 0.5}', "control"),
+    ("skeleton_convergence", "control.kind='zero'", "control"),
+    ("submartingale_test", 'u.params={"sing": 1.0}', "u"),
+    ("skeleton_convergence", "experiment.x0=[1.0, 2.0]", "x0"),
+    ("submartingale_test", "experiment.x=[0.0]", "experiment.x "),
+])
+def test_bad_control_u_and_start_exit_2(tmp_path, name, setting, match):
+    # a misspelt family key, a params key its control kind does not take
+    # (the zero control takes none) and a start vector of another
+    # dimension than the state are config errors, also under --dry-run
+    out = tmp_path / "out"
+    path = _write_shaped(tmp_path, CLI_SHAPED[name], 1, out)
+    cli.parse_config(path)
+    with pytest.raises(ConfigError, match=match):
         cli.parse_config(path, [setting])
     for dry_run in ([], ["--dry-run"]):
         assert cli.main(["run", path, "--set", setting, *dry_run]) \

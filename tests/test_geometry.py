@@ -479,6 +479,12 @@ class TestConfigRoundtrip:
         with pytest.raises(UnsupportedKind):
             make_domain("mesh", {})
 
+    @pytest.mark.parametrize("normal", [[0.0], [0.0, 0.0], [np.nan, 1.0],
+                                        [np.inf, 0.0]])
+    def test_half_space_normal_must_be_nonzero_and_finite(self, normal):
+        with pytest.raises(ValueError, match="normal"):
+            make_domain("half_space", {"normal": normal, "offset": 0.0})
+
     def test_cover_is_valid_certificate(self):
         for dom in (Ball([0.0, 0.0], 1.0), AxisBox([0, 0], [1, 1])):
             patches = dom.ensure_cover()

@@ -13,7 +13,8 @@ from rsdekit import (Ball, HalfSpace, NotchedDisc, dyadic_grid, levy_sup,
                      tube_sample, zero_control)
 from rsdekit import maxprinciple as mp
 from rsdekit import montecarlo as mc
-from rsdekit.paths import TUBE_SLAB, SamplePath, tube_block, tube_draw
+from rsdekit.paths import (TUBE_SLAB, SamplePath, tube_block, tube_draw,
+                           tube_payload)
 
 from oracles import peak_bytes
 
@@ -171,22 +172,57 @@ class TestDegenerateAndTrivial:
 
 
 class TestTubeMachinery:
+    @staticmethod
+    def _collect(monkeypatch, workers, delta, target, seed, grid_level):
+        """approx_continuity's tube rounds around a zero control: the
+        result of each `_tube_pool` call with its (block0, blocks), and the
+        attempt count the report notes."""
+        rounds, pool = [], mc._tube_pool
+
+        def recorded(reduce, block0, n, w, payload):
+            rounds.append((block0, n, pool(reduce, block0, n, w, payload)))
+            return rounds[-1][2]
+
+        with monkeypatch.context() as m:
+            m.setattr(mc, "_tube_pool", recorded)
+            rep = mc.approx_continuity(
+                HALF_LINE, SIN_1D, [1.0], 1.0, zero_control(1.0, 1), 0.5,
+                [delta], target, seed, grid_level=grid_level,
+                workers=workers, max_attempts=10 ** 7)
+        attempts = [int(note.split("attempts=")[1].split()[0])
+                    for note in rep.notes if "attempts=" in note]
+        return rounds, attempts
+
     def test_tube_too_narrow_pilot(self):
         with pytest.raises(mc.TubeTooNarrow) as err:
-            mc._collect_tube_samples(1, dyadic_grid(1.0, 7),
-                                     np.zeros((129, 1)), 0.02, 0, 100,
-                                     seed=10, workers=1, tag=1,
-                                     max_attempts=100_000)
+            mc.approx_continuity(HALF_LINE, SIN_1D, [1.0], 1.0,
+                                 zero_control(1.0, 1), 0.5, [0.02], 100,
+                                 seed=10, grid_level=7, max_attempts=100_000)
         assert err.value.acceptance_estimate is not None
 
-    def test_deterministic_accepted_set(self):
-        args = (1, dyadic_grid(1.0, 6), np.zeros((65, 1)), 0.8, 0, 200, 11)
-        W1, a1, _ = mc._collect_tube_samples(*args, workers=1, tag=2,
-                                             max_attempts=10 ** 7)
-        W2, a2, _ = mc._collect_tube_samples(*args, workers=3, tag=2,
-                                             max_attempts=10 ** 7)
+    def test_deterministic_accepted_set(self, monkeypatch):
+        (r1, a1), (r3, a3) = (self._collect(monkeypatch, w, 0.8, 200, 11, 6)
+                              for w in (1, 3))
+        W1, W3 = (np.concatenate([got["W"] for *_, got in r])[:200]
+                  for r in (r1, r3))
+        assert a1 == a3
+        assert np.array_equal(W1, W3)
+
+    def test_top_up_round_spans_two_chunks(self, monkeypatch):
+        # the pilot block's 44 hits (acceptance 0.5%) ask a round of 11
+        # blocks for the rest of the target, two chunks of the pool
+        runs = [self._collect(monkeypatch, w, 0.4, 400, 12, 6)
+                for w in (1, 2)]
+        for rounds, attempts in runs:
+            assert [r[:2] for r in rounds][0] == (0, 1)
+            assert len(rounds) == 2 and rounds[1][0] == 1 and rounds[1][1] > 8
+            assert attempts == [(1 + rounds[1][1]) * mc.TUBE_BLOCK]
+        (r1, a1), (r2, a2) = runs
         assert a1 == a2
-        assert np.array_equal(W1, W2)
+        for (b1, n1, got1), (b2, n2, got2) in zip(r1, r2):
+            assert (b1, n1) == (b2, n2)
+            for key in ("W", "dev", "row"):
+                assert np.array_equal(got1[key], got2[key])
 
 
 class TestTubeKernel:
@@ -208,9 +244,8 @@ class TestTubeKernel:
         # deviation of every hit that stays closer than that afterwards
         href = 0.85 * delta / np.sqrt(d1) * (1.0 - t) ** 2 \
             + 0.05 * np.arange(d1) * t if shifted else None
-        return {"d1": d1, "size": mc.TUBE_BLOCK, "times": cls.TIMES,
-                "href": href, "delta": delta, "delta_idx": 1, "seed": 31,
-                "tag": 0x7E, "block0": 3}
+        return dict(tube_payload(d1, mc.TUBE_BLOCK, cls.TIMES, href, delta,
+                                 1, 31, 0x7E), block0=3)
 
     @pytest.mark.parametrize("shifted", [False, True], ids=["zero", "href"])
     @pytest.mark.parametrize("d1", [1, 2, 3])
@@ -219,18 +254,18 @@ class TestTubeKernel:
         payload = self._payload(d1, shifted)
         got = tube_block(1, 3, payload)
         want = tube_block_slab_reference(1, 3, payload, TUBE_SLAB)
-        assert got["counts"] == want["counts"]
-        assert all(0 < c < mc.TUBE_BLOCK for c in got["counts"])
-        for key in ("accepted", "rows", "dev"):
-            assert len(got[key]) == len(want[key]) == 2
-            for a, b in zip(got[key], want[key]):
-                assert a.shape == b.shape
-                assert np.array_equal(a, b)
-                if key != "rows":
-                    assert np.array_equal(self._bits(a), self._bits(b))
+        counts = [len(tube_block(b, b + 1, payload)["W"]) for b in (1, 2)]
+        assert counts == [len(tube_block_slab_reference(
+            b, b + 1, payload, TUBE_SLAB)["W"]) for b in (1, 2)]
+        assert all(0 < c < mc.TUBE_BLOCK for c in counts)
+        for key in ("W", "row", "dev"):
+            a, b = got[key], want[key]
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+            if key != "row":
+                assert np.array_equal(self._bits(a), self._bits(b))
         if shifted:
-            assert np.linalg.norm(payload["href"][0]) in np.concatenate(
-                got["dev"])
+            assert np.linalg.norm(payload["href"][0]) in got["dev"]
 
     def _draws_agree(self, payload, block, scratch, stack):
         """tube_draw in `scratch` against the allocating loop, bit for bit:
@@ -290,12 +325,12 @@ class TestTubeKernel:
         payload = self._payload(d1, shifted)
         href = payload["href"]
         got = tube_block(0, 2, payload)
-        for W, dev in zip(got["accepted"], got["dev"]):
-            assert np.all(W[:, 0] == 0.0)
-            again = np.max(np.linalg.norm(
-                W if href is None else W - href, axis=2), axis=1)
-            assert np.array_equal(self._bits(dev), self._bits(again))
-            assert np.all(dev < payload["delta"])
+        W, dev = got["W"], got["dev"]
+        assert np.all(W[:, 0] == 0.0)
+        again = np.max(np.linalg.norm(
+            W if href is None else W - href, axis=2), axis=1)
+        assert np.array_equal(self._bits(dev), self._bits(again))
+        assert np.all(dev < payload["delta"])
 
     @pytest.mark.parametrize("d1", [1, 2])
     def test_hit_counts_agree_with_candidate_major_law(self, d1):
@@ -304,9 +339,9 @@ class TestTubeKernel:
         from oracles import tube_block_reference
         payload = self._payload(d1, False)
         n = 6 * mc.TUBE_BLOCK
-        k_time = sum(tube_block(0, 6, payload)["counts"])
-        k_cand = sum(tube_block_reference(
-            0, 6, {**payload, "tag": 0x7F})["counts"])
+        k_time = len(tube_block(0, 6, payload)["W"])
+        k_cand = len(tube_block_reference(
+            0, 6, {**payload, "tag": 0x7F})["W"])
         (p_t, h_t), (p_c, h_c) = mc.wilson(k_time, n), mc.wilson(k_cand, n)
         assert abs(p_t - p_c) <= h_t + h_c
         assert 0.05 < k_time / n < 0.95
@@ -334,9 +369,8 @@ class TestStreamedLevyPool:
     @staticmethod
     def _payload(seed, level, delta=0.8):
         # smallball_and_levy's pool at T = 0.5
-        return {"d1": 2, "size": mc.TUBE_BLOCK,
-                "times": dyadic_grid(0.5, level), "href": None,
-                "delta": delta, "delta_idx": 0, "seed": seed, "tag": 0x1E}
+        return tube_payload(2, mc.TUBE_BLOCK, dyadic_grid(0.5, level), None,
+                            delta, 0, seed, 0x1E)
 
     @staticmethod
     def _slabs_and_hits(payload, block):
@@ -382,7 +416,7 @@ class TestStreamedLevyPool:
 
     def test_hit_sup_is_levy_sup(self):
         payload = self._payload(11, 6)
-        W = tube_block(2, 3, payload)["accepted"][0][0]
+        W = tube_block(2, 3, payload)["W"][0]
         zeta_sup = levy_sup(SamplePath(payload["times"], W))[0][0, 1]
         assert self._bits(mc._levy_blocks(2, 3, payload)["zeta_sup"][0]) == \
             self._bits(zeta_sup)
@@ -689,9 +723,8 @@ class TestOwnedChunkResults:
         # term buffers, at 7.81 MB with each slab's deviations allocated
         # afresh, and at 4.96 MB on seeds 1, 2, 3 and 11 with the term
         # buffers as their scratch.  The bound leaves about 0.2 MB over it
-        payload = {"d1": 2, "size": mc.TUBE_BLOCK,
-                   "times": dyadic_grid(0.5, 7), "href": None, "delta": 0.8,
-                   "delta_idx": 0, "seed": 1, "tag": 0x1E}
+        payload = tube_payload(2, mc.TUBE_BLOCK, dyadic_grid(0.5, 7), None,
+                               0.8, 0, 1, 0x1E)
         assert peak_bytes(lambda: mc._levy_blocks(0, 4, payload)) < 5.16e6
 
     def test_tube_block_block_at_approx_continuity_shape(self):
@@ -703,9 +736,8 @@ class TestOwnedChunkResults:
         # scratch held while the hits are copied out at 40.10 MB.  The
         # bound leaves about 0.2 MB over the peak
         times = dyadic_grid(1.0, 8)
-        payload = {"d1": 2, "size": mc.TUBE_BLOCK, "times": times,
-                   "href": np.zeros((len(times), 2)), "delta": 1.0,
-                   "delta_idx": 0, "seed": 1, "tag": 0x5A}
+        payload = tube_payload(2, mc.TUBE_BLOCK, times,
+                               np.zeros((len(times), 2)), 1.0, 0, 1, 0x5A)
         assert peak_bytes(lambda: tube_block(0, 1, payload)) < 38.2e6
 
     def test_smallball_chunk_reuses_one_small_buffer(self):

@@ -55,6 +55,20 @@ class TestBtilde:
             rel = np.max(np.abs(ana - fd) / (1.0 + np.abs(ana)))
             assert rel < 1e-5
 
+    @pytest.mark.parametrize("sigma, sigma_params, b, b_params", [
+        ("const", {"vlaue": 2.0}, "const", {}),
+        ("sin", {"value": 0.5}, "const", {}),
+        ("affine", {"constant": 1.0}, "const", {}),
+        ("const", {}, "const", {"values": 1.0}),
+        ("const", {}, "linear", {"matrx": [[1.0]]}),
+    ])
+    def test_unknown_family_parameter_raises(self, sigma, sigma_params, b,
+                                             b_params):
+        # a family's parameters are its keywords: a misspelt one is an
+        # error, not a silent default
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            make_coefficients(1, 1, sigma, sigma_params, b, b_params)
+
     def test_pointwise_wrapper(self):
         cf = coefficients_from_pointwise(
             1, 1, sigma=lambda x: np.sin(x), b=lambda x: np.zeros(1))
@@ -387,7 +401,7 @@ class TestIncrementKernels:
     def test_sin_family_in_place_has_the_first_written_bits(self, d):
         from oracles import sin_family_reference
         params = {"base": 0.3, "amp": -0.7, "freq": 2.5}
-        sigma, jac = rsde._sin_family(d, d, params)
+        sigma, jac = rsde._sin_family(d, d, **params)
         ref_sigma, ref_jac = sin_family_reference(d, d, params)
         rng = np.random.default_rng(d)
         X = rng.choice(SPECIAL[np.isfinite(SPECIAL)], (300, d))
