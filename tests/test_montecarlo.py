@@ -214,7 +214,7 @@ class TestTubeMachinery:
         runs = [self._collect(monkeypatch, w, 0.4, 400, 12, 6)
                 for w in (1, 2)]
         for rounds, attempts in runs:
-            assert [r[:2] for r in rounds][0] == (0, 1)
+            assert rounds[0][:2] == (0, 1)
             assert len(rounds) == 2 and rounds[1][0] == 1 and rounds[1][1] > 8
             assert attempts == [(1 + rounds[1][1]) * mc.TUBE_BLOCK]
         (r1, a1), (r2, a2) = runs
