@@ -326,31 +326,36 @@ def parse_config(path, overrides=()):
 # ---------------------------------------------------------------------------
 
 
-def _linear_u(a=(1.0,)):
-    a = np.asarray(a, dtype=float)
+def _entries(v, d, name):
+    """The vector parameter `name` as d floats; a ValueError otherwise."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.shape != (d,):
+        raise ValueError(f"{name} has length {v.size}, not {d}")
+    return v
+
+
+def _linear_u(d, a=None):
+    a = np.eye(d)[0] if a is None else _entries(a, d, "a")
     return lambda x: float(np.dot(a, np.atleast_1d(x)))
 
 
-def _quadratic_u(sign=1.0, center=None):
+def _quadratic_u(d, sign=1.0, center=None):
     sign = float(sign)
-
-    def u(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        c = np.zeros_like(x) if center is None else np.asarray(center, dtype=float)
-        return sign * float(np.sum((x - c) ** 2))
-    return u
+    c = np.zeros(d) if center is None else _entries(center, d, "center")
+    return lambda x: sign * float(np.sum((np.asarray(x, dtype=float) - c) ** 2))
 
 
 # the [control] and [u] kinds; a kind's builder takes the section's params as
-# keywords (after a control's T, dimension and cell count), so a key the kind
-# does not take is a TypeError
+# keywords (after a control's T, dimension and cell count, or the state
+# dimension of a u), so a key the kind does not take is a TypeError
 _KINDS = {
     "control": {"zero": zero_control,
                 "linear": lambda T, d1, n_cells, slope=None: linear_control(
-                    T, [0.5] * d1 if slope is None else slope, n_cells),
+                    T, [0.5] * d1 if slope is None
+                    else _entries(slope, d1, "slope"), n_cells),
                 "sin": lambda T, d1, n_cells, **params: sine_control(
                     T, dim=d1, n_cells=n_cells, **params)},
-    "u": {"constant": lambda value=1.0: lambda x, v=float(value): v,
+    "u": {"constant": lambda d, value=1.0: lambda x, v=float(value): v,
           "quadratic": _quadratic_u, "linear": _linear_u},
 }
 
@@ -372,7 +377,8 @@ def _build_sections(resolved):
                 "control": lambda cfg: _build_kind(
                     "control", cfg, resolved["experiment"].get("T", 1.0),
                     resolved["coefficients"]["d1"], 2 ** cfg["grid_level"]),
-                "u": lambda cfg: _build_kind("u", cfg)}
+                "u": lambda cfg: _build_kind(
+                    "u", cfg, resolved["coefficients"]["d"])}
     built = {}
     for sec, build in builders.items():
         if sec in resolved:
@@ -449,16 +455,15 @@ def cmd_run(args):
         flags = [f"run.{key}={value!r}" for key in ("seed", "workers", "output")
                  if (value := getattr(args, key)) is not None]
         resolved = parse_config(args.config, [*(args.set or ()), *flags])
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.dry_run:
-        print(f"config ok: experiment {resolved['run']['experiment']!r}")
-        return 0
-    try:
+        if args.dry_run:
+            print(f"config ok: experiment {resolved['run']['experiment']!r}")
+            return 0
         report, extras = run_experiment(resolved)
         path = write_outputs(report, resolved, extras,
                              resolved["run"]["output"])
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except TubeTooNarrow as exc:
         print(f"tube sampling infeasible: {exc} "
               f"(pilot acceptance {exc.acceptance_estimate})", file=sys.stderr)

@@ -802,10 +802,6 @@ class ConditionResult:
 class ConditionReport:
     results: dict = field(default_factory=dict)
 
-    @property
-    def all_pass(self):
-        return all(r.passed for r in self.results.values())
-
     def __getitem__(self, key):
         return self.results[key]
 

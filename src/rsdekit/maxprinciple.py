@@ -24,8 +24,7 @@ from . import rsde
 from .geometry import Membership
 # brownian_batch and parallel_chunks are not called here, but stay bound:
 # perfbench/tracing.py wraps them in this namespace too
-from .montecarlo import (ExperimentReport, Threshold,  # noqa: F401
-                         brownian_batch, nondecreasing_within_ci,
+from .montecarlo import (ExperimentReport, brownian_batch,  # noqa: F401
                          parallel_chunks, run_paths)
 
 
@@ -108,31 +107,37 @@ def submartingale_test(domain, coeffs, u, x, time_grid, paths, seed,
         name="submartingale_test",
         parameters={"time_grid": time_grid, "paths": int(paths),
                     "x": np.atleast_1d(x).tolist()},
-        seeds={"seed": int(seed), "streams": "path index", "rng": "philox"},
-        thresholds=[Threshold("nondecreasing_within_ci", 0.0, "theory")])
+        seeds={"seed": int(seed), "streams": "path index", "rng": "philox"})
     stats = [report.add_mean(f"E_u_at_t_{t}", [float(u(p)) for p in marg[:, j]])
              for j, t in enumerate(time_grid)]
-    report.verdict = "pass" if nondecreasing_within_ci(stats) else "fail"
+    report.check_monotone("nondecreasing_within_ci", stats, increasing=True)
     return report
 
 
-def _u_values(domain, u, x, cloud):
-    """u on every cloud point and at x, once each, after checking that the
-    cloud was sampled from x and lies in the closure."""
+def _judge(report, domain, u, x, cloud, tolerance):
+    """u at x and over the cloud, after checking that the cloud was sampled
+    from x and lies in the closure, then the premise check (u at x is within
+    the tolerance of the cloud maximum; a premise not met is the report's
+    outcome) and the oscillation check, all recorded on `report`."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.allclose(cloud.base, x):
         raise ValueError("cloud was sampled from a different base point")
     for p in cloud.points:
         if domain.contains(p)[0] == Membership.EXTERIOR:
             raise ValueError("cloud contains a point outside the closure")
-    return np.array([float(u(p)) for p in cloud.points]), float(u(x))
-
-
-def _verdict(vals, ux, tolerance):
-    if ux < float(np.max(vals)) - tolerance:
-        return "premise not met"
+    vals, ux = np.array([float(u(p)) for p in cloud.points]), float(u(x))
+    top = float(np.max(vals))
+    report.add("u_at_base", ux, n=1)
+    report.add("cloud_max", top, n=len(vals))
+    report.add("cloud_min", float(np.min(vals)), n=len(vals))
+    report.add("cloud_size", float(len(vals)), n=len(vals))
+    if not report.check("premise_base_attains_max", ux, top - tolerance,
+                        not ux < top - tolerance, "theory"):
+        report.outcome = "premise not met"
     osc = float(np.max(vals) - np.min(vals))
-    return "pass" if osc <= 2.0 * tolerance else "fail"
+    report.check("oscillation_limit", osc, 2.0 * tolerance,
+                 osc <= 2.0 * tolerance, "theory")
+    return report
 
 
 def max_principle_check(domain, u, x, cloud, tolerance):
@@ -142,7 +147,8 @@ def max_principle_check(domain, u, x, cloud, tolerance):
     Returns a verdict string: "pass", "fail", or "premise not met" (which is
     an outcome, not a failure).
     """
-    return _verdict(*_u_values(domain, u, x, cloud), tolerance)
+    return _judge(ExperimentReport("max_principle", {}), domain, u, x, cloud,
+                  tolerance).verdict
 
 
 def max_principle_report(domain, coeffs, u, x, n_controls, horizon, seed,
@@ -150,16 +156,9 @@ def max_principle_report(domain, coeffs, u, x, n_controls, horizon, seed,
     """Convenience wrapper: sample a cloud, run the check, emit a report."""
     cloud = reachable_sample(domain, coeffs, x, n_controls, horizon, seed,
                              **cloud_kwargs)
-    vals, ux = _u_values(domain, u, x, cloud)
     report = ExperimentReport(
         name="max_principle",
         parameters={"n_controls": int(n_controls), "horizon": horizon,
                     "tolerance": tolerance, "x": np.atleast_1d(x).tolist()},
-        seeds={"seed": int(seed), "streams": "control index", "rng": "philox"},
-        thresholds=[Threshold("oscillation_limit", 2.0 * tolerance, "theory")])
-    report.add("u_at_base", ux, n=1)
-    report.add("cloud_max", float(np.max(vals)), n=len(vals))
-    report.add("cloud_min", float(np.min(vals)), n=len(vals))
-    report.add("cloud_size", float(len(vals)), n=len(vals))
-    report.verdict = _verdict(vals, ux, tolerance)
-    return report, cloud
+        seeds={"seed": int(seed), "streams": "control index", "rng": "philox"})
+    return _judge(report, domain, u, x, cloud, tolerance), cloud

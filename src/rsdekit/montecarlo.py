@@ -8,9 +8,11 @@ counter-based stream, and chunk results are merged in chunk order before
 any floating-point reduction.  `run_paths` is the one place where path
 experiments are cut into chunks, restored in workers and merged.
 
-Pass thresholds fall into two classes, labeled in each report: "theory"
-numbers anchor a stated limit or constant, "policy" numbers are harness
-choices (minimum slopes, CI coverage, stability factors).
+Each pass rule is one check in its report: a label, the value compared, its
+bound, whether it passed and the bound's source, "theory" (a stated limit or
+constant) or "policy" (a harness choice); a null `passed` marks a stated
+anchor that no rule compares.  The verdict is the informational outcome if
+one was set, else "pass" exactly when every judged check passed.
 """
 
 from __future__ import annotations
@@ -55,10 +57,12 @@ class RateFit:
 
 
 @dataclass
-class Threshold:
+class Check:
     label: str
-    value: float
-    source: str  # "theory" or "policy"
+    value: float   # the statistic compared, None for an anchor
+    bound: float
+    passed: bool   # None for an anchor, which no verdict judges
+    source: str    # "theory" or "policy"
 
 
 @dataclass
@@ -67,10 +71,32 @@ class ExperimentReport:
     parameters: dict
     estimates: list = field(default_factory=list)
     rate_fit: RateFit = None
-    verdict: str = "pass"
+    outcome: str = None  # "degenerate", "near-critical", "premise not met"
     seeds: dict = field(default_factory=dict)
-    thresholds: list = field(default_factory=list)
+    checks: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+
+    @property
+    def verdict(self):
+        """The outcome if set, else whether every judged check passed."""
+        if self.outcome is not None:
+            return self.outcome
+        if all(c.passed for c in self.checks if c.passed is not None):
+            return "pass"
+        return "fail"
+
+    def check(self, label, value, bound, passed, source="policy"):
+        """Record the pass rule `label`; returns whether it passed."""
+        self.checks.append(Check(label, value, bound, passed, source))
+        return passed
+
+    def check_monotone(self, label, stats, increasing, source="theory"):
+        """Check that the (value, CI halfwidth) pairs `stats` are monotone up
+        to each step's two halfwidths; the value is the worst step past them."""
+        steps = [(a - (ha + hb)) - b if increasing else b - (a + (ha + hb))
+                 for (a, ha), (b, hb) in zip(stats, stats[1:])]
+        return self.check(label, max(steps, default=None), 0.0,
+                          all(s <= 0 for s in steps), source)
 
     def add(self, label, value, ci=0.0, n=0, kind="statistic"):
         self.estimates.append(Estimate(label, value, ci, n, kind))
@@ -96,12 +122,9 @@ class ExperimentReport:
         raise KeyError(label)
 
     def to_json_dict(self):
-        return {"name": self.name, "parameters": self.parameters,
-                "estimates": [asdict(e) for e in self.estimates],
-                "rate_fit": asdict(self.rate_fit) if self.rate_fit else None,
-                "verdict": self.verdict, "seeds": self.seeds,
-                "thresholds": [asdict(t) for t in self.thresholds],
-                "notes": list(self.notes)}
+        doc = asdict(self)
+        del doc["outcome"]
+        return dict(doc, verdict=self.verdict)
 
     def to_json(self):
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
@@ -171,16 +194,6 @@ def _rate_levels(levels):
     if len(set(levels)) < 2:
         raise ValueError("a rate fit over levels needs two distinct levels")
     return levels
-
-
-def nondecreasing_within_ci(stats):
-    """Whether each of the (value, CI halfwidth) pairs `stats` is at least
-    its predecessor less both halfwidths."""
-    return all(b >= a - (ha + hb) for (a, ha), (b, hb) in zip(stats, stats[1:]))
-
-
-def nonincreasing_within_ci(stats):
-    return all(b <= a + (ha + hb) for (a, ha), (b, hb) in zip(stats, stats[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +393,8 @@ def wz_convergence(domain, coeffs, x0, T, levels, paths, seed, substeps=4,
                     "x0": np.atleast_1d(x0).tolist(), "theta": float(theta),
                     "check_substeps": bool(check_substeps),
                     "holder_method": "dyadic_lower_bound"},
-        seeds={"seed": int(seed), "streams": "path index", "rng": "philox"},
-        thresholds=[Threshold("min_rate_slope", min_slope, "policy"),
-                    Threshold("min_r2", min_r2, "policy"),
-                    Threshold("strict_decrease", 1.0, "theory")])
-    means = []
-    ok_substeps = True
+        seeds={"seed": int(seed), "streams": "path index", "rng": "philox"})
+    means, gaps = [], []
     for n in levels:
         m, ci = report.add_mean(f"E_sup_err_level_{n}", res[("err", n)])
         means.append(m)
@@ -394,21 +403,24 @@ def wz_convergence(domain, coeffs, x0, T, levels, paths, seed, substeps=4,
         if check_substeps:
             m2, _ = report.add_mean(f"E_sup_err_level_{n}_substeps2x",
                                     res[("err2x", n)])
-            ok_substeps &= abs(m2 - m) < max(ci, 1e-15)
+            # the 2x-substep mean's distance past the level's CI halfwidth
+            gaps.append(abs(m2 - m) - max(ci, 1e-15))
     if max(means) < 1e-300:
-        report.verdict = "degenerate"
+        report.outcome = "degenerate"
         report.notes.append("scheme error vanished identically at all levels")
         return report
-    meshes = [T * 2.0 ** (-n) for n in levels]
-    report.rate_fit = loglog_fit(meshes, means)
-    decreasing = all(means[i + 1] < means[i] for i in range(len(means) - 1))
-    crn_all = bool(np.all(res["crn_ok"]))
-    report.notes.append(f"crn_restriction_check={'ok' if crn_all else 'FAILED'}")
+    fit = report.rate_fit = loglog_fit([T * 2.0 ** (-n) for n in levels], means)
+    report.check("min_rate_slope", fit.slope, min_slope, fit.slope >= min_slope)
+    report.check("min_r2", fit.r2, min_r2, fit.r2 >= min_r2)
+    steps = list(zip(means, means[1:]))  # the value is the largest ratio
+    report.check("strict_decrease", max(b / a if a else np.inf
+                                        for a, b in steps),
+                 1.0, all(b < a for a, b in steps), "theory")
     if check_substeps:
-        report.notes.append(f"substep_insensitive={'yes' if ok_substeps else 'no'}")
-    good = decreasing and report.rate_fit.slope >= min_slope \
-        and report.rate_fit.r2 >= min_r2 and ok_substeps and crn_all
-    report.verdict = "pass" if good else "fail"
+        report.check("substep_insensitive", max(gaps), 0.0,
+                     all(g < 0 for g in gaps))
+    report.check("crn_restriction", int(np.sum(~res["crn_ok"])), 0,
+                 bool(np.all(res["crn_ok"])))
     return report
 
 
@@ -450,10 +462,7 @@ def skeleton_convergence(domain, coeffs, x0, T, h, levels, paths, seed,
         parameters={"T": T, "levels": levels, "paths": int(paths),
                     "substeps": int(substeps), "theta": theta,
                     "x0": np.atleast_1d(x0).tolist()},
-        seeds={"seed": int(seed), "streams": "path index", "rng": "philox"},
-        thresholds=[Threshold("decay_factor", decay_factor, "policy"),
-                    Threshold("node_constant_stability", stability_factor,
-                              "policy")])
+        seeds={"seed": int(seed), "streams": "path index", "rng": "philox"})
     sup_means, constants = [], []
     for n in levels:
         vals = res[("supsq", n)]
@@ -468,17 +477,17 @@ def skeleton_convergence(domain, coeffs, x0, T, h, levels, paths, seed,
         report.add(f"node_supmeansq_level_{n}", node_stat, n=len(vals))
         report.add(f"control_modulus_level_{n}", modulus)
         report.add(f"node_constant_level_{n}", constants[-1], n=len(vals))
-    decay_ok = sup_means[-1] <= decay_factor * sup_means[0]
+    report.check("decay_factor", sup_means[-1] / sup_means[0], decay_factor,
+                 sup_means[-1] <= decay_factor * sup_means[0])
     # stability per refinement: the constant must move by less than the
     # factor from one level to the next (a growing sequence would falsify
     # the node bound; the bound itself is not tight, so the constant may
-    # drift down over many levels)
-    ratios = [constants[i + 1] / constants[i] for i in range(len(constants) - 1)]
-    stable_ok = all(1.0 / stability_factor <= r <= stability_factor
-                    for r in ratios)
+    # drift down over many levels); the value is the largest move
+    ratios = [b / a for a, b in zip(constants, constants[1:])]
+    report.check("node_constant_stability", max(max(r, 1 / r) for r in ratios),
+                 stability_factor, all(1.0 / stability_factor <= r <=
+                                       stability_factor for r in ratios))
     report.rate_fit = loglog_fit([T * 2.0 ** (-n) for n in levels], sup_means)
-    report.verdict = "pass" if (decay_ok and stable_ok) else "fail"
-    report.notes.append(f"decay_ok={decay_ok} node_constant_stable={stable_ok}")
     return report
 
 
@@ -527,9 +536,7 @@ def approx_continuity(domain, coeffs, x0, T, h, epsilon, deltas,
                     "grid_level": grid_level, "x0": np.atleast_1d(x0).tolist()},
         seeds={"seed": int(seed),
                "streams": "delta index, block, time-major",
-               "rng": "philox"},
-        thresholds=[Threshold("final_state_min", final_min, "policy"),
-                    Threshold("limit_probability", 1.0, "theory")])
+               "rng": "philox"})
     stats = {"joint": [], "state": [], "regulator": []}
     target = int(target_accepted)
     for di, delta in enumerate(deltas):
@@ -568,10 +575,12 @@ def approx_continuity(domain, coeffs, x0, T, h, epsilon, deltas,
         report.notes.append(
             f"delta={delta}: accepted={len(W)} attempts={attempts} "
             f"acceptance={acc:.3e}")
-    mono = all(nondecreasing_within_ci(stats[ch])
-               for ch in ("state", "regulator"))
-    final_ok = stats["state"][-1][0] >= final_min
-    report.verdict = "pass" if (mono and final_ok) else "fail"
+    for ch in ("state", "regulator"):
+        report.check_monotone(f"P_{ch}_nondecreasing_within_ci", stats[ch],
+                              increasing=True)
+    final = stats["state"][-1][0]
+    report.check("final_state_min", final, final_min, final >= final_min)
+    report.check("limit_probability", None, 1.0, None, "theory")
     return report
 
 
@@ -625,12 +634,7 @@ def moment_scaling(domain, coeffs, x0, windows, p, paths, seed, workers=1,
         name="moment_scaling",
         parameters={"windows": [list(w) for w in windows], "p": p,
                     "paths": int(paths), "x0": np.atleast_1d(x0).tolist()},
-        seeds={"seed": int(seed), "streams": "path index", "rng": "philox"},
-        thresholds=[Threshold("slope_low", slope_band[0] * p, "policy"),
-                    Threshold("moment_exponent", float(p), "theory")])
-    if slope_band[1] is not None:
-        report.thresholds.append(Threshold("slope_high", slope_band[1] * p,
-                                           "policy"))
+        seeds={"seed": int(seed), "streams": "path index", "rng": "philox"})
     slopes = {}
     degenerate = False
     for tag, label in (("x", "osc_moment"), ("k", "regulator_moment")):
@@ -646,14 +650,17 @@ def moment_scaling(domain, coeffs, x0, windows, p, paths, seed, workers=1,
         report.add(f"{label}_slope", fit.slope, n=int(paths))
         report.notes.append(f"{label}: slope={fit.slope:.3f} r2={fit.r2:.3f}")
     if degenerate:
-        report.verdict = "degenerate"
+        report.outcome = "degenerate"
         report.notes.append("a moment family vanished identically")
         return report
     report.rate_fit = slopes["osc_moment"]
+    fitted = [f.slope for f in slopes.values()]
     lo = slope_band[0] * p
-    hi = np.inf if slope_band[1] is None else slope_band[1] * p
-    report.verdict = "pass" if all(lo <= f.slope <= hi for f in slopes.values()) \
-        else "fail"
+    report.check("slope_low", min(fitted), lo, all(lo <= s for s in fitted))
+    report.check("moment_exponent", None, float(p), None, "theory")
+    if slope_band[1] is not None:
+        hi = slope_band[1] * p
+        report.check("slope_high", max(fitted), hi, all(s <= hi for s in fitted))
     return report
 
 
@@ -681,11 +688,10 @@ def exp_tail(domain, coeffs, x0, T, paths, seed, grid_level=9, workers=1,
         name="exp_tail",
         parameters={"T": T, "paths": int(paths), "grid_level": grid_level,
                     "x0": np.atleast_1d(x0).tolist()},
-        seeds={"seed": int(seed), "streams": "path index", "rng": "philox"},
-        thresholds=[Threshold("quadratic_coefficient_positive", 0.0, "theory")])
+        seeds={"seed": int(seed), "streams": "path index", "rng": "philox"})
     report.add_mean("mean_KT", kT)
     if float(np.std(kT)) < 1e-12:
-        report.verdict = "degenerate"
+        report.outcome = "degenerate"
         report.notes.append("|K|_T is constant; tail fit skipped")
         return report
     lo_s, hi_s = survival_range
@@ -696,7 +702,7 @@ def exp_tail(domain, coeffs, x0, T, paths, seed, grid_level=9, workers=1,
     ks, surv = ks[keep], surv[keep]
     xs, ys = ks ** 2, -np.log(surv)
     if len(np.unique(xs)) < 2:
-        report.verdict = "degenerate"
+        report.outcome = "degenerate"
         report.notes.append("upper-decade quantiles of |K|_T coincide; tail "
                             "fit skipped")
         return report
@@ -709,14 +715,13 @@ def exp_tail(domain, coeffs, x0, T, paths, seed, grid_level=9, workers=1,
                               [[float(a), float(b)] for a, b in zip(xs, ys)],
                               kind="neglog_survival_vs_k_sq")
     report.add("quadratic_coefficient", slope, half, len(kT))
-    ok = slope > 0 and slope - half > 0
+    # the coefficient's lower CI end must be positive
+    report.check("quadratic_coefficient_positive", slope - half, 0.0,
+                 slope > 0 and slope - half > 0, "theory")
     if oracle_coefficient is not None:
-        report.thresholds.append(Threshold("oracle_coefficient",
-                                           oracle_coefficient, "theory"))
         ratio = slope / oracle_coefficient
-        report.notes.append(f"oracle_ratio={ratio:.3f}")
-        ok = ok and (1.0 / oracle_factor <= ratio <= oracle_factor)
-    report.verdict = "pass" if ok else "fail"
+        report.check("oracle_coefficient", slope, oracle_coefficient,
+                     1.0 / oracle_factor <= ratio <= oracle_factor, "theory")
     return report
 
 
@@ -796,9 +801,9 @@ def _levy_blocks(lo, hi, payload):
     m = pth.TUBE_SLAB * payload["size"]
     # the pool's only slab-sized memory, the terms doubling as tube_draw's
     # deviation scratch.  One allocation, not two: once it is freed,
-    # glibc's dynamic mmap and trim thresholds rise past the heap a call
-    # uses, so later calls reuse its pages (two 2.1 MB arrays left 1,757
-    # minor faults per tube-levy call, one 4.2 MB array none)
+    # glibc's dynamic mmap threshold and trim threshold rise past the heap
+    # a call uses, so later calls reuse its pages (two 2.1 MB arrays left
+    # 1,757 minor faults per tube-levy call, one 4.2 MB array none)
     work = np.empty((2 + payload["d1"]) * m)
     buf, terms = work[:-2 * m], work[-2 * m:].reshape(2, m)
     zeta_sups, devs = zip(*(
@@ -831,30 +836,27 @@ def smallball_and_levy(T, deltas, M_values, paths, seed, workers=1,
         seeds={"seed": int(seed),
                "streams": "path index / block, time-major, one Levy pool "
                           "for all deltas",
-               "rng": "philox"},
-        thresholds=[Threshold("smallball_oracle_slope", oracle_slope, "theory"),
-                    Threshold("slope_factor", slope_factor, "policy"),
-                    Threshold("min_r2", min_r2, "policy")])
+               "rng": "philox"})
     probs, invsq = [], []
     for d in deltas:
         p, _ = report.add_proportion(f"P_smallball_delta_{d}", sups < d)
         if p > 0:
             probs.append(p)
             invsq.append(1.0 / d ** 2)
-    if len(set(invsq)) < 2:
-        slope_ok = False
-        report.notes.append(f"smallball fit needs two hit deltas, got "
-                            f"{len(set(invsq))}")
-    else:
+    hit_deltas = len(set(invsq))
+    if report.check("smallball_hit_deltas", hit_deltas, 2, hit_deltas >= 2):
         slope, intercept, r2 = _fit(invsq, np.log(probs))
         report.rate_fit = RateFit(
             slope, intercept, r2,
             [[float(a), float(np.log(p))] for a, p in zip(invsq, probs)],
             kind="lnP_vs_inverse_delta_sq")
-        slope_ok = slope < 0 and r2 >= min_r2 \
-            and (1.0 / slope_factor) <= slope / oracle_slope <= slope_factor
-        report.notes.append(f"smallball slope={slope:.4f} "
-                            f"oracle={oracle_slope:.4f} r2={r2:.4f}")
+        # the slope has the oracle's sign and is within the factor of it
+        report.check("smallball_oracle_slope", slope, oracle_slope, slope < 0,
+                     "theory")
+        ratio = slope / oracle_slope
+        report.check("slope_factor", ratio, slope_factor,
+                     (1.0 / slope_factor) <= ratio <= slope_factor)
+        report.check("min_r2", r2, min_r2, r2 >= min_r2)
     # conditional exceedance of the iterated integral, d1 = 2, from one
     # candidate pool drawn at the widest delta: a hit at a narrower delta
     # is a hit at the widest one
@@ -868,30 +870,29 @@ def smallball_and_levy(T, deltas, M_values, paths, seed, workers=1,
     report.notes.append(f"levy pool: {max_blocks * TUBE_BLOCK} candidates "
                         f"drawn once at delta={pool_deltas[0]} serve every "
                         f"delta")
-    levy_ok = True
     prop_eps = []
     for delta in pool_deltas:
         zsups = zeta[dev < delta]
         n = len(zsups)
         report.notes.append(f"levy delta={delta}: conditioned samples={n} of "
                             f"{max_blocks * TUBE_BLOCK} attempts")
-        if n < min_conditioned:
-            levy_ok = False
-            report.notes.append(f"levy delta={delta}: too few hits")
+        if not report.check(f"min_conditioned_delta_{delta}", n,
+                            min_conditioned, n >= min_conditioned):
             continue
-        series = [report.add_proportion(f"P_zeta_gt_{M}delta_delta_{delta}",
-                                        zsups > M * delta)[0]
+        # exceedance falls in M, without CIs, and strictly overall
+        series = [(report.add_proportion(f"P_zeta_gt_{M}delta_delta_{delta}",
+                                         zsups > M * delta)[0], 0.0)
                   for M in M_values]
-        levy_ok &= all(series[i + 1] <= series[i]
-                       for i in range(len(series) - 1)) \
-            and series[-1] < series[0]
-        prop_eps.append(report.add_proportion(
+        report.check_monotone(f"P_zeta_nonincreasing_in_M_delta_{delta}",
+                              series, increasing=False)
+        report.check(f"P_zeta_decreasing_over_M_delta_{delta}",
+                     series[-1][0] - series[0][0], 0.0,
+                     series[-1][0] < series[0][0], "theory")
+        prop_eps.append((report.add_proportion(
             f"P_zeta_gt_eps_sqrtdelta_delta_{delta}",
-            zsups > epsilon * np.sqrt(delta))[0])
-    if len(prop_eps) >= 2:
-        levy_ok &= all(prop_eps[i + 1] <= prop_eps[i]
-                       for i in range(len(prop_eps) - 1))
-    report.verdict = "pass" if (slope_ok and levy_ok) else "fail"
+            zsups > epsilon * np.sqrt(delta))[0], 0.0))
+    report.check_monotone("P_zeta_gt_eps_sqrtdelta_nonincreasing", prop_eps,
+                          increasing=False)
     return report
 
 
@@ -913,8 +914,7 @@ def regulator_conditional(domain, coeffs, x0, T, deltas, c3, paths, seed,
                     "x0": np.atleast_1d(x0).tolist()},
         seeds={"seed": int(seed),
                "streams": "block, time-major, one pool for all deltas",
-               "rng": "philox"},
-        thresholds=[Threshold("limit_probability", 0.0, "theory")])
+               "rng": "philox"})
     props = {"scaled": [], "fixed": []}
     # one candidate pool at the widest delta, integrated once; each
     # narrower delta takes the hits that deviate less than it
@@ -936,8 +936,10 @@ def regulator_conditional(domain, coeffs, x0, T, deltas, c3, paths, seed,
             props[label].append(
                 report.add_proportion(f"P_K_{label}_delta_{delta}", exceed))
         report.notes.append(f"delta={delta}: conditioned samples={n}")
-    ok = all(nonincreasing_within_ci(p) for p in props.values())
-    report.verdict = "pass" if ok else "fail"
+    for label, stats in props.items():
+        report.check_monotone(f"P_K_{label}_nonincreasing_within_ci", stats,
+                              increasing=False)
+    report.check("limit_probability", None, 0.0, None, "theory")
     return report
 
 
@@ -984,9 +986,7 @@ def holder_tightness(domain, coeffs, x0, T, theta, levels, paths, seed,
         parameters={"T": T, "theta": theta, "levels": levels,
                     "paths": int(paths), "x0": np.atleast_1d(x0).tolist(),
                     "holder_method": "exact"},
-        seeds={"seed": int(seed), "streams": "path index", "rng": "philox"},
-        thresholds=[Threshold("stability_factor", stability_factor, "policy"),
-                    Threshold("critical_theta", critical_theta, "theory")])
+        seeds={"seed": int(seed), "streams": "path index", "rng": "philox"})
     means = []
     for n in levels:
         vals = res[n]
@@ -998,12 +998,13 @@ def holder_tightness(domain, coeffs, x0, T, theta, levels, paths, seed,
                             res[("shifted", n)])
     spread = max(means) / max(min(means), 1e-300)
     report.add("level_mean_spread", spread, n=int(paths))
-    if theta >= critical_theta:
-        report.verdict = "near-critical"
+    report.check("stability_factor", spread, stability_factor,
+                 spread <= stability_factor)
+    if not report.check("critical_theta", theta, critical_theta,
+                        theta < critical_theta, "theory"):
+        report.outcome = "near-critical"
         report.notes.append(f"theta={theta} is outside the tight window "
                             f"(0, {critical_theta}); spread reported, not judged")
-    else:
-        report.verdict = "pass" if spread <= stability_factor else "fail"
     return report
 
 
@@ -1039,16 +1040,13 @@ def support_inclusions(domain, coeffs, x0, T, h, n, epsilon, paths, seed,
                     "paths": int(paths),
                     "reverse_paths": int(reverse_paths or paths),
                     "x0": np.atleast_1d(x0).tolist()},
-        seeds={"seed": int(seed), "streams": "path index", "rng": "philox"},
-        thresholds=[Threshold("reverse_hits_min", 1.0, "theory")])
+        seeds={"seed": int(seed), "streams": "path index", "rng": "philox"})
     p95 = float(np.quantile(dist, 0.95))
     report.add_mean("forward_mean", dist)
     report.add("forward_p95", p95, n=len(dist), kind="quantile")
-    ok = True
     if forward_p95_limit is not None:
-        report.thresholds.append(Threshold("forward_p95_limit",
-                                           forward_p95_limit, "policy"))
-        ok &= p95 <= forward_p95_limit
+        report.check("forward_p95_limit", p95, forward_p95_limit,
+                     p95 <= forward_p95_limit)
     # reverse inclusion: unconditioned hit count near the skeleton of h
     rtimes = pth.dyadic_grid(T, reverse_grid_level)
     Z = rsde.skeleton(domain, coeffs, h, substeps, np.atleast_1d(x0),
@@ -1059,8 +1057,7 @@ def support_inclusions(domain, coeffs, x0, T, h, n, epsilon, paths, seed,
     hits = int(np.sum(hit))
     report.add("reverse_hit_count", float(hits), n=len(rdist))
     report.add_proportion("reverse_hit_proportion", hit)
-    ok &= hits >= 1
+    report.check("reverse_hits_min", hits, 1.0, hits >= 1, "theory")
     report.notes.append("tube-conditioned counterpart of the reverse "
                         "inclusion: approx_continuity")
-    report.verdict = "pass" if ok else "fail"
     return report

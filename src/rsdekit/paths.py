@@ -254,6 +254,8 @@ def linear_control(T, slope, n_cells=1):
 
 def sine_control(T, amplitude=1.0, frequency=1.0, dim=1, axis=0, n_cells=256):
     """Piecewise-linear sampling of t -> amplitude * sin(2 pi f t) e_axis."""
+    if axis not in range(dim) or not isinstance(axis, (int, np.integer)):
+        raise ValueError(f"axis must be an integer in [0, {dim}), got {axis!r}")
     times = np.linspace(0.0, T, n_cells + 1)
     vals = np.zeros((n_cells + 1, dim))
     vals[:, int(axis)] = amplitude * np.sin(2.0 * np.pi * frequency * times)

@@ -5,6 +5,7 @@ import json
 import os
 import textwrap
 
+import numpy as np
 import pytest
 
 from rsdekit import cli, maxprinciple, montecarlo
@@ -547,12 +548,12 @@ BENCHMARK_SHAPED = {
     },
 }
 REPORT_DIGESTS = {
-    1: {"holder-disc": "fcc38fac", "tube-levy": "3d681139",
-        "wz-halfline": "bfe7178a", "wz-notch-w2": "b0aadb5e"},
-    7: {"holder-disc": "ca653664", "tube-levy": "d8601a95",
-        "wz-halfline": "6a90d149", "wz-notch-w2": "8edf092f"},
-    11: {"holder-disc": "422b12cb", "tube-levy": "8fe59174",
-         "wz-halfline": "d0a4053a", "wz-notch-w2": "62fb99c4"},
+    1: {"holder-disc": "a47d731d", "tube-levy": "897674fa",
+        "wz-halfline": "6631ce26", "wz-notch-w2": "cd6ebb80"},
+    7: {"holder-disc": "91cf30c9", "tube-levy": "ff371494",
+        "wz-halfline": "0dc4c583", "wz-notch-w2": "cd4b3cdc"},
+    11: {"holder-disc": "0e892025", "tube-levy": "d35b35f4",
+         "wz-halfline": "3a4e7fbb", "wz-notch-w2": "25e343d0"},
 }
 
 
@@ -568,11 +569,19 @@ def _perfbench_workloads():
     return module
 
 
+# the driver paths the benchmark reads from each seed-1 report: the tube
+# candidates of tube-levy come from its notes
+PATHS_PER_CALL = {"holder-disc": 256, "tube-levy": 69_536, "wz-halfline": 256,
+                  "wz-notch-w2": 512}
+
+
 @pytest.mark.parametrize("name", ["holder-disc", "tube-levy", "wz-halfline",
                                   "wz-notch-w2"])
 def test_benchmark_workloads_pass(tmp_path, name):
     # the benchmark counts a call whose verdict is not "pass" as failed, so
-    # each of its configs, written by its own code, must pass here first
+    # each of its configs, written by its own code, must pass here first;
+    # its paths_per_s divides the paths it reads from the report by the
+    # call's time
     workloads = _perfbench_workloads()
     assert sorted(workloads.WORKLOADS) == sorted(BENCHMARK_SHAPED)
     path, out = tmp_path / "config.ini", tmp_path / "out"
@@ -581,6 +590,7 @@ def test_benchmark_workloads_pass(tmp_path, name):
     report = json.loads((out / "report.json").read_text())
     assert report["verdict"] == "pass"
     assert report["seeds"]["seed"] == 1
+    assert workloads.paths_per_call(report) == PATHS_PER_CALL[name]
 
 
 # One small config of each of the other catalog experiments, with the same
@@ -649,15 +659,40 @@ CLI_SHAPED = {
     },
 }
 CLI_DIGESTS = {
-    1: {"approx_continuity": "ea08faee", "exp_tail": "e13139f2",
-        "max_principle": "7326a050", "moment_scaling": "e332c2c3",
-        "regulator_conditional": "0157ebdf", "skeleton_convergence": "cdb0a581",
-        "submartingale_test": "98cf5d92", "support_inclusions": "c4ba5442"},
-    7: {"approx_continuity": "f7486a76", "exp_tail": "476f7299",
-        "max_principle": "0040055c", "moment_scaling": "d36c1dfa",
-        "regulator_conditional": "f75d8cac", "skeleton_convergence": "d371d79e",
-        "submartingale_test": "5b56ce43", "support_inclusions": "1bf214d4"},
+    1: {"approx_continuity": "0fd1ef31", "exp_tail": "23a99da5",
+        "max_principle": "923ecee1", "moment_scaling": "62758436",
+        "regulator_conditional": "b0582d72", "skeleton_convergence": "9c0c8ee7",
+        "submartingale_test": "13ba12f0", "support_inclusions": "2ef90e2d"},
+    7: {"approx_continuity": "930a37f2", "exp_tail": "6f90ec63",
+        "max_principle": "497f93e9", "moment_scaling": "4561a4ca",
+        "regulator_conditional": "be6149bf", "skeleton_convergence": "e1b479bc",
+        "submartingale_test": "9be22dd7", "support_inclusions": "5a37769b"},
 }
+
+# The bounds each pinned report states, as (label, bound, source): each is a
+# check of its report, judged or, with a null `passed`, a stated anchor.
+STATED_BOUNDS = {
+    "wz-halfline": [("min_rate_slope", 0.25, "policy"),
+                    ("min_r2", 0.9, "policy"),
+                    ("strict_decrease", 1.0, "theory")],
+    "holder-disc": [("stability_factor", 2.0, "policy"),
+                    ("critical_theta", 0.25, "theory")],
+    "tube-levy": [("smallball_oracle_slope", -np.pi ** 2 / 8.0 * 0.5,
+                   "theory"), ("slope_factor", 1.5, "policy"),
+                  ("min_r2", 0.95, "policy")],
+    "skeleton_convergence": [("decay_factor", 0.5, "policy"),
+                             ("node_constant_stability", 2.0, "policy")],
+    "approx_continuity": [("final_state_min", 0.9, "policy"),
+                          ("limit_probability", 1.0, "theory")],
+    "moment_scaling": [("slope_low", 0.8, "policy"),
+                       ("moment_exponent", 1.0, "theory")],
+    "exp_tail": [("quadratic_coefficient_positive", 0.0, "theory")],
+    "regulator_conditional": [("limit_probability", 0.0, "theory")],
+    "support_inclusions": [("reverse_hits_min", 1.0, "theory")],
+    "submartingale_test": [("nondecreasing_within_ci", 0.0, "theory")],
+    "max_principle": [("oscillation_limit", 2e-06, "theory")],
+}
+STATED_BOUNDS["wz-notch-w2"] = STATED_BOUNDS["wz-halfline"]
 
 
 def _write_shaped(tmp_path, config, seed, out):
@@ -671,17 +706,29 @@ def _write_shaped(tmp_path, config, seed, out):
     return str(path)
 
 
-def _report_digest(tmp_path, config, seed):
+def _report_digest(tmp_path, config, seed, name):
+    """The digest of the config's report.json, once its checks are seen to
+    decide its verdict and to state the bounds of `name`."""
     out = tmp_path / "out"
     path = _write_shaped(tmp_path, config, seed, out)
     assert cli.main(["run", path]) in (0, cli.EXIT_FAIL)
+    doc = json.loads((out / "report.json").read_text())
+    judged = [c["passed"] for c in doc["checks"] if c["passed"] is not None]
+    if doc["verdict"] in ("pass", "fail"):
+        assert judged
+        assert doc["verdict"] == ("pass" if all(judged) else "fail")
+    else:
+        assert doc["verdict"] in ("degenerate", "near-critical",
+                                  "premise not met")
+    checks = {(c["label"], c["bound"], c["source"]) for c in doc["checks"]}
+    assert set(STATED_BOUNDS[name]) <= checks
     return hashlib.sha256((out / "report.json").read_bytes()).hexdigest()[:8]
 
 
 @pytest.mark.parametrize("seed", sorted(REPORT_DIGESTS))
 @pytest.mark.parametrize("name", sorted(BENCHMARK_SHAPED))
 def test_benchmark_shaped_reports_keep_their_bytes(tmp_path, name, seed):
-    digest = _report_digest(tmp_path, BENCHMARK_SHAPED[name], seed)
+    digest = _report_digest(tmp_path, BENCHMARK_SHAPED[name], seed, name)
     assert digest == REPORT_DIGESTS[seed][name]
 
 
@@ -691,7 +738,7 @@ def test_every_experiment_report_keeps_its_bytes(tmp_path, name, seed):
     covered = {*CLI_SHAPED, *(c["run"]["experiment"]
                               for c in BENCHMARK_SHAPED.values())}
     assert covered == set(cli.CATALOG)
-    digest = _report_digest(tmp_path, CLI_SHAPED[name], seed)
+    digest = _report_digest(tmp_path, CLI_SHAPED[name], seed, name)
     assert digest == CLI_DIGESTS[seed][name]
 
 
@@ -782,11 +829,17 @@ def test_bad_control_grid_level_exit_2(tmp_path, grid_level):
     ("submartingale_test", 'u.params={"sing": 1.0}', "u"),
     ("skeleton_convergence", "experiment.x0=[1.0, 2.0]", "x0"),
     ("submartingale_test", "experiment.x=[0.0]", "experiment.x "),
+    ("support_inclusions", 'control.params={"axis": 3}', "axis"),
+    ("support_inclusions", 'control.params={"axis": -1}', "axis"),
+    ("support_inclusions", 'control.params={"axis": 0.7}', "axis"),
+    ("skeleton_convergence", 'control.params={"slope": [0.5, 0.5]}', "slope"),
+    ("submartingale_test", 'u.params={"center": [0.0, 0.0, 0.0]}', "center"),
 ])
 def test_bad_control_u_and_start_exit_2(tmp_path, name, setting, match):
     # a misspelt family key, a params key its control kind does not take
-    # (the zero control takes none) and a start vector of another
-    # dimension than the state are config errors, also under --dry-run
+    # (the zero control takes none), an axis that is not one of the
+    # driver's, and a start, control or u vector of another dimension than
+    # its space are config errors, also under --dry-run
     out = tmp_path / "out"
     path = _write_shaped(tmp_path, CLI_SHAPED[name], 1, out)
     cli.parse_config(path)
@@ -795,6 +848,34 @@ def test_bad_control_u_and_start_exit_2(tmp_path, name, setting, match):
     for dry_run in ([], ["--dry-run"]):
         assert cli.main(["run", path, "--set", setting, *dry_run]) \
             == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_u_vectors_default_to_the_state_dimension(tmp_path):
+    # the linear u's default direction is e1 of the state space, and a
+    # direction of another dimension is a config error
+    out = tmp_path / "out"
+    path = _write_shaped(tmp_path, {**CLI_SHAPED["submartingale_test"],
+                                    "u": {"kind": "linear"}}, 1, out)
+    assert cli.main(["run", path, "--dry-run"]) == 0
+    assert cli.main(["run", path]) in (0, cli.EXIT_FAIL)
+    assert (out / "report.json").exists()
+    with pytest.raises(ConfigError, match=r"section \[u\]: a has length 1"):
+        cli.parse_config(path, ['u.params={"a": [1.0]}'])
+
+
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+def test_parse_time_crash_exit_5(tmp_path, monkeypatch, capsys, dry_run):
+    # a defect while the config is read is an internal error, not a
+    # traceback with the failed-verdict code
+    def broken(*args, **kwargs):
+        raise IndexError("boom")
+
+    monkeypatch.setitem(cli._KINDS["control"], "linear", broken)
+    out = tmp_path / "out"
+    path = _write_shaped(tmp_path, CLI_SHAPED["skeleton_convergence"], 1, out)
+    assert cli.main(["run", path, *dry_run]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: IndexError: boom\n"
     assert not out.exists()
 
 

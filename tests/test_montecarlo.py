@@ -532,7 +532,8 @@ class TestFitGuards:
                                         levy_grid_level=4)
         assert rep.verdict == "fail"
         assert rep.rate_fit is None
-        assert f"smallball fit needs two hit deltas, got {hit}" in rep.notes
+        assert [(c.value, c.bound, c.passed) for c in rep.checks
+                if c.label == "smallball_hit_deltas"] == [(hit, 2, False)]
 
 
 class TestDeterminism:
@@ -821,12 +822,13 @@ class TestReportShape:
         rep = mc.exp_tail(HALF_LINE, cf, [0.0], 1.0, 4000, seed=14,
                           grid_level=7)
         doc = json.loads(rep.to_json())
-        for key in ("name", "parameters", "estimates", "rate_fit", "verdict",
-                    "seeds", "thresholds", "notes"):
-            assert key in doc
+        assert set(doc) == {"name", "parameters", "estimates", "rate_fit",
+                            "verdict", "seeds", "checks", "notes"}
         assert doc["seeds"]["seed"] == 14
-        sources = {t["source"] for t in doc["thresholds"]}
-        assert sources <= {"theory", "policy"}
+        for check in doc["checks"]:
+            assert set(check) == {"label", "value", "bound", "passed",
+                                  "source"}
+            assert check["source"] in ("theory", "policy")
 
     def test_proportions_in_unit_interval(self):
         cf = make_coefficients(1, 1, sigma="const", sigma_params={"value": 0.5})
