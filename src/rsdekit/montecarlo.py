@@ -10,9 +10,9 @@ experiments are cut into chunks, restored in workers and merged.
 
 Each pass rule is one check in its report: a label, the value compared, its
 bound, whether it passed and the bound's source, "theory" (a stated limit or
-constant) or "policy" (a harness choice); a null `passed` marks a stated
-anchor that no rule compares.  The verdict is the informational outcome if
-one was set, else "pass" exactly when every judged check passed.
+constant) or "policy" (a harness choice); a null `passed` marks an unjudged
+check, a stated anchor or a rule the outcome overrides.  The verdict is the
+informational outcome if set, else "pass" just when all judged checks pass.
 """
 
 from __future__ import annotations
@@ -90,13 +90,13 @@ class ExperimentReport:
         self.checks.append(Check(label, value, bound, passed, source))
         return passed
 
-    def check_monotone(self, label, stats, increasing, source="theory"):
+    def check_monotone(self, label, stats, increasing):
         """Check that the (value, CI halfwidth) pairs `stats` are monotone up
         to each step's two halfwidths; the value is the worst step past them."""
         steps = [(a - (ha + hb)) - b if increasing else b - (a + (ha + hb))
                  for (a, ha), (b, hb) in zip(stats, stats[1:])]
         return self.check(label, max(steps, default=None), 0.0,
-                          all(s <= 0 for s in steps), source)
+                          all(s <= 0 for s in steps), "theory")
 
     def add(self, label, value, ci=0.0, n=0, kind="statistic"):
         self.estimates.append(Estimate(label, value, ci, n, kind))
@@ -412,10 +412,9 @@ def wz_convergence(domain, coeffs, x0, T, levels, paths, seed, substeps=4,
     fit = report.rate_fit = loglog_fit([T * 2.0 ** (-n) for n in levels], means)
     report.check("min_rate_slope", fit.slope, min_slope, fit.slope >= min_slope)
     report.check("min_r2", fit.r2, min_r2, fit.r2 >= min_r2)
-    steps = list(zip(means, means[1:]))  # the value is the largest ratio
-    report.check("strict_decrease", max(b / a if a else np.inf
-                                        for a, b in steps),
-                 1.0, all(b < a for a, b in steps), "theory")
+    ratios = [b / a if a else np.inf for a, b in zip(means, means[1:])]
+    report.check("strict_decrease", max(ratios), 1.0,
+                 all(b < a for a, b in zip(means, means[1:])), "theory")
     if check_substeps:
         report.check("substep_insensitive", max(gaps), 0.0,
                      all(g < 0 for g in gaps))
@@ -998,10 +997,11 @@ def holder_tightness(domain, coeffs, x0, T, theta, levels, paths, seed,
                             res[("shifted", n)])
     spread = max(means) / max(min(means), 1e-300)
     report.add("level_mean_spread", spread, n=int(paths))
+    tight = theta < critical_theta
     report.check("stability_factor", spread, stability_factor,
-                 spread <= stability_factor)
-    if not report.check("critical_theta", theta, critical_theta,
-                        theta < critical_theta, "theory"):
+                 spread <= stability_factor if tight else None)
+    report.check("critical_theta", theta, critical_theta, tight, "theory")
+    if not tight:
         report.outcome = "near-critical"
         report.notes.append(f"theta={theta} is outside the tight window "
                             f"(0, {critical_theta}); spread reported, not judged")

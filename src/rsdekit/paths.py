@@ -258,7 +258,7 @@ def sine_control(T, amplitude=1.0, frequency=1.0, dim=1, axis=0, n_cells=256):
         raise ValueError(f"axis must be an integer in [0, {dim}), got {axis!r}")
     times = np.linspace(0.0, T, n_cells + 1)
     vals = np.zeros((n_cells + 1, dim))
-    vals[:, int(axis)] = amplitude * np.sin(2.0 * np.pi * frequency * times)
+    vals[:, axis] = amplitude * np.sin(2.0 * np.pi * frequency * times)
     return control_from_values(times, vals)
 
 

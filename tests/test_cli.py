@@ -660,11 +660,11 @@ CLI_SHAPED = {
 }
 CLI_DIGESTS = {
     1: {"approx_continuity": "0fd1ef31", "exp_tail": "23a99da5",
-        "max_principle": "923ecee1", "moment_scaling": "62758436",
+        "max_principle": "4707f9fc", "moment_scaling": "62758436",
         "regulator_conditional": "b0582d72", "skeleton_convergence": "9c0c8ee7",
         "submartingale_test": "13ba12f0", "support_inclusions": "2ef90e2d"},
     7: {"approx_continuity": "930a37f2", "exp_tail": "6f90ec63",
-        "max_principle": "497f93e9", "moment_scaling": "4561a4ca",
+        "max_principle": "9cc93cb1", "moment_scaling": "4561a4ca",
         "regulator_conditional": "be6149bf", "skeleton_convergence": "e1b479bc",
         "submartingale_test": "9be22dd7", "support_inclusions": "5a37769b"},
 }

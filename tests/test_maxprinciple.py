@@ -105,6 +105,12 @@ class TestMaxPrinciple:
         cloud = mp.reachable_sample(DISC, SIGMA_I, [0.0, 0.0], 300, 1.0, seed=13)
         assert mp.max_principle_check(DISC, u_quad, [0.0, 0.0],
                                       cloud, 1e-6) == "premise not met"
+        # the outcome overrides the oscillation rule, which is then not judged
+        rep, _ = mp.max_principle_report(DISC, SIGMA_I, u_quad, [0.0, 0.0],
+                                         300, 1.0, seed=13)
+        assert rep.verdict == "premise not met"
+        assert [(c.label, c.passed) for c in rep.checks] == [
+            ("premise_base_attains_max", False), ("oscillation_limit", None)]
 
     def test_boundary_max_nonconstant_fails(self):
         # u = |x|^2 attains its cloud maximum at a boundary base point but is

@@ -117,6 +117,9 @@ class TestDegenerateAndTrivial:
         rep = mc.holder_tightness(HALF_LINE, cf, [1.0], 1.0, 0.45, [3, 4],
                                   16, seed=8)
         assert rep.verdict == "near-critical"
+        # the outcome overrides the spread rule, which is then not judged
+        assert [(c.label, c.passed) for c in rep.checks] == [
+            ("stability_factor", None), ("critical_theta", False)]
 
     def test_approx_continuity_regulator_channel_nontrivial(self):
         # start near the boundary so wide tubes produce boundary pushes:
