@@ -77,7 +77,8 @@ CATALOG = {
     "exp_tail": ExperimentSpec(
         "squared-exponential integrability of the regulator total variation"),
     "smallball_and_levy": ExperimentSpec(
-        "Gaussian small-ball law and conditional iterated-integral bounds"),
+        "Gaussian small-ball law and conditional iterated-integral bounds",
+        {"M_values": "two distinct values"}),
     "regulator_conditional": ExperimentSpec(
         "vanishing conditional regulator exceedance on shrinking tubes"),
     "holder_tightness": ExperimentSpec(
@@ -189,6 +190,8 @@ _VALIDATORS = {
     "listed experiment": lambda v: isinstance(v, str) and v in CATALOG,
     # a rate or exponent fit needs two distinct abscissae
     "two distinct levels": lambda v: _VALIDATORS["int_list"](v)
+    and len(set(v)) >= 2,
+    "two distinct values": lambda v: _VALIDATORS["float_list"](v)
     and len(set(v)) >= 2,
     "two distinct lengths": lambda v: _VALIDATORS["window_list"](v)
     and len({t - s for s, t in v}) >= 2,

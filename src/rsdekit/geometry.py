@@ -874,8 +874,7 @@ def _check_A(domain, bpts, normals, ipts, rng, n_probe=64):
                            note=f"exterior ball radius {r0:g}")
 
 
-def _pair_check(label, domain, bpts, normals, ipts, stride, coefficients,
-                note):
+def _pair_check(label, bpts, normals, ipts, stride, coefficients, note):
     """Minimum of <y - x, n> + c |y - x|^2 over sampled boundary points x, the
     normals n at x with their coefficients c = coefficients(x, ns), and up to
     16 closure points y from a slice of ipts that moves by `stride` per x."""
@@ -896,7 +895,7 @@ def _pair_check(label, domain, bpts, normals, ipts, stride, coefficients,
 
 
 def _check_H1(domain, bpts, normals, ipts, rng):
-    return _pair_check("H1", domain, bpts, normals, ipts, 7,
+    return _pair_check("H1", bpts, normals, ipts, 7,
                        lambda x, ns: [domain.c0] * len(ns),
                        f"c0={domain.c0:g}")
 
@@ -920,7 +919,7 @@ def _check_C(domain, bpts, normals, ipts, rng):
         g = np.asarray(domain.phi.grad(x), dtype=float)
         return [np.dot(g, n) / domain.gamma for n in ns]
 
-    return _pair_check("C", domain, bpts, normals, ipts, 5, coefficients,
+    return _pair_check("C", bpts, normals, ipts, 5, coefficients,
                        f"gamma={domain.gamma:g}")
 
 

@@ -476,6 +476,11 @@ def skeleton_convergence(domain, coeffs, x0, T, h, levels, paths, seed,
         report.add(f"node_supmeansq_level_{n}", node_stat, n=len(vals))
         report.add(f"control_modulus_level_{n}", modulus)
         report.add(f"node_constant_level_{n}", constants[-1], n=len(vals))
+    if max(sup_means) < 1e-300:
+        report.outcome = "degenerate"
+        report.notes.append("shifted-driver error vanished identically at "
+                            "all levels")
+        return report
     report.check("decay_factor", sup_means[-1] / sup_means[0], decay_factor,
                  sup_means[-1] <= decay_factor * sup_means[0])
     # stability per refinement: the constant must move by less than the
@@ -820,6 +825,9 @@ def smallball_and_levy(T, deltas, M_values, paths, seed, workers=1,
     plus conditional iterated-integral exceedance proportions in d1 = 2."""
     if any(d <= 0 for d in levy_deltas):
         raise ValueError("levy_deltas must be positive")
+    if len(set(M_values)) < 2:
+        raise ValueError("the exceedance comparison over M needs two distinct "
+                         "M_values")
     deltas = sorted(float(d) for d in deltas)
     times = pth.dyadic_grid(T, grid_level)
     sups = _joined(parallel_chunks(_smallball_chunk, int(paths), workers,

@@ -109,12 +109,11 @@ class SamplePath:
     """Time grid plus one vector value per node.
 
     times must start at 0 and increase strictly; evaluation between nodes
-    follows the declared interpolation rule.
+    is piecewise linear.
     """
 
     times: np.ndarray
     values: np.ndarray
-    interpolation: str = "piecewise_linear"
 
     def __post_init__(self):
         times = np.ascontiguousarray(np.asarray(self.times, dtype=float))
@@ -128,8 +127,6 @@ class SamplePath:
             raise ValueError("times must increase strictly")
         if len(times) != len(values):
             raise ValueError("times and values lengths disagree")
-        if self.interpolation not in ("piecewise_linear", "piecewise_constant_left"):
-            raise ValueError(f"unknown interpolation {self.interpolation!r}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -148,14 +145,8 @@ class SamplePath:
         tq = np.atleast_1d(t)
         if np.any(tq < 0) or np.any(tq > self.times[-1] + 1e-12):
             raise ValueError("evaluation time outside the grid span")
-        if self.interpolation == "piecewise_linear":
-            out = np.column_stack([
-                np.interp(tq, self.times, self.values[:, j])
-                for j in range(self.dim)])
-        else:
-            idx = np.searchsorted(self.times, tq, side="right") - 1
-            idx = np.clip(idx, 0, len(self.times) - 1)
-            out = self.values[idx]
+        out = np.column_stack([np.interp(tq, self.times, self.values[:, j])
+                               for j in range(self.dim)])
         return out[0] if scalar else out
 
     def node_index(self, t, tol=1e-12):
@@ -164,7 +155,7 @@ class SamplePath:
     def restrict(self, times, tol=1e-12):
         """Restriction to a subset grid; every requested time must be a node."""
         idx = node_indices(self.times, times, tol)
-        return SamplePath(self.times[idx], self.values[idx], self.interpolation)
+        return SamplePath(self.times[idx], self.values[idx])
 
     def to_csv(self, fileobj):
         header = "t," + ",".join(f"x{j + 1}" for j in range(self.dim))
@@ -199,12 +190,10 @@ class Control:
     """
 
     path: SamplePath
-    derivative: np.ndarray = field(default=None)
-    energy: np.ndarray = field(default=None)
+    derivative: np.ndarray = field(init=False)
+    energy: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.path.interpolation != "piecewise_linear":
-            raise ValueError("controls are piecewise linear")
         dt = np.diff(self.path.times)
         deriv = np.diff(self.path.values, axis=0) / dt[:, None]
         en = np.concatenate([[0.0], np.cumsum(np.sum(deriv ** 2, axis=1) * dt)])
@@ -320,41 +309,17 @@ def dyadic_grid(T, n):
     return np.linspace(0.0, float(T), 2 ** int(n) + 1)
 
 
-def _dyadic_indices(w, n, T):
-    nodes = dyadic_grid(T, n)
-    try:
-        return node_indices(w.times, nodes), nodes
-    except GridMismatch as exc:
-        raise GridMismatch(
-            f"driver grid lacks level-{n} dyadic nodes on [0, {T}]") from exc
-
-
 def adapted_interpolation(w, n, T):
-    """One-cell-delayed piecewise-linear interpolation w^n of the driver.
+    """One-cell-delayed piecewise-linear interpolation w^n of the driver,
+    its control read on the driver's nodes up to T.
 
     On the dyadic cell [t_i, t_{i+1}) of mesh D = T 2^-n the value is
     w(t_{i-1}) + (w(t_i) - w(t_{i-1})) (t - t_i) / D, with t_{-1} read as 0,
     so the path is continuous, adapted, constant equal to w(0) on the first
-    cell, and satisfies w^n(t_{i+1}) = w(t_i) exactly at the nodes.
+    cell, and satisfies w^n(t_{i+1}) = w(t_i) at the nodes.
     """
-    idx, nodes = _dyadic_indices(w, n, T)
-    cells = 2 ** int(n)
-    delta = float(T) / cells
-    keep = w.times <= float(T) + 1e-12
-    t = w.times[keep]
-    cell = np.searchsorted(nodes, t + 1e-9 * delta) - 1
-    cell = np.clip(cell, 0, cells)
-    prev = np.maximum(cell - 1, 0)
-    w_nodes = w.values[idx]
-    base = w_nodes[prev]
-    inc = w_nodes[cell] - base
-    frac = (t - nodes[cell]) / delta
-    vals = base + inc * frac[:, None]
-    vals[cell == 0] = w.values[0]
-    # dyadic nodes take their delayed values exactly, no rounding residue
-    vals[idx[1:]] = w_nodes[:-1]
-    vals[idx[0]] = w.values[0]
-    return SamplePath(t, vals)
+    t = w.times[w.times <= float(T) + 1e-12]
+    return SamplePath(t, control_from_path(w, n, T)(t))
 
 
 def control_from_path(w, n, T):
@@ -363,12 +328,14 @@ def control_from_path(w, n, T):
     The derivative on [t_i, t_{i+1}) equals (w(t_i) - w(t_{i-1})) / mesh,
     zero on the first cell.
     """
-    idx, nodes = _dyadic_indices(w, n, T)
-    w_nodes = w.values[idx]
-    vals = np.empty_like(w_nodes)
-    vals[0] = w_nodes[0]
-    vals[1:] = w_nodes[:-1]
-    return control_from_values(nodes, vals)
+    nodes = dyadic_grid(T, n)
+    try:
+        w_nodes = w.values[node_indices(w.times, nodes)]
+    except GridMismatch as exc:
+        raise GridMismatch(
+            f"driver grid lacks level-{n} dyadic nodes on [0, {T}]") from exc
+    return control_from_values(nodes, np.concatenate([w_nodes[:1],
+                                                      w_nodes[:-1]]))
 
 
 # ---------------------------------------------------------------------------

@@ -357,13 +357,12 @@ def _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
                         record=("x",)):
     """Projected explicit Euler for dx = sigma(x) hdot dt + b(x) dt.
 
-    slopes gives the piecewise-constant driver derivative: shape (cells,
-    d1), one per cell of the grid, shared across paths; (P, cells, d1) per
-    path, read through _cell_index; or a list of (slopes (cells, d1, P),
-    grid cells' index into them) pairs as _adapted_slopes builds them, one
-    per stacked level, rows level-major.  Coefficients are re-evaluated at
-    every substep state, or once per change of the slopes for a constant
-    model; only the grid nodes are recorded.
+    slopes gives the piecewise-constant driver derivative of each path as
+    a list of (slopes (cells, d1, p), grid cells' index into them) pairs,
+    as _adapted_slopes and skeleton_batch build them, one per stacked
+    level, rows level-major.  Coefficients are re-evaluated at every
+    substep state, or once per change of the slopes for a constant model;
+    only the grid nodes are recorded.
 
     With a sequence of substep counts, each dividing the next, every
     refinement is solved in the same batch: rows refinement-major, coarsest
@@ -378,26 +377,19 @@ def _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
         raise ValueError(f"substeps {subs} must each divide the next")
     R, M = len(subs), subs[-1]
     dts = [np.diff(_refined_grid(grid, m)) for m in subs]
-    if isinstance(slopes, np.ndarray) and slopes.ndim == 3:
-        slopes = [(_step_major(slopes),
-                   _cell_index(grid, slopes.shape[1], grid[-1]))]
-    per_path = isinstance(slopes, list)
-    if per_path:
-        _, d1, p = slopes[0][0].shape
-        P = len(slopes) * p
-        # one running slope row per stacked row of a refinement, written
-        # into every refinement at once; a level's block is rewritten only
-        # when its cell changes
-        buf = np.empty((d1, R, P))
-        levels = [(s, idx.tolist(), slice(j * p, (j + 1) * p), [-1])
-                  for j, (s, idx) in enumerate(slopes)]
-    else:
-        P, levels = int(np.atleast_2d(x0).shape[0]), []
+    _, d1, p = slopes[0][0].shape
+    P = len(slopes) * p
+    # one running slope row per stacked row of a refinement, written into
+    # every refinement at once; a level's block is rewritten only when its
+    # cell changes
+    buf = np.empty((d1, R, P))
+    levels = [(s, idx.tolist(), slice(j * p, (j + 1) * p), [-1])
+              for j, (s, idx) in enumerate(slopes)]
     x0 = _broadcast_start(x0, R * P, coeffs.d)
     periods = [M // m for m in subs]
 
     def rate(S, b, s):
-        u = _rows_dot(S, s) if per_path else S @ s
+        u = _rows_dot(S, s)
         u += b
         return u
 
@@ -409,16 +401,15 @@ def _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
     def inc(i, X):
         c, lo = i // M, R * P - len(X)
         if c != last[0]:
-            last[0], moved = c, not per_path
+            last[0], moved = c, False
             for own, idx, rows, cur in levels:
                 if idx[c] != cur[0]:
                     cur[0], moved = idx[c], True
                     buf[:, :, rows] = own[idx[c]][:, None]
             if moved:  # per path (rows, d1), the same in every refinement
-                s = buf.reshape(len(buf), -1).T if per_path else slopes[c]
+                s = buf.reshape(d1, -1).T
                 last[1] = rate(*const, s) if const else s
-        # the due rows' rate, or their slopes (shared slopes have no rows)
-        r = last[1][lo:] if lo and (const or per_path) else last[1]
+        r = last[1][lo:] if lo else last[1]  # the due rows' rate or slopes
         if not const:
             r = rate(coeffs.sigma_at(X), coeffs.b_at(X), r)
         u = np.empty_like(r) if const else r  # in the rate's layout
@@ -438,19 +429,19 @@ def skeleton(domain, coeffs, h, substeps, x0, grid=None):
     Integrates on the control's breakpoint grid (refined by substeps), or on
     a caller grid that must contain the breakpoints.
     """
-    if grid is None:
-        grid = h.times
-    grid = np.asarray(grid, dtype=float)
+    grid = h.times if grid is None else np.asarray(grid, dtype=float)
     slopes = h.slope_at(0.5 * (grid[:-1] + grid[1:]))
-    return _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
-                               RECORD_ALL).single(0)
+    return skeleton_batch(domain, coeffs, grid, slopes[None], x0, substeps,
+                          RECORD_ALL).single(0)
 
 
 def skeleton_batch(domain, coeffs, grid, slopes, x0, substeps, record=("x",)):
     """Skeletons for a batch of controls, slopes (P, cells, d1) per cell of
     the grid or on equal cells of [0, grid[-1]], read through
     _cell_index."""
-    return _bv_integrate_batch(domain, coeffs, grid, slopes, x0, substeps,
+    grid = np.asarray(grid, dtype=float)
+    pair = (_step_major(slopes), _cell_index(grid, slopes.shape[1], grid[-1]))
+    return _bv_integrate_batch(domain, coeffs, grid, [pair], x0, substeps,
                                record)
 
 

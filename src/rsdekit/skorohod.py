@@ -229,7 +229,7 @@ class TVBoundReport:
     n_windows: int
 
 
-def verify_tv_bound(domain, sol, driver, theta, c1=1.0, c2=1.0):
+def verify_tv_bound(sol, driver, theta, c1=1.0, c2=1.0):
     """Smallest C with |k|_t^s <= C (1 + ||w||_{[s,t],theta}^c1 (t-s))
     e^{c2 ||w||_{[s,t]}} ||w||_{[s,t]} over all aligned dyadic windows.
 

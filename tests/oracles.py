@@ -471,6 +471,26 @@ def expand_cell_slopes(slopes, grid, T):
     return np.moveaxis(slopes, 0, -1).take(cell, axis=0).transpose(2, 0, 1)
 
 
+def adapted_interpolation_reference(w, n, T):
+    """paths.adapted_interpolation as first written: the one-cell-delayed
+    interpolation of the driver w on its nodes up to T, by its formula
+    w(t_{i-1}) + (w(t_i) - w(t_{i-1})) (t - t_i) / D, with every dyadic node
+    given its delayed value, as (times, values)."""
+    nodes = dyadic_grid(T, n)
+    idx = node_indices(w.times, nodes)
+    cells = 2 ** int(n)
+    delta = float(T) / cells
+    t = w.times[w.times <= float(T) + 1e-12]
+    cell = np.clip(np.searchsorted(nodes, t + 1e-9 * delta) - 1, 0, cells)
+    w_nodes = w.values[idx]
+    base = w_nodes[np.maximum(cell - 1, 0)]
+    vals = base + (w_nodes[cell] - base) * ((t - nodes[cell]) / delta)[:, None]
+    vals[cell == 0] = w.values[0]
+    vals[idx[1:]] = w_nodes[:-1]
+    vals[idx[0]] = w.values[0]
+    return t, vals
+
+
 def adapted_slopes_reference(times, W, levels, T=None):
     """rsde._adapted_slopes as first written: the grid of the nodes up to T
     and every level's slopes copied onto every grid cell, (len(levels) * P,

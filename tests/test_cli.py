@@ -334,13 +334,16 @@ class TestRun:
             [experiment]
             T = 0.5
             deltas = [0.05, 0.06]
-            M_values = [0.5]
+            M_values = [0.5, 1.0]
             paths = 200
             grid_level = 6
             levy_attempts = 8192
             levy_grid_level = 4
         """.format(out=tmp_path / "o8"))
         assert cli.main(["run", path]) == cli.EXIT_FAIL
+        doc = json.loads((tmp_path / "o8" / "report.json").read_text())
+        assert [(c["label"], c["value"], c["bound"]) for c in doc["checks"]
+                if c["passed"] is False] == [("smallball_hit_deltas", 0, 2)]
 
     @pytest.mark.parametrize("levy_deltas", ["[0.8, -0.5]", "[-0.8, -0.5]",
                                              "[0.8, 0.0]"])
@@ -355,7 +358,7 @@ class TestRun:
             [experiment]
             T = 0.5
             deltas = [0.5, 1.0]
-            M_values = [0.5]
+            M_values = [0.5, 1.0]
             paths = 200
             levy_attempts = 8192
             levy_grid_level = 4
@@ -876,6 +879,30 @@ def test_parse_time_crash_exit_5(tmp_path, monkeypatch, capsys, dry_run):
     path = _write_shaped(tmp_path, CLI_SHAPED["skeleton_convergence"], 1, out)
     assert cli.main(["run", path, *dry_run]) == cli.EXIT_INTERNAL
     assert capsys.readouterr().err == "internal error: IndexError: boom\n"
+    assert not out.exists()
+
+
+def test_vanishing_skeleton_error_is_degenerate_exit_0(tmp_path):
+    # with sigma = 0 every level's error is 0: no ratio of them is formed
+    out = tmp_path / "out"
+    path = _write_shaped(tmp_path, {
+        **CLI_SHAPED["skeleton_convergence"],
+        "coefficients": dict(_CONST, sigma_params={"value": 0.0})}, 1, out)
+    assert cli.main(["run", path]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["verdict"] == "degenerate" and doc["checks"] == []
+
+
+@pytest.mark.parametrize("M_values", ["[0.5]", "[1.0, 1.0]"])
+def test_fewer_than_two_M_values_exit_2(tmp_path, M_values):
+    out = tmp_path / "out"
+    path = _write_shaped(tmp_path, BENCHMARK_SHAPED["tube-levy"], 1, out)
+    setting = f"experiment.M_values={M_values}"
+    with pytest.raises(ConfigError, match="two distinct values"):
+        cli.parse_config(path, [setting])
+    for dry_run in ([], ["--dry-run"]):
+        assert cli.main(["run", path, "--set", setting, *dry_run]) \
+            == cli.EXIT_CONFIG
     assert not out.exists()
 
 

@@ -74,6 +74,15 @@ class TestDegenerateAndTrivial:
         rep = mc.exp_tail(HALF_LINE, cf, [1.0], 1.0, 64, seed=3, grid_level=5)
         assert rep.verdict == "degenerate"
 
+    def test_skeleton_convergence_degenerate(self):
+        # every level's shifted-driver error is 0, so no ratio is formed
+        cf = make_coefficients(1, 1, **SIGMA0)
+        rep = mc.skeleton_convergence(HALF_LINE, cf, [0.5], 1.0,
+                                      linear_control(1.0, [0.5], 256), [3, 4],
+                                      16, seed=1)
+        assert rep.verdict == "degenerate"
+        assert rep.checks == [] and rep.rate_fit is None
+
     def test_moment_scaling_degenerate(self):
         cf = make_coefficients(1, 1, **SIGMA0)
         rep = mc.moment_scaling(HALF_LINE, cf, [1.0],
@@ -530,13 +539,27 @@ class TestFitGuards:
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = mc.smallball_and_levy(0.5, deltas, [0.5], 200, seed=1,
+            rep = mc.smallball_and_levy(0.5, deltas, [0.5, 1.0], 200, seed=1,
                                         grid_level=6, levy_attempts=8192,
                                         levy_grid_level=4)
         assert rep.verdict == "fail"
         assert rep.rate_fit is None
-        assert [(c.value, c.bound, c.passed) for c in rep.checks
-                if c.label == "smallball_hit_deltas"] == [(hit, 2, False)]
+        # the hit-delta rule alone decides the verdict
+        assert [(c.label, c.value, c.bound) for c in rep.checks
+                if c.passed is False] == [("smallball_hit_deltas", hit, 2)]
+
+    @pytest.mark.parametrize("M_values", [[0.5], [1.0, 1.0]])
+    def test_smallball_needs_two_distinct_M_values(self, M_values,
+                                                   monkeypatch):
+        # one M compares the exceedance with itself, which never falls
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew paths")
+
+        monkeypatch.setattr(mc, "parallel_chunks", no_draws)
+        with pytest.raises(ValueError, match="two distinct M_values"):
+            mc.smallball_and_levy(0.5, [0.5, 1.0], M_values, 200, seed=1,
+                                  grid_level=6, levy_attempts=8192,
+                                  levy_grid_level=4)
 
 
 class TestDeterminism:

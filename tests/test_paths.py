@@ -17,8 +17,9 @@ from rsdekit import paths as pth
 from rsdekit.paths import (_sq_norm, dyadic_lags, holder_seminorm_batch,
                            lag_scan_sq, oscillation, stream_keys)
 
-from oracles import (holder_pairs_brute, lag_scan_sq_reference,
-                     node_index_reference, peak_bytes, smallball_1d)
+from oracles import (adapted_interpolation_reference, holder_pairs_brute,
+                     lag_scan_sq_reference, node_index_reference, peak_bytes,
+                     smallball_1d)
 
 
 class TestSamplePath:
@@ -34,12 +35,6 @@ class TestSamplePath:
         p = SamplePath(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0]))
         assert p(0.25) == pytest.approx(0.5)
         assert p(0.75) == pytest.approx(0.5)
-
-    def test_constant_left_evaluation(self):
-        p = SamplePath(np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0, 3.0]),
-                       interpolation="piecewise_constant_left")
-        assert p(0.49) == pytest.approx(1.0)
-        assert p(0.5) == pytest.approx(2.0)
 
     def test_restrict_requires_nodes(self):
         p = SamplePath(np.linspace(0, 1, 11), np.zeros(11))
@@ -224,8 +219,45 @@ class TestAdaptedInterpolation:
         with pytest.raises(GridMismatch):
             adapted_interpolation(w, 3, 1.0)
 
+    @pytest.mark.parametrize("T", [1.0, 0.75])
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_is_its_control_read_at_the_driver_nodes(self, T, mixed):
+        # against the interpolation's formula: bit for bit at the dyadic
+        # nodes, and everywhere when the mesh T 2^-n is a power of two (both
+        # then round the same product once).  Otherwise the control divides
+        # by the nodes' spacing, the formula by T 2^-n, so the two differ by
+        # a few roundings of the increment: 4 ulps of the larger node value
+        rng = np.random.default_rng(int(8 * T) + mixed)
+        for n in (1, 3, 5):
+            times = dyadic_grid(T, n + 2)
+            if mixed:
+                times = np.union1d(times, rng.uniform(0.0, T, 13))
+            w = SamplePath(times, np.cumsum(
+                rng.standard_normal((len(times), 2)), axis=0))
+            wn = adapted_interpolation(w, n, T)
+            t, want = adapted_interpolation_reference(w, n, T)
+            assert np.array_equal(wn.times, t)
+            assert np.array_equal(wn.values, control_from_path(w, n, T)(t))
+            nodes = dyadic_grid(T, n)
+            idx = pth.node_indices(times, nodes)
+            assert np.array_equal(wn.values[idx], want[idx])
+            if T == 1.0:
+                assert np.array_equal(wn.values, want)
+            cell = np.minimum(np.searchsorted(nodes, t, side="right") - 1,
+                              2 ** n - 1)
+            w_nodes = np.abs(w.values[idx])
+            scale = np.maximum(w_nodes[np.maximum(cell - 1, 0)], w_nodes[cell])
+            assert np.all(np.abs(wn.values - want) <= 4 * np.spacing(scale))
+
 
 class TestControl:
+    def test_derived_fields_are_not_arguments(self):
+        path = SamplePath(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
+        for key in ("derivative", "energy"):
+            with pytest.raises(TypeError):
+                Control(path, **{key: np.zeros((1, 1))})
+        assert Control(path).derivative[0, 0] == 2.0
+
     def test_first_cell_derivative_zero(self):
         grid = dyadic_grid(1.0, 4)
         w = sample_brownian(1, grid, seed=11)

@@ -377,10 +377,10 @@ class TestIncrementKernels:
         with np.errstate(invalid="ignore", over="ignore", under="ignore"):
             for model in (cf, per_step):
                 euler_reflected_batch(None, model, times, dW, np.zeros(d))
-                rsde._bv_integrate_batch(None, model, grid, slopes,
-                                         np.zeros(d), 3)
-                rsde._bv_integrate_batch(None, model, grid, slopes[0],
-                                         np.zeros((P, d)), 3)
+                rsde.skeleton_batch(None, model, grid, slopes, np.zeros(d), 3)
+                rsde.skeleton_batch(None, model, grid,
+                                    np.broadcast_to(slopes[0], slopes.shape),
+                                    np.zeros((P, d)), 3)
         assert len(incs) == 6
         for got, want in zip(incs[:3], incs[3:]):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))

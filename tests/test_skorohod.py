@@ -164,14 +164,14 @@ class TestTVBound:
         vals = np.stack([0.1 * np.sin(t), 0.1 * np.cos(t) - 0.1], axis=1)
         driver = SamplePath(t, vals)
         sol = solve(DISC, driver, x0=[0.0, 0.0])
-        rep = verify_tv_bound(DISC, sol, driver, theta=0.5)
+        rep = verify_tv_bound(sol, driver, theta=0.5)
         assert rep.fitted_C == 0.0
 
     def test_descending_line_bounded_by_one(self):
         t = np.linspace(0, 1, 129)
         driver = SamplePath(t, 1.0 - 2.0 * t)
         sol = solve(HALF_LINE, driver, x0=[1.0])
-        rep = verify_tv_bound(HALF_LINE, sol, driver, theta=1.0)
+        rep = verify_tv_bound(sol, driver, theta=1.0)
         # |k|_t^s <= osc_w on every window, so the fitted constant cannot
         # exceed 1 for any exponents
         assert rep.fitted_C <= 1.0 + 1e-12
@@ -181,17 +181,17 @@ class TestTVBound:
         driver = SamplePath(t, np.zeros((9, 1)))
         sol = solve(HALF_LINE, driver, x0=[1.0])
         with pytest.raises(ValueError):
-            verify_tv_bound(HALF_LINE, sol, driver, theta=0.0)
+            verify_tv_bound(sol, driver, theta=0.0)
 
     def test_same_report_as_reference_scan(self, monkeypatch):
         # the windows' oscillation runs the exact scan, pruned on long windows
         w = sample_brownian(2, dyadic_grid(1.0, 8), seed=41)
         sol = solve(DISC, w, x0=[0.9, 0.0])
-        got = verify_tv_bound(DISC, sol, w, theta=0.5)
+        got = verify_tv_bound(sol, w, theta=0.5)
         monkeypatch.setattr(pth, "lag_scan_sq", lag_scan_sq_reference)
         monkeypatch.setattr(skorohod, "lag_scan_sq", lag_scan_sq_reference)
         assert got.fitted_C > 0
-        assert verify_tv_bound(DISC, sol, w, theta=0.5) == got
+        assert verify_tv_bound(sol, w, theta=0.5) == got
 
     def test_stable_under_refinement(self):
         # fitted C within x2 across meshes 2^6 -> 2^10 with common drivers
@@ -204,7 +204,7 @@ class TestTVBound:
                 nodes = dyadic_grid(1.0, level)
                 sub = w.restrict(nodes)
                 sol = solve(DISC, sub, x0=[0.9, 0.0])
-                cs.append(verify_tv_bound(DISC, sol, sub, theta=0.5).fitted_C)
+                cs.append(verify_tv_bound(sol, sub, theta=0.5).fitted_C)
             if min(cs) > 0:
                 ratios.append(max(cs) / min(cs))
         assert np.median(ratios) <= 2.0

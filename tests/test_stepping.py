@@ -104,8 +104,9 @@ def test_stacked_refinements_equal_separate_solves(kind, model):
     subs = [1, 2, 4, 8]
     runs = [lambda m: wong_zakai_batch(dom, cf, times, W, [3, 4], m, x0,
                                        record=RECORD_ALL),
-            lambda m: rsde._bv_integrate_batch(dom, cf, grid, shared, starts,
-                                               m, RECORD_ALL)]
+            lambda m: skeleton_batch(dom, cf, grid,
+                                     np.broadcast_to(shared, (3, 8, 2)),
+                                     starts, m, RECORD_ALL)]
     for run in runs:
         stacked = run(subs)
         rows = len(stacked.x) // len(subs)
@@ -467,8 +468,8 @@ def test_own_cell_slopes_match_expanded_slopes(kind, model):
         grid, expanded = oracles.adapted_slopes_reference(times, W, levels, T)
         _same_bits(wong_zakai_batch(dom, cf, times, W, levels, [2, 4], x0, T,
                                     RECORD_ALL),
-                   rsde._bv_integrate_batch(dom, cf, grid, expanded, x0,
-                                            [2, 4], RECORD_ALL))
+                   skeleton_batch(dom, cf, grid, expanded, x0, [2, 4],
+                                  RECORD_ALL))
         _same_bits(shifted_driver_batch(dom, cf, times, W, levels, h, x0, T,
                                         RECORD_ALL),
                    oracles.shifted_driver_batch_reference(
@@ -479,6 +480,25 @@ def test_own_cell_slopes_match_expanded_slopes(kind, model):
     _same_bits(skeleton_batch(dom, cf, grid, slopes, x0, [2, 4], RECORD_ALL),
                skeleton_batch(dom, cf, grid, oracles.expand_cell_slopes(
                    slopes, grid, 1.0), x0, [2, 4], RECORD_ALL))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("model", ["sin", "const"])
+def test_skeleton_is_a_batch_of_one(kind, model):
+    # on the control's breakpoint grid, and on a finer caller grid with
+    # nodes off it, where the batch reads the slopes on the control's own
+    # cells
+    dom, x0 = KINDS[kind]
+    cf = {"sin": SIN, "const": CONST}[model]
+    h = sine_control(1.0, amplitude=2.0, frequency=2.0, dim=2, n_cells=8)
+    for grid in (None, np.union1d(dyadic_grid(1.0, 5), [0.1, 0.3, 0.77])):
+        single = skeleton(dom, cf, h, 4, x0, grid=grid)
+        batch = skeleton_batch(dom, cf, h.times if grid is None else grid,
+                               h.derivative[None], x0, 4, RECORD_ALL)
+        got = (single.x.values, single.k.values, single.tv, single.pushes)
+        for name, a in zip(RECORD_ALL, got):
+            b = getattr(batch, name)[0]
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
